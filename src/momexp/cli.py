@@ -1,15 +1,18 @@
 """Command-line front-end with JSON input and output.
 
-One verb per run; a single JSON document goes to standard output and all
-diagnostics to standard error.  Exit status: 0 on success, 2 on input or
-parse errors, 3 on numeric failure (radius exceeded, non-convergence,
-singular matrix, failed chain construction).
+One verb per run; a single strict JSON document (non-finite numbers written
+as null) goes to standard output and all diagnostics to standard error.
+Exit status: 0 on success, 2 on input or parse errors, 3 on numeric failure
+(radius exceeded, non-convergence, singular matrix, failed chain
+construction).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 from . import __version__
@@ -22,11 +25,9 @@ from .errors import (
 from .evaluation import CONVERGED, TruncationPolicy, eval_exp, eval_via_jordan
 from .jordan import JordanDecomposition, jordan_decompose, verify_decomposition
 from .matrices import (
-    CMatrix,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
-    scalar_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -47,11 +48,12 @@ EXIT_NUMERIC = 3
 
 def _parse_complex(text):
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"complex values are written 're,im', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"complex values are written 're,im', got {text!r}")
+    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex value must be finite, got {text!r}")
+    return z
 
 
 def _load_json(path):
@@ -71,10 +73,7 @@ def _load_matrix(path, backend=None):
 
 
 def _policy(args):
-    return TruncationPolicy(
-        tol=getattr(args, "tol", 1e-12) or 1e-12,
-        max_terms=getattr(args, "max_terms", 10000) or 10000,
-    )
+    return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
 
 
 def _series_to_json(s):
@@ -85,13 +84,26 @@ def _series_to_json(s):
 
 
 def _series_from_json(obj):
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise ValueError("series JSON must be an object with a 'coeffs' list")
     seq = parse_specifier(obj["sequence"])
     coeffs = [matrix_from_json(c) for c in obj["coeffs"]]
     return MomentSeries(seq, coeffs)
 
 
+def _strict_json(obj):
+    """Replace non-finite floats, which strict JSON cannot hold, by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def _emit(doc):
-    json.dump(doc, sys.stdout)
+    json.dump(_strict_json(doc), sys.stdout, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -111,7 +123,7 @@ def _cmd_eval(args):
     seq = parse_specifier(args.moment)
     z = _parse_complex(args.z)
     policy = _policy(args)
-    if A.backend == "exact" and seq.exact and z.imag == 0 and z == int(z.real):
+    if A.backend == "exact" and seq.exact and z.imag == 0 and z.real.is_integer():
         z_in = int(z.real)
     else:
         A = A.to_float()
@@ -189,9 +201,12 @@ def _cmd_jordan(args):
 def _cmd_verify_jordan(args):
     A = _load_matrix(args.matrix, args.backend)
     obj = _load_json(args.decomposition)
-    blocks = [
-        (scalar_from_json(entry[:2]), int(entry[2])) for entry in obj["blocks"]
-    ]
+    entries = obj.get("blocks") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 3 and isinstance(e[2], int) for e in entries
+    ):
+        raise ValueError("decomposition JSON needs 'blocks': [[re, im, size], ...]")
+    blocks = [(scalar_from_json(e[:2]), e[2]) for e in entries]
     dec = JordanDecomposition(
         P=matrix_from_json(obj["P"]),
         blocks=blocks,
@@ -203,7 +218,18 @@ def _cmd_verify_jordan(args):
     return EXIT_OK if result["ok"] else EXIT_NUMERIC
 
 
+_SERIES_INPUTS = {
+    "derive": ("series",),
+    "product": ("series", "series2"),
+    "inverse": ("matrix", "moment"),
+    "phi": ("moment",),
+}
+
+
 def _cmd_series(args):
+    missing = [f"--{a}" for a in _SERIES_INPUTS[args.op] if getattr(args, a) is None]
+    if missing:
+        raise ValueError(f"--op {args.op} needs {' and '.join(missing)}")
     if args.op == "derive":
         out = moment_derivative(_series_from_json(_load_json(args.series)))
         _emit(_series_to_json(out))

@@ -12,7 +12,7 @@ finite radius of convergence; a persistent term ratio >= 1 is reported as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -111,16 +111,18 @@ def _eval_exp_exact(A, z, seq, policy):
             return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
         value = (CMatrix.identity(A.n, EXACT) - M).inverse()
         return EvalReport(value, 0, 0.0, CONVERGED)
-    # general exact path: terminates only if some power of Az vanishes
+    # general exact path: the series is finite iff Az is nilpotent, and then
+    # (Az)^n = 0 by Cayley-Hamilton, so n terms decide it
     M = A.scale(z)
     total = CMatrix.identity(A.n, EXACT)
     term = total
-    for p in range(1, policy.max_terms + 1):
+    last = min(A.n, policy.max_terms)
+    for p in range(1, last + 1):
         term = (term @ M).scale(seq.value(p - 1) / seq.value(p))
         if term.is_zero():
             return EvalReport(total, p, 0.0, CONVERGED)
         total = total + term
-    return EvalReport(total, policy.max_terms, math.inf, MAX_TERMS_REACHED)
+    return EvalReport(total, last + 1, math.inf, MAX_TERMS_REACHED)
 
 
 def eval_exp(A, z, seq, policy=TruncationPolicy()):
@@ -129,7 +131,8 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     Float backend: incremental partial sums, T_p = T_{p-1} (Az) m(p-1)/m(p).
     Exact backend (exact matrix, exact z, exact sequence): closed form for
     geometric sequences, otherwise exact summation that converges only when
-    the terms vanish identically (nilpotent Az).
+    the terms vanish identically (nilpotent Az); after n terms without that
+    it stops with ``max_terms_reached``.
     """
     if A.backend == EXACT:
         if not (seq.exact and _is_exact_z(z)):

@@ -1,14 +1,16 @@
 """Jordan canonical decomposition for desk-scale matrices.
 
-Float path: eigenvalues from the QR iteration, clustered by a dedicated
-tolerance;
-kernel dimensions of (A - lam I)^r give the Weyr staircase, and generalized
-eigenvector chains are grown top-down with the convention
+One staircase serves both scalar backends: kernel dimensions of
+(A - lam I)^r give the Weyr counts, and generalized eigenvector chains are
+grown top-down with the convention
 
     (A - lam I) v^j = v^{j-1},   v^0 = 0.
 
-Exact path: the same staircase over Gaussian rationals, with the eigenvalues
-supplied exactly by the caller (root finding itself is float-only).
+A backend supplies only kernel bases (SVD for float, RREF for exact) and a
+basis that takes a vector only if it is independent (Gram-Schmidt for float,
+an RREF rank test for exact).  Float eigenvalues come from the QR iteration,
+clustered by a dedicated tolerance; exact ones are supplied by the caller
+(root finding itself is float-only).
 
 Jordan structure is discontinuous, so all rank decisions carry explicit
 thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
@@ -17,12 +19,13 @@ thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ChainConstructionFailed, DimensionMismatch, SingularMatrix
-from .matrices import EXACT, FLOAT, CMatrix, GaussianRational
+from .errors import ChainConstructionFailed, DimensionMismatch
+from .matrices import EXACT, FLOAT, CMatrix, GaussianRational, mat_vec, rref
 
 
 @dataclass
@@ -86,24 +89,26 @@ def eigenvalues(A, tol=1e-2):
     return out
 
 
-# -- float staircase ----------------------------------------------------
+# -- staircase ----------------------------------------------------------
 
 def _nullspace_float(m, tol):
     u, s, vh = np.linalg.svd(m)
     scale = max(1.0, s[0] if len(s) else 0.0)
     rank = int(np.sum(s > tol * scale))
-    return vh[rank:].conj().T  # orthonormal columns
+    return list(vh[rank:].conj())  # orthonormal vectors
 
 
 class _Onb:
     """Incremental orthonormal basis with twice-is-enough Gram-Schmidt."""
 
-    def __init__(self, tol):
+    def __init__(self, tol, vectors=()):
         self.cols = []
         self.tol = tol
+        for v in vectors:
+            self.add(v)
 
-    def residual(self, v):
-        """Orthonormalized component of v outside the span, or None."""
+    def add(self, v):
+        """Append and return v's unit component outside the span, or None."""
         w = v.astype(complex).copy()
         for _ in range(2):
             for b in self.cols:
@@ -111,57 +116,79 @@ class _Onb:
         nrm = np.linalg.norm(w)
         if nrm <= self.tol * max(1.0, np.linalg.norm(v)):
             return None
-        return w / nrm
+        self.cols.append(w / nrm)
+        return self.cols[-1]
+
+
+def _nullspace_exact(m):
+    """Basis vectors (tuples) of ker(m) for an exact CMatrix."""
+    rows = [list(r) for r in m.rows]
+    pivots = [c for c, _, _ in rref(rows, m.n, True)]
+    basis = []
+    for fc in (c for c in range(m.n) if c not in pivots):
+        v = [GaussianRational(0)] * m.n
+        v[fc] = GaussianRational(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+class _ExactSpan:
+    """Exact span; add(v) keeps v itself, so chains stay rational."""
+
+    def __init__(self, vectors):
+        self.vecs = list(vectors)
 
     def add(self, v):
-        w = self.residual(v)
-        if w is not None:
-            self.cols.append(w)
-        return w
+        rows = [list(u) for u in self.vecs + [v]]
+        if len(rref(rows, len(v), True)) < len(rows):
+            return None
+        self.vecs.append(v)
+        return v
 
 
-def _chains_for_eigenvalue_float(a, lam, mult, tol):
-    n = a.shape[0]
-    m = a - lam * np.eye(n)
-    kernels = [np.zeros((n, 0))]
-    mr = np.eye(n)
-    dims = [0]
-    while dims[-1] < mult:
-        mr = mr @ m
-        kern = _nullspace_float(mr, tol)
-        if kern.shape[1] <= dims[-1] or kern.shape[1] > mult or len(dims) > mult:
+def _chains(m, lam, mult, kernel, span):
+    """Jordan chains [v^1, ..., v^r] with m v^j = v^{j-1} for m = A - lam I.
+
+    ``kernel(M)`` returns a basis of ker M as a list of vectors;
+    ``span(vectors)`` returns a basis holding ``vectors`` whose ``add(v)``
+    returns the chain top to use for v, or None if v is already spanned.
+    """
+    grow = partial(mat_vec, m) if isinstance(m, CMatrix) else m.__matmul__
+    kernels = [[]]  # kernels[r] spans ker m^r
+    mr = None
+    while len(kernels[-1]) < mult:
+        mr = m if mr is None else mr @ m
+        kern = kernel(mr)
+        if not len(kernels[-1]) < len(kern) <= mult:
             raise ChainConstructionFailed(
                 f"kernel staircase stalled for eigenvalue {lam} "
-                f"(dims {dims + [kern.shape[1]]}, multiplicity {mult})"
+                f"(dims {[len(k) for k in kernels + [kern]]}, multiplicity {mult})"
             )
         kernels.append(kern)
-        dims.append(kern.shape[1])
-    s = len(dims) - 1
-    weyr = [dims[r] - dims[r - 1] for r in range(1, s + 1)]
+    s = len(kernels) - 1
+    weyr = [len(kernels[r]) - len(kernels[r - 1]) for r in range(1, s + 1)]
     if any(weyr[i] < weyr[i + 1] for i in range(s - 1)):
         raise ChainConstructionFailed(
             f"non-monotone Weyr counts {weyr} for eigenvalue {lam}"
         )
-    chains = []  # each chain is [v^1, ..., v^r] with M v^j = v^{j-1}
+    chains = []
     carried = {r: [] for r in range(1, s + 1)}  # height-r images of taller tops
     for r in range(s, 0, -1):
         need = weyr[r - 1] - (weyr[r] if r < s else 0)
-        onb = _Onb(1e-8)
-        for j in range(kernels[r - 1].shape[1]):
-            onb.add(kernels[r - 1][:, j])
-        for v in carried[r]:
-            onb.add(v)
+        basis = span(kernels[r - 1] + carried[r])
         picked = 0
-        for j in range(kernels[r].shape[1]):
+        for cand in kernels[r]:
             if picked == need:
                 break
-            top = onb.add(kernels[r][:, j])
+            top = basis.add(cand)
             if top is None:
                 continue
             picked += 1
             chain = [top]
             for _ in range(r - 1):
-                chain.append(m @ chain[-1])
+                chain.append(grow(chain[-1]))
             chain.reverse()
             chains.append(chain)
             for height in range(1, r):
@@ -181,145 +208,47 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
     ``eigenvalues_hint`` as [(lam, mult), ...]).  Exact backend: the hint is
     mandatory and everything runs over Gaussian rationals.
     """
-    if A.backend == EXACT:
+    n = A.n
+    exact = A.backend == EXACT
+    if exact:
         if eigenvalues_hint is None:
             raise ValueError(
                 "exact decomposition needs eigenvalues_hint (root finding is "
                 "float-only); or convert with to_float()"
             )
-        return _jordan_decompose_exact(A, eigenvalues_hint)
-    if A.n > 64:
-        raise DimensionMismatch("Jordan computation is limited to n <= 64")
-    a = A.to_numpy()
-    eigs = eigenvalues_hint or eigenvalues(A, eig_tol)
-    if sum(m for _, m in eigs) != A.n:
+        eigs = [(GaussianRational._coerce(lam), m) for lam, m in eigenvalues_hint]
+        if any(lam is None for lam, _ in eigs):
+            raise ValueError("exact decomposition needs exact eigenvalues")
+        shifted = (A - CMatrix.identity(n, EXACT).scale(lam) for lam, _ in eigs)
+        kernel, span = _nullspace_exact, _ExactSpan
+    else:
+        if n > 64:
+            raise DimensionMismatch("Jordan computation is limited to n <= 64")
+        a = A.to_numpy()
+        eigs = eigenvalues_hint or eigenvalues(A, eig_tol)
+        eigs = [(complex(lam), m) for lam, m in eigs]
+        shifted = (a - lam * np.eye(n) for lam, _ in eigs)
+        kernel, span = partial(_nullspace_float, tol=tol), partial(_Onb, 1e-8)
+    if sum(m for _, m in eigs) != n:
         raise ChainConstructionFailed(
-            f"eigenvalue multiplicities {eigs} do not sum to n={A.n}"
+            f"eigenvalue multiplicities {eigs} do not sum to n={n}"
         )
     blocks = []
     cols = []
-    for lam, mult in eigs:
-        for chain in _chains_for_eigenvalue_float(a, lam, mult, tol):
-            blocks.append((complex(lam), len(chain)))
+    for (lam, mult), m in zip(eigs, shifted):
+        for chain in _chains(m, lam, mult, kernel, span):
+            blocks.append((lam, len(chain)))
             cols.extend(chain)
-    p = np.column_stack(cols)
-    if abs(np.linalg.det(p)) < 1e-12:
-        raise ChainConstructionFailed("assembled eigenvector matrix is singular")
-    p_inv = np.linalg.inv(p)
-    P = CMatrix.from_numpy(p)
-    P_inv = CMatrix.from_numpy(p_inv)
-    J = assemble_jordan(blocks, FLOAT)
-    residual = (A - P @ J @ P_inv).row_sum_norm()
-    return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv, residual=residual)
-
-
-# -- exact staircase ----------------------------------------------------
-
-def _rref_exact(rows, ncols):
-    """In-place RREF over Gaussian rationals; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if bool(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and bool(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _nullspace_exact(m):
-    """Basis vectors (tuples) of ker(m) for an exact CMatrix."""
-    n = m.n
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_exact(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    zero, one = GaussianRational(0), GaussianRational(1)
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def _rank_exact(vectors, n):
-    rows = [list(v) for v in vectors]
-    return len(_rref_exact(rows, n))
-
-
-def _mat_vec_exact(m, v):
-    return tuple(
-        sum((row[k] * v[k] for k in range(1, m.n)), row[0] * v[0])
-        for row in m.rows
-    )
-
-
-def _jordan_decompose_exact(A, eigs):
-    n = A.n
-    eigs = [(GaussianRational._coerce(lam), mult) for lam, mult in eigs]
-    if any(lam is None for lam, _ in eigs):
-        raise ValueError("exact decomposition needs exact eigenvalues")
-    if sum(m for _, m in eigs) != n:
-        raise ChainConstructionFailed("multiplicities do not sum to n")
-    blocks = []
-    cols = []
-    eye = CMatrix.identity(n, EXACT)
-    for lam, mult in eigs:
-        m = A - eye.scale(lam)
-        kernels = [[]]
-        mr = eye
-        dims = [0]
-        while dims[-1] < mult:
-            mr = mr @ m
-            kern = _nullspace_exact(mr)
-            if len(kern) <= dims[-1] or len(dims) > mult:
-                raise ChainConstructionFailed(
-                    f"kernel staircase stalled for eigenvalue {lam} "
-                    "(wrong eigenvalue or multiplicity?)"
-                )
-            kernels.append(kern)
-            dims.append(len(kern))
-        s = len(dims) - 1
-        weyr = [dims[r] - dims[r - 1] for r in range(1, s + 1)]
-        carried = {r: [] for r in range(1, s + 1)}
-        for r in range(s, 0, -1):
-            need = weyr[r - 1] - (weyr[r] if r < s else 0)
-            block = list(kernels[r - 1]) + carried[r]
-            picked = 0
-            for cand in kernels[r]:
-                if picked == need:
-                    break
-                if _rank_exact(block + [cand], n) == len(block) + 1:
-                    block.append(cand)
-                    picked += 1
-                    chain = [cand]
-                    for _ in range(r - 1):
-                        chain.append(_mat_vec_exact(m, chain[-1]))
-                    chain.reverse()
-                    blocks.append((lam, r))
-                    cols.append(chain)
-                    for height in range(1, r):
-                        carried[height].append(chain[height - 1])
-            if picked < need:
-                raise ChainConstructionFailed(
-                    f"could not complete chains of height {r} for {lam}"
-                )
-    flat = [v for chain in cols for v in chain]
-    P = CMatrix([[flat[j][i] for j in range(n)] for i in range(n)], EXACT)
-    P_inv = P.inverse()
-    J = assemble_jordan(blocks, EXACT)
-    diff = A - P @ J @ P_inv
-    residual = 0.0 if diff.is_zero() else diff.row_sum_norm()
+    if exact:
+        P = CMatrix([[v[i] for v in cols] for i in range(n)], EXACT)
+        P_inv = P.inverse()
+    else:
+        p = np.column_stack(cols)
+        if abs(np.linalg.det(p)) < 1e-12:
+            raise ChainConstructionFailed("assembled eigenvector matrix is singular")
+        P = CMatrix.from_numpy(p)
+        P_inv = CMatrix.from_numpy(np.linalg.inv(p))
+    residual = (A - P @ assemble_jordan(blocks, A.backend) @ P_inv).row_sum_norm()
     return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv, residual=residual)
 
 
@@ -330,8 +259,6 @@ def verify_decomposition(A, dec, tol=1e-8):
     backend = A.backend
     P = dec.P if dec.P.backend == backend else dec.P.to_float()
     P_inv = dec.P_inv if dec.P_inv.backend == backend else dec.P_inv.to_float()
-    if backend == FLOAT:
-        A = A.to_float()
     if backend == EXACT and (P.backend != EXACT or P_inv.backend != EXACT):
         raise ValueError("exact verification needs exact P and P_inv")
     J = assemble_jordan(dec.blocks, backend)

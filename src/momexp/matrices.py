@@ -292,60 +292,20 @@ class CMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def _eliminate(self, augment):
-        """Gaussian elimination on [self | augment]; returns (pivots, rows).
-
-        Exact backend picks the first nonzero pivot; float backend uses
-        partial pivoting and rejects pivots below 1e-12 * ||A||.
-        """
-        n = self.n
-        work = [list(self.rows[i]) + list(augment[i]) for i in range(n)]
-        width = len(work[0])
-        exact = self.backend == EXACT
-        threshold = 0.0 if exact else 1e-12 * max(self.row_sum_norm(), 1e-300)
-        pivots = []
-        for col in range(n):
-            if exact:
-                pr = next(
-                    (r for r in range(col, n) if bool(work[r][col])), None
-                )
-            else:
-                pr = max(range(col, n), key=lambda r: abs(work[r][col]))
-                if abs(work[pr][col]) <= threshold:
-                    pr = None
-            if pr is None:
-                raise SingularMatrix("matrix is singular at the working precision")
-            work[col], work[pr] = work[pr], work[col]
-            piv = work[col][col]
-            pivots.append((piv, pr != col))
-            inv = 1 / piv if not exact else None
-            for j in range(col, width):
-                work[col][j] = (
-                    work[col][j] / piv if exact else work[col][j] * inv
-                )
-            for r in range(n):
-                if r == col:
-                    continue
-                f = work[r][col]
-                if not bool(f) if exact else f == 0:
-                    continue
-                for j in range(col, width):
-                    work[r][j] = work[r][j] - f * work[col][j]
-        return pivots, work
-
     def inverse(self):
-        eye = CMatrix.identity(self.n, self.backend)
-        _, work = self._eliminate([list(r) for r in eye.rows])
         n = self.n
-        return CMatrix([row[n:] for row in work], self.backend)
+        eye = CMatrix.identity(n, self.backend)
+        rows = [list(r) + list(e) for r, e in zip(self.rows, eye.rows)]
+        if len(rref(rows, n, self.backend == EXACT)) < n:
+            raise SingularMatrix("matrix is singular at the working precision")
+        return CMatrix([row[n:] for row in rows], self.backend)
 
     def det(self):
-        try:
-            pivots, _ = self._eliminate([[] for _ in range(self.n)])
-        except SingularMatrix:
+        pivots = rref([list(r) for r in self.rows], self.n, self.backend == EXACT)
+        if len(pivots) < self.n:
             return GaussianRational(0) if self.backend == EXACT else 0j
         d = GaussianRational(1) if self.backend == EXACT else 1 + 0j
-        for piv, swapped in pivots:
+        for _, piv, swapped in pivots:
             d = d * piv
             if swapped:
                 d = -d
@@ -371,6 +331,53 @@ class CMatrix:
 
     def __repr__(self):
         return f"CMatrix({[list(r) for r in self.rows]!r}, backend={self.backend!r})"
+
+
+def rref(rows, ncols, exact):
+    """Gauss-Jordan elimination of ``rows`` in place on the first ``ncols``
+    columns; further columns are an augment carried along.
+
+    Columns without a pivot are skipped.  Exact rows take the first nonzero
+    pivot; float rows take the largest and reject it at or below
+    1e-12 * ||rows||.  Pivot rows end on top, scaled to 1 in their column.
+    Returns [(column, pivot, swapped)].
+    """
+    if not exact:
+        norm = max(sum(abs(x) for x in row[:ncols]) for row in rows)
+        threshold = 1e-12 * max(norm, 1e-300)
+    pivots = []
+    width = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        if exact:
+            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        else:
+            pr = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
+            pr = pr if abs(rows[pr][c]) > threshold else None
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        row = rows[r]
+        piv = row[c]
+        pivots.append((c, piv, pr != r))
+        # entries left of c are zero in the pivot row, so updates start at c
+        if exact:
+            for j in range(c, width):
+                row[j] = row[j] / piv
+        else:
+            inv = 1 / piv
+            for j in range(c, width):
+                row[j] = row[j] * inv
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i == r or not f:
+                continue
+            for j in range(c, width):
+                other[j] = other[j] - f * row[j]
+        r += 1
+    return pivots
 
 
 # module-level operation names, matching the rest of the package's vocabulary
@@ -440,6 +447,8 @@ def scalar_from_json(pair):
     re, im = pair
     if isinstance(re, str) or isinstance(im, str):
         return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+    if not all(isinstance(x, (int, float)) for x in pair):
+        raise ValueError(f"scalar parts must be numbers or 'p/q' strings, got {pair!r}")
     return complex(float(re), float(im))
 
 
@@ -451,6 +460,8 @@ def matrix_from_json(obj):
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix 'entries' must be a list of rows")
     scalars = [[scalar_from_json(x) for x in row] for row in entries]
     kinds = {isinstance(x, GaussianRational) for row in scalars for x in row}
     if len(kinds) > 1:
@@ -464,6 +475,8 @@ def matrix_from_json(obj):
 
 
 def vector_from_json(obj):
+    if not isinstance(obj, list):
+        raise ValueError(f"vector JSON must be a list of [re, im] pairs, got {obj!r}")
     vals = [scalar_from_json(x) for x in obj]
     kinds = {isinstance(x, GaussianRational) for x in vals}
     if len(kinds) > 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SequenceError
-from .matrices import EXACT, CMatrix, GaussianRational, mat_vec, vec_norm
+from .matrices import CMatrix, GaussianRational
 
 
 # -- coefficient helpers -------------------------------------------------
@@ -73,22 +73,6 @@ def coeff_one_like(c):
     if isinstance(c, GaussianRational):
         return GaussianRational(1)
     return 1 if isinstance(c, (int, Fraction)) else complex(1)
-
-
-def coeff_is_zero(c):
-    if isinstance(c, CMatrix):
-        return c.is_zero()
-    if isinstance(c, tuple):
-        return all(not bool(x) if not isinstance(x, complex) else x == 0 for x in c)
-    return not bool(c) if not isinstance(c, complex) else c == 0
-
-
-def coeff_norm(c):
-    if isinstance(c, CMatrix):
-        return c.row_sum_norm()
-    if isinstance(c, tuple):
-        return vec_norm(c)
-    return abs(c)
 
 
 class MomentSeries:

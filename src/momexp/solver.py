@@ -11,14 +11,13 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .evaluation import TruncationPolicy, eval_exp
 from .matrices import (
-    CMatrix,
     mat_inverse,
     mat_vec,
     vec_norm,
     vec_scale,
     vec_sub,
 )
-from .series import MomentSeries, coeff_norm
+from .series import MomentSeries
 
 
 class IVPSolution:
@@ -67,7 +66,7 @@ def residual_check(sol, N):
     worst = 0.0
     for p in range(N + 1):
         r = vec_sub(coeffs[p + 1], mat_vec(sol.A, coeffs[p]))
-        worst = max(worst, coeff_norm(r))
+        worst = max(worst, vec_norm(r))
     return worst
 
 

@@ -77,6 +77,22 @@ class TestEval:
         m = matrix_from_json(doc["value"])
         assert matrix_to_json(m) == doc["value"]
 
+    def test_stdout_is_strict_json(self, capsys, identity2):
+        def reject(name):
+            raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+        code = main(["eval", "--matrix", identity2, "--z", "3,0", "--moment", "geom:2"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 3
+        assert doc["tail_estimate"] is None
+
+    def test_exact_non_nilpotent_stops(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "A.json", CMatrix([[1, 1], [0, 2]]))
+        code, doc = run(capsys, "eval", "--matrix", path, "--moment", "factorial")
+        assert code == 3
+        assert doc["status"] == "max_terms_reached"
+        assert doc["terms_used"] <= 3
+
     def test_deterministic_output(self, capsys, example1):
         argv = ["eval", "--matrix", example1, "--moment", "factorial"]
         main(argv)
@@ -214,6 +230,53 @@ class TestProbe:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--op", "inverse", "--moment", "factorial"],
+            ["series", "--op", "phi"],
+            ["series", "--op", "derive"],
+            ["series", "--op", "derive", "--series", "{int_coeffs}"],
+            ["solve", "--matrix", "{ex1}", "--moment", "factorial", "--v0", "5"],
+            ["eval", "--matrix", "{entries5}", "--moment", "factorial"],
+            ["eval", "--matrix", "{null_entry}", "--moment", "factorial"],
+            ["verify-jordan", "--matrix", "{ex1}", "--decomposition", "{short_block}"],
+            ["verify-jordan", "--matrix", "{ex1}", "--decomposition", "{list_doc}"],
+            ["eval", "--matrix", "{exact}", "--z", "inf", "--moment", "factorial"],
+            ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--tol", "0"],
+            ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--max-terms", "0"],
+            ["solve", "--matrix", "{ex1}", "--moment", "factorial",
+             "--v0", "[[1,0],[0,0],[1,0]]", "--tol", "0"],
+        ],
+        ids=[
+            "inverse-without-matrix", "phi-without-moment", "derive-without-series",
+            "non-list-coeffs", "scalar-v0", "non-list-row", "null-entry",
+            "short-block-entry", "list-decomposition", "infinite-z",
+            "zero-tol", "zero-max-terms", "solve-zero-tol",
+        ],
+    )
+    def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
+                                argv):
+        eye = matrix_to_json(CMatrix.identity(3, "float"))
+        docs = {
+            "entries5": {"entries": [5]},
+            "null_entry": {"entries": [[[None, 0.0]]]},  # a non-finite value as emitted
+            "int_coeffs": {"sequence": "factorial", "coeffs": 5},
+            "short_block": {"blocks": [[1, 0]], "P": eye, "P_inv": eye},
+            "list_doc": [1, 2],
+        }
+        files = {"ex1": example1, "exact": identity2_exact}
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            files[name] = str(path)
+        code = main([a.format(**files) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -74,6 +74,15 @@ class TestEvalExp:
         assert rep.status == "converged"
         assert rep.value == CMatrix([[1, 3], [0, 1]])
 
+    def test_non_nilpotent_exact_stops_after_n_terms(self):
+        # (Az)^n != 0 rules out nilpotency (Cayley-Hamilton)
+        rep = eval_exp(CMatrix([[1, 1], [0, 2]]), 1, FACTORIAL)
+        assert rep.status == "max_terms_reached"
+        assert rep.terms_used <= 3
+        assert rep.value == CMatrix([[1, 0], [0, 1]]) + CMatrix([[1, 1], [0, 2]]) + (
+            CMatrix([[1, 3], [0, 4]]).scale(Fraction(1, 2))
+        )
+
     def test_geometric_float_radius_exceeded(self):
         rep = eval_exp(CMatrix.identity(2, "float"), 3.0, GEOM2)
         assert rep.status == "radius_exceeded"

@@ -11,7 +11,7 @@ from momexp import (
     mat_inverse,
     verify_decomposition,
 )
-from momexp.jordan import JordanDecomposition, _jordan_decompose_exact, assemble_jordan
+from momexp.jordan import JordanDecomposition, assemble_jordan
 
 from helpers import recovered_multiset, synthetic_jordan_instance
 
@@ -102,8 +102,12 @@ class TestJordanDecompose:
         ]
 
     def test_exact_wrong_hint_fails(self):
-        with pytest.raises(ChainConstructionFailed):
-            _jordan_decompose_exact(EXAMPLE1, [(3, 2), (2, 1)])
+        for A, hint in [
+            (EXAMPLE1, [(3, 2), (2, 1)]),
+            (CMatrix.identity(2), [(1, 1), (1, 1)]),  # repeated eigenvalue
+        ]:
+            with pytest.raises(ChainConstructionFailed):
+                jordan_decompose(A, eigenvalues_hint=hint)
 
 
 class TestVerifyDecomposition:
