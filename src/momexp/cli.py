@@ -296,7 +296,6 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--eig-tol", dest="eig_tol", type=float, default=1e-2)
-    add_common(p)
     p.set_defaults(func=_cmd_jordan)
 
     p = sub.add_parser("verify-jordan", help="verify a supplied decomposition")

@@ -404,14 +404,12 @@ def mat_inverse(a):
 def mat_vec(a, v):
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
+    coerce = _coerce_exact if a.backend == EXACT else _coerce_float
+    v = [coerce(x) for x in v]
     return tuple(
         sum((row[k] * v[k] for k in range(1, a.n)), row[0] * v[0])
         for row in a.rows
     )
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):

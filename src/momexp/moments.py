@@ -38,6 +38,7 @@ class MomentSequence:
     def __init__(self, kind, param=None, values=None, rapid_growth_declared=None):
         self.kind = kind
         self.param = param
+        self._table = ()
         self._lock = threading.Lock()
         if kind == "factorial":
             self.exact = True
@@ -63,7 +64,7 @@ class MomentSequence:
         elif kind == "custom":
             if not values:
                 raise SequenceError("custom sequence needs a nonempty table")
-            self._table = [_as_fraction(v, "custom value") for v in values]
+            self._table = tuple(_as_fraction(v, "custom value") for v in values)
             if self._table[0] != 1:
                 raise SequenceError("m(0) must equal 1")
             if any(v <= 0 for v in self._table):
@@ -140,8 +141,6 @@ class MomentSequence:
                 self._cache.append(self._compute(len(self._cache)))
         return self._cache[p]
 
-    __call__ = value
-
     def step_ratio(self, p):
         """m(p-1)/m(p), computed stably (log-gamma for mittag_leffler)."""
         if p < 1:
@@ -167,6 +166,18 @@ class MomentSequence:
         if self.kind == "geometric":
             return f"geom:{self.param}"
         return "custom"
+
+    def _key(self):
+        return self.kind, self.param, self._table
+
+    def __eq__(self, other):
+        """Value equality: same kind, parameter and (custom) table."""
+        if not isinstance(other, MomentSequence):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"MomentSequence({self.specifier()!r})"
@@ -228,13 +239,14 @@ def parse_specifier(spec):
     raise SequenceError(f"unknown moment sequence specifier {spec!r}")
 
 
-def load_custom(path, rapid_growth_declared=False):
-    """Load a custom sequence from a JSON list of 'p/q' strings."""
+def load_custom(path):
+    """Load a custom sequence from a JSON list of 'p/q' strings; rapid growth
+    is not declared for it."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise SequenceError("custom sequence file must hold a JSON list")
-    return MomentSequence.custom(data, rapid_growth_declared=rapid_growth_declared)
+    return MomentSequence.custom(data, rapid_growth_declared=False)
 
 
 def moment_value(seq, p):

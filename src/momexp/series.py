@@ -8,71 +8,21 @@ so that the plain Taylor coefficient is c_p / m(p).  Storing the moment-basis
 coefficients makes the moment derivative an exact index shift and turns the
 solution residual checks into exact rational identities.
 
-Coefficients may be scalars, vectors (tuples) or square :class:`CMatrix`
-values; all coefficients of one series share shape and backend.
+Coefficients are scalars or square :class:`CMatrix` values of one shape and
+backend, the kinds that have a Cauchy product; vector (tuple) coefficients,
+from ``IVPSolution.series``, support the moment derivative only.  Two series
+share a sequence when their ``MomentSequence`` objects compare equal by value.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DimensionMismatch, SequenceError
-from .matrices import CMatrix, GaussianRational
+from .matrices import CMatrix
 
 
-# -- coefficient helpers -------------------------------------------------
-
-def coeff_shape(c):
-    if isinstance(c, CMatrix):
-        return ("matrix", c.n)
-    if isinstance(c, tuple):
-        return ("vector", len(c))
-    return ("scalar", 1)
-
-
-def coeff_add(a, b):
-    if isinstance(a, CMatrix):
-        return a + b
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def coeff_mul(a, b):
-    """Coefficient product for the Cauchy product; order preserved."""
-    if isinstance(a, CMatrix) and isinstance(b, CMatrix):
-        return a @ b
-    if isinstance(a, CMatrix) or isinstance(b, CMatrix):
-        raise DimensionMismatch("cannot multiply matrix and non-matrix coefficients")
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        raise DimensionMismatch("vector coefficients have no Cauchy product")
-    return a * b
-
-
-def coeff_scale(c, s):
-    if isinstance(c, CMatrix):
-        return c.scale(s)
-    if isinstance(c, tuple):
-        return tuple(x * s for x in c)
-    return c * s
-
-
-def coeff_zero_like(c):
-    if isinstance(c, CMatrix):
-        return CMatrix.zeros(c.n, c.backend)
-    if isinstance(c, tuple):
-        return coeff_scale(c, 0)
-    return c * 0
-
-
-def coeff_one_like(c):
-    if isinstance(c, CMatrix):
-        return CMatrix.identity(c.n, c.backend)
-    if isinstance(c, tuple):
-        raise DimensionMismatch("vector coefficients have no multiplicative unit")
-    if isinstance(c, GaussianRational):
-        return GaussianRational(1)
-    return 1 if isinstance(c, (int, Fraction)) else complex(1)
+def _check_order(N):
+    if N < 0:
+        raise ValueError(f"series order must be nonnegative, got {N}")
 
 
 class MomentSeries:
@@ -82,12 +32,17 @@ class MomentSeries:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("series needs at least one coefficient")
-        shape = coeff_shape(coeffs[0])
-        if any(coeff_shape(c) != shape for c in coeffs):
+        shapes = {
+            ("matrix", c.n) if isinstance(c, CMatrix)
+            else ("vector", len(c)) if isinstance(c, tuple)
+            else ("scalar", 1)
+            for c in coeffs
+        }
+        if len(shapes) > 1:
             raise DimensionMismatch("all coefficients must share one shape")
         self.seq = seq
         self.coeffs = coeffs
-        self.shape = shape
+        (self.shape,) = shapes
 
     @property
     def order(self):
@@ -96,24 +51,7 @@ class MomentSeries:
     def __eq__(self, other):
         if not isinstance(other, MomentSeries):
             return NotImplemented
-        return self.seq is other.seq and self.coeffs == other.coeffs
-
-    def evaluate(self, z):
-        """Numeric partial-sum evaluation (float): sum c_p z^p / m(p)."""
-        z = complex(z)
-        total = None
-        zp = 1.0 + 0j
-        for p, c in enumerate(self.coeffs):
-            if isinstance(c, CMatrix):
-                c = c.to_float()
-            elif isinstance(c, tuple):
-                c = tuple(complex(x) for x in c)
-            else:
-                c = complex(c)
-            term = coeff_scale(c, zp / float(self.seq.value(p)))
-            total = term if total is None else coeff_add(total, term)
-            zp *= z
-        return total
+        return self.seq == other.seq and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"MomentSeries({self.seq!r}, order={self.order}, shape={self.shape})"
@@ -121,6 +59,7 @@ class MomentSeries:
 
 def exp_series(A, seq, N):
     """Moment-basis coefficients of E(Az): c_p = A^p, p <= N."""
+    _check_order(N)
     coeffs = [CMatrix.identity(A.n, A.backend)]
     for _ in range(N):
         coeffs.append(coeffs[-1] @ A)
@@ -128,9 +67,16 @@ def exp_series(A, seq, N):
 
 
 def unit_series(seq, N, like):
-    """The multiplicative unit: c_0 = I (or 1), all other coefficients zero."""
-    one = coeff_one_like(like)
-    zero = coeff_zero_like(like)
+    """The multiplicative unit: c_0 = I (or 1), all other coefficients zero,
+    in the shape and backend of the matrix or scalar ``like``."""
+    if isinstance(like, CMatrix):
+        one = CMatrix.identity(like.n, like.backend)
+        zero = CMatrix.zeros(like.n, like.backend)
+    elif isinstance(like, tuple):
+        raise DimensionMismatch("vector coefficients have no multiplicative unit")
+    else:
+        zero = like * 0
+        one = zero + 1
     return MomentSeries(seq, [one] + [zero] * N)
 
 
@@ -142,11 +88,8 @@ def moment_derivative(s):
 
 
 def _basis_ratio(seq, p, n):
-    """m(p) / (m(n) m(p-n)), exact when the sequence is exact."""
-    mp, mn, mk = seq.value(p), seq.value(n), seq.value(p - n)
-    if seq.exact:
-        return mp / (mn * mk)
-    return float(mp) / (float(mn) * float(mk))
+    """m(p) / (m(n) m(p-n)); a Fraction for exact sequences, else a float."""
+    return seq.value(p) / (seq.value(n) * seq.value(p - n))
 
 
 def cauchy_product(s1, s2):
@@ -155,29 +98,28 @@ def cauchy_product(s1, s2):
     r_p = sum_n m(p)/(m(n) m(p-n)) c1_n c2_{p-n}; the factor order is kept,
     matrix coefficients need not commute.  Truncation order min(N1, N2).
     """
-    if s1.seq is not s2.seq and s1.seq.specifier() != s2.seq.specifier():
+    if s1.seq != s2.seq:
         raise SequenceError("Cauchy product requires one common moment sequence")
-    seq = s1.seq
-    N = min(s1.order, s2.order)
+    if s1.shape != s2.shape or s1.shape[0] == "vector":
+        raise DimensionMismatch(f"no Cauchy product of {s1.shape} and {s2.shape}")
+    seq, matrix = s1.seq, s1.shape[0] == "matrix"
     out = []
-    for p in range(N + 1):
+    for p in range(min(s1.order, s2.order) + 1):
         acc = None
         for n in range(p + 1):
-            term = coeff_scale(
-                coeff_mul(s1.coeffs[n], s2.coeffs[p - n]), _basis_ratio(seq, p, n)
-            )
-            acc = term if acc is None else coeff_add(acc, term)
+            a, b, r = s1.coeffs[n], s2.coeffs[p - n], _basis_ratio(seq, p, n)
+            term = (a @ b).scale(r) if matrix else a * b * r
+            acc = term if acc is None else acc + term
         out.append(acc)
     return MomentSeries(seq, out)
 
 
 def phi_coefficients(seq, N):
     """Inverse-series scalars: phi_0 = 1, phi_p = -sum_{j<p} m(p)/(m(j)m(p-j)) phi_j."""
-    one = Fraction(1) if seq.exact else 1.0
-    phis = [one]
+    _check_order(N)
+    phis = [seq.value(0)]  # m(0) = 1, in the sequence's own number type
     for p in range(1, N + 1):
-        s = sum(_basis_ratio(seq, p, j) * phis[j] for j in range(p))
-        phis.append(-s)
+        phis.append(-sum(_basis_ratio(seq, p, j) * phis[j] for j in range(p)))
     return phis
 
 

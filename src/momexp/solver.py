@@ -62,6 +62,8 @@ def solve(A, v_c, seq, policy=TruncationPolicy()):
 def residual_check(sol, N):
     """Largest coefficient norm of (moment derivative of y) - A y through
     order N; exactly zero in the exact backend by the shift identity."""
+    if N < 0:
+        raise ValueError(f"residual order must be nonnegative, got {N}")
     coeffs = sol.series(N + 1).coeffs
     worst = 0.0
     for p in range(N + 1):

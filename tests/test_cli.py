@@ -247,12 +247,18 @@ class TestErrors:
             ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--max-terms", "0"],
             ["solve", "--matrix", "{ex1}", "--moment", "factorial",
              "--v0", "[[1,0],[0,0],[1,0]]", "--tol", "0"],
+            ["solve", "--matrix", "{exact}", "--moment", "factorial",
+             "--v0", "[[1,0],[2,0]]", "--check", "residual"],
+            ["series", "--op", "phi", "--moment", "factorial", "--order", "-1"],
+            ["solve", "--matrix", "{ex1}", "--moment", "factorial",
+             "--v0", "[[1,0],[0,0],[1,0]]", "--check", "residual", "--order", "-5"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
             "non-list-coeffs", "scalar-v0", "non-list-row", "null-entry",
             "short-block-entry", "list-decomposition", "infinite-z",
             "zero-tol", "zero-max-terms", "solve-zero-tol",
+            "float-v0-exact-residual", "negative-phi-order", "negative-residual-order",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
@@ -279,6 +285,9 @@ class TestErrors:
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_jordan_has_no_backend(self, capsys, identity2_exact):
+        assert main(["jordan", "--matrix", identity2_exact, "--backend", "exact"]) == 2
 
     def test_missing_file(self, capsys):
         assert main(["eval", "--matrix", "/nope.json", "--moment", "factorial"]) == 2

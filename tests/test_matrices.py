@@ -14,6 +14,7 @@ from momexp import (
     mat_inverse,
     mat_mul,
     mat_pow,
+    mat_vec,
     matrix_from_json,
     matrix_to_json,
     row_sum_norm,
@@ -166,6 +167,17 @@ class TestInverse:
             a = CMatrix([[rng.uniform(-3, 3) for _ in range(4)] for _ in range(4)])
             r = a @ mat_inverse(a) - CMatrix.identity(4, "float")
             assert row_sum_norm(r) <= 1e-12 * max(1.0, row_sum_norm(a)) * 100
+
+
+class TestMatVec:
+    def test_exact_matrix_takes_int_vector(self):
+        assert mat_vec(EXAMPLE1, (1, 2, 3)) == (4, 5, 3)
+
+    def test_mixed_backends_rejected(self):
+        with pytest.raises(BackendMismatch):
+            mat_vec(EXAMPLE1, (1.0, 2.0, 3.0))
+        with pytest.raises(BackendMismatch):
+            mat_vec(EXAMPLE1.to_float(), (GaussianRational(1), 2, 3))
 
 
 class TestJson:

@@ -5,6 +5,7 @@ import pytest
 
 from momexp import (
     CMatrix,
+    DimensionMismatch,
     MomentSequence,
     MomentSeries,
     SequenceError,
@@ -13,8 +14,10 @@ from momexp import (
     inverse_series,
     moment_derivative,
     phi_coefficients,
+    solve,
     unit_series,
 )
+from momexp.moments import parse_specifier
 
 FACTORIAL = MomentSequence.factorial()
 QFAC2 = MomentSequence.q_factorial(2)
@@ -99,6 +102,34 @@ class TestCauchyProduct:
         A = CMatrix([[1]])
         with pytest.raises(SequenceError):
             cauchy_product(exp_series(A, FACTORIAL, 3), exp_series(A, QFAC2, 3))
+
+    def test_vector_series_rejected(self):
+        v = solve(CMatrix([[1, 2], [0, 1]]), (1, 0), FACTORIAL).series(3)
+        with pytest.raises(DimensionMismatch):
+            cauchy_product(v, v)
+
+    def test_matrix_against_scalar_rejected(self):
+        m = exp_series(CMatrix([[1, 2], [0, 1]]), FACTORIAL, 3)
+        s = MomentSeries(FACTORIAL, [1, 1, 1, 1])
+        with pytest.raises(DimensionMismatch):
+            cauchy_product(m, s)
+        with pytest.raises(DimensionMismatch):
+            cauchy_product(s, m)
+
+    def test_sequences_compare_by_value(self):
+        A = CMatrix([[1, 1], [0, 2]])
+        s1 = exp_series(A, parse_specifier("factorial"), 4)
+        s2 = exp_series(A, parse_specifier("factorial"), 4)
+        assert s1 == s2
+        assert cauchy_product(s1, s2).seq == FACTORIAL
+        assert s1 != exp_series(A, QFAC2, 4)
+
+    def test_different_custom_tables_rejected(self):
+        t1 = MomentSequence.custom(["1", "1", "1", "1"], rapid_growth_declared=False)
+        t2 = MomentSequence.custom(["1", "2", "6", "24"], rapid_growth_declared=False)
+        ones = [1, 1, 1, 1]
+        with pytest.raises(SequenceError):
+            cauchy_product(MomentSeries(t1, ones), MomentSeries(t2, ones))
 
     def test_non_multiplicativity_witness(self):
         # scalar A = B = 1, q-factorial q=2: E(A+B) and E(A)E(B) differ at
