@@ -3,7 +3,8 @@
 Two scalar backends coexist:
 
 * exact  -- Gaussian rationals (pairs of ``fractions.Fraction``), so that
-  coefficient identities can be tested with no tolerance at all;
+  coefficient identities can be tested with no tolerance at all; an exact
+  matrix computes on integer numerators over one common denominator;
 * float  -- IEEE-754 binary64 complex numbers (Python ``complex``).
 
 Mixing backends in one operation raises :class:`BackendMismatch`; the only
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -21,6 +24,8 @@ from .errors import BackendMismatch, DimensionMismatch, SingularMatrix
 
 EXACT = "exact"
 FLOAT = "float"
+
+_set = object.__setattr__
 
 
 class GaussianRational:
@@ -111,7 +116,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, so it agrees with int and Fraction
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -152,10 +158,52 @@ def _coerce_float(value):
     return complex(value)
 
 
-class CMatrix:
-    """Immutable dense n x n complex matrix over one scalar backend."""
+# -- integer kernels of the exact backend --------------------------------
+# An exact matrix is (re + i im) / den: re and im are n x n tuples of int
+# rows, den > 0, and gcd(den, every numerator) == 1.
 
-    __slots__ = ("n", "rows", "backend")
+def _imatmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
+
+
+def _entrywise(op, a, b):
+    return tuple(tuple(map(op, x, y)) for x, y in zip(a, b))
+
+
+def _iscale(a, f):
+    return a if f == 1 else tuple(tuple(v * f for v in r) for r in a)
+
+
+def _is_zero(a):
+    return not any(map(any, a))
+
+
+def _square(flat, n):
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+
+
+def _common_denominator(scalars):
+    """(re, im, den): integer numerators of GaussianRationals over one
+    denominator, the lcm of theirs."""
+    den = math.lcm(*(p.denominator for x in scalars for p in (x.re, x.im)))
+    return (
+        [x.re.numerator * (den // x.re.denominator) for x in scalars],
+        [x.im.numerator * (den // x.im.denominator) for x in scalars],
+        den,
+    )
+
+
+class CMatrix:
+    """Immutable dense n x n complex matrix over one scalar backend.
+
+    A float matrix holds its entries in ``rows``.  An exact matrix holds
+    integer numerators ``_re``, ``_im`` over one reduced ``_den``; its
+    ``rows`` of GaussianRationals are kept when it is built from them and
+    otherwise built on first read.
+    """
+
+    __slots__ = ("n", "rows", "backend", "_re", "_im", "_den")
 
     def __init__(self, rows, backend=None):
         rows = [list(r) for r in rows]
@@ -170,12 +218,46 @@ class CMatrix:
             if has_float and has_exact:
                 raise BackendMismatch("mixed exact and float entries")
             backend = FLOAT if has_float else EXACT
-        coerce = _coerce_exact if backend == EXACT else _coerce_float
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "rows", tuple(tuple(coerce(x) for x in r) for r in rows)
+        if backend == EXACT:
+            rows = tuple(tuple(_coerce_exact(x) for x in r) for r in rows)
+            re, im, den = _common_denominator([x for r in rows for x in r])
+            self._set_ints(n, _square(re, n), _square(im, n), den)
+        else:
+            _set(self, "n", n)
+            _set(self, "backend", backend)
+            rows = tuple(tuple(_coerce_float(x) for x in r) for r in rows)
+        _set(self, "rows", rows)
+
+    @classmethod
+    def _from_ints(cls, n, re, im, den):
+        m = object.__new__(cls)
+        m._set_ints(n, re, im, den)
+        return m
+
+    def _set_ints(self, n, re, im, den):
+        """Store (re + i im) / den, reduced to the canonical form."""
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+            if g != 1:
+                re = tuple(tuple(v // g for v in r) for r in re)
+                im = tuple(tuple(v // g for v in r) for r in im)
+                den //= g
+        for name, value in (("n", n), ("backend", EXACT),
+                            ("_re", re), ("_im", im), ("_den", den)):
+            _set(self, name, value)
+
+    def __getattr__(self, name):
+        # only an exact matrix's ``rows`` is ever missing: build it once
+        if name != "rows" or self.backend != EXACT:
+            raise AttributeError(name)
+        d = self._den
+        rows = tuple(
+            tuple(GaussianRational(Fraction(a, d), Fraction(b, d))
+                  for a, b in zip(ra, ia))
+            for ra, ia in zip(self._re, self._im)
         )
-        object.__setattr__(self, "backend", backend)
+        _set(self, "rows", rows)
+        return rows
 
     def __setattr__(self, *a):
         raise AttributeError("CMatrix is immutable")
@@ -184,17 +266,20 @@ class CMatrix:
 
     @classmethod
     def identity(cls, n, backend=EXACT):
-        one = GaussianRational(1) if backend == EXACT else 1.0 + 0j
-        zero = GaussianRational(0) if backend == EXACT else 0j
+        if backend == EXACT:
+            eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            return cls._from_ints(n, eye, ((0,) * n,) * n, 1)
         return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
+            [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)],
             backend,
         )
 
     @classmethod
     def zeros(cls, n, backend=EXACT):
-        zero = GaussianRational(0) if backend == EXACT else 0j
-        return cls([[zero] * n for _ in range(n)], backend)
+        if backend == EXACT:
+            zero = ((0,) * n,) * n
+            return cls._from_ints(n, zero, zero, 1)
+        return cls([[0j] * n for _ in range(n)], backend)
 
     @classmethod
     def from_numpy(cls, arr):
@@ -210,7 +295,13 @@ class CMatrix:
         """Explicit (lossy for exact) conversion to the float backend."""
         if self.backend == FLOAT:
             return self
-        return CMatrix([[complex(x) for x in r] for r in self.rows], FLOAT)
+        d = self._den
+        # int / int is correctly rounded, as float(Fraction) is
+        return CMatrix(
+            [[complex(a / d, b / d) for a, b in zip(ra, ia)]
+             for ra, ia in zip(self._re, self._im)],
+            FLOAT,
+        )
 
     # -- arithmetic ---------------------------------------------------
 
@@ -225,6 +316,15 @@ class CMatrix:
     def __matmul__(self, other):
         self._check(other)
         n = self.n
+        if self.backend == EXACT:
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
+            re = _imatmul(ar, br)
+            if _is_zero(ai) and _is_zero(bi):
+                im = ai
+            else:
+                re = _entrywise(sub, re, _imatmul(ai, bi))
+                im = _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br))
+            return CMatrix._from_ints(n, re, im, self._den * other._den)
         bt = other.rows
         out = []
         for i in range(n):
@@ -238,34 +338,44 @@ class CMatrix:
             out.append(row)
         return CMatrix(out, self.backend)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         self._check(other)
+        if self.backend == EXACT:
+            den = math.lcm(self._den, other._den)
+            f, g = den // self._den, den // other._den
+            return CMatrix._from_ints(
+                self.n,
+                _entrywise(op, _iscale(self._re, f), _iscale(other._re, g)),
+                _entrywise(op, _iscale(self._im, f), _iscale(other._im, g)),
+                den,
+            )
         return CMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
             self.backend,
         )
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        return CMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.backend,
-        )
+        return self._combine(other, sub)
 
     def __neg__(self):
+        if self.backend == EXACT:
+            return CMatrix._from_ints(
+                self.n, _iscale(self._re, -1), _iscale(self._im, -1), self._den)
         return CMatrix([[-a for a in r] for r in self.rows], self.backend)
 
     def scale(self, s):
         if self.backend == EXACT:
-            s = _coerce_exact(s)
-        else:
-            s = complex(s)
+            # s = (sr + i si) / q over the lcm of its two denominators
+            (sr,), (si,), q = _common_denominator([_coerce_exact(s)])
+            re, im = _iscale(self._re, sr), _iscale(self._im, sr)
+            if si:
+                re = _entrywise(sub, re, _iscale(self._im, si))
+                im = _entrywise(add, im, _iscale(self._re, si))
+            return CMatrix._from_ints(self.n, re, im, self._den * q)
+        s = complex(s)
         return CMatrix([[a * s for a in r] for r in self.rows], self.backend)
 
     def pow(self, p):
@@ -314,20 +424,23 @@ class CMatrix:
     # -- misc ---------------------------------------------------------
 
     def is_zero(self):
-        return all(not bool(x) if self.backend == EXACT else x == 0
-                   for r in self.rows for x in r)
+        if self.backend == EXACT:
+            return _is_zero(self._re) and _is_zero(self._im)
+        return all(x == 0 for r in self.rows for x in r)
+
+    def _key(self):
+        # exact storage is canonical, so equal values have equal integers
+        if self.backend == EXACT:
+            return self.n, EXACT, self._den, self._re, self._im
+        return self.n, FLOAT, self.rows
 
     def __eq__(self, other):
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.backend == other.backend
-            and self.rows == other.rows
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.backend, self.rows))
+        return hash(self._key())
 
     def __repr__(self):
         return f"CMatrix({[list(r) for r in self.rows]!r}, backend={self.backend!r})"
@@ -404,8 +517,17 @@ def mat_inverse(a):
 def mat_vec(a, v):
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
-    coerce = _coerce_exact if a.backend == EXACT else _coerce_float
-    v = [coerce(x) for x in v]
+    if a.backend == EXACT:
+        vr, vi, dv = _common_denominator([_coerce_exact(x) for x in v])
+        d = a._den * dv
+        return tuple(
+            GaussianRational(
+                Fraction(sum(map(mul, ra, vr)) - sum(map(mul, ia, vi)), d),
+                Fraction(sum(map(mul, ra, vi)) + sum(map(mul, ia, vr)), d),
+            )
+            for ra, ia in zip(a._re, a._im)
+        )
+    v = [_coerce_float(x) for x in v]
     return tuple(
         sum((row[k] * v[k] for k in range(1, a.n)), row[0] * v[0])
         for row in a.rows

@@ -57,8 +57,8 @@ class MomentSequence:
             default_rapid = False
         elif kind == "mittag_leffler":
             self.param = float(param)
-            if self.param <= 0:
-                raise SequenceError("mittag_leffler requires k > 0")
+            if not (math.isfinite(self.param) and self.param > 0):
+                raise SequenceError("mittag_leffler requires a finite k > 0")
             self.exact = False
             default_rapid = True
         elif kind == "custom":

@@ -252,6 +252,8 @@ class TestErrors:
             ["series", "--op", "phi", "--moment", "factorial", "--order", "-1"],
             ["solve", "--matrix", "{ex1}", "--moment", "factorial",
              "--v0", "[[1,0],[0,0],[1,0]]", "--check", "residual", "--order", "-5"],
+            ["series", "--op", "phi", "--moment", "ml:nan", "--order", "3"],
+            ["probe", "--moment", "ml:inf"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -259,6 +261,7 @@ class TestErrors:
             "short-block-entry", "list-decomposition", "infinite-z",
             "zero-tol", "zero-max-terms", "solve-zero-tol",
             "float-v0-exact-residual", "negative-phi-order", "negative-residual-order",
+            "nan-ml-parameter", "infinite-ml-parameter",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,

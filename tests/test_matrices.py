@@ -44,6 +44,11 @@ class TestGaussianRational:
         assert i**2 == GaussianRational(-1)
         assert i**0 == GaussianRational(1)
 
+    def test_real_values_hash_as_their_numbers(self):
+        assert len({GaussianRational(1), 1}) == 1
+        assert len({GaussianRational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert hash(GaussianRational(0, 1)) != hash(GaussianRational(0))
+
 
 class TestConstruction:
     def test_backend_inference(self):
@@ -178,6 +183,62 @@ class TestMatVec:
             mat_vec(EXAMPLE1, (1.0, 2.0, 3.0))
         with pytest.raises(BackendMismatch):
             mat_vec(EXAMPLE1.to_float(), (GaussianRational(1), 2, 3))
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+
+
+@st.composite
+def exact_operands(draw, count):
+    """``count`` exact n x n matrices for one n in 1..4, a vector and a scalar."""
+    n = draw(st.integers(1, 4))
+    mats = [
+        CMatrix([[draw(gaussians) for _ in range(n)] for _ in range(n)])
+        for _ in range(count)
+    ]
+    return mats, tuple(draw(gaussians) for _ in range(n)), draw(gaussians)
+
+
+def entries(m):
+    return [list(r) for r in m.rows]
+
+
+class TestExactStorage:
+    """Integer-numerator arithmetic against entrywise GaussianRational formulas."""
+
+    @given(exact_operands(2))
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_entrywise(self, operands):
+        (a, b), v, s = operands
+        n, ra, rb = a.n, a.rows, b.rows
+        rng = range(n)
+        assert entries(a @ b) == [
+            [sum((ra[i][k] * rb[k][j] for k in rng), GaussianRational(0)) for j in rng]
+            for i in rng
+        ]
+        assert entries(a + b) == [[ra[i][j] + rb[i][j] for j in rng] for i in rng]
+        assert entries(a - b) == [[ra[i][j] - rb[i][j] for j in rng] for i in rng]
+        assert entries(-a) == [[-ra[i][j] for j in rng] for i in rng]
+        assert entries(a.scale(s)) == [[ra[i][j] * s for j in rng] for i in rng]
+        assert mat_vec(a, v) == tuple(
+            sum((ra[i][k] * v[k] for k in rng), GaussianRational(0)) for i in rng
+        )
+        assert a.trace() == sum((ra[i][i] for i in rng), GaussianRational(0))
+        assert a.is_zero() == all(not x for r in ra for x in r)
+        assert a.scale(0).is_zero()
+        assert entries(a.to_float()) == [[complex(x) for x in r] for r in ra]
+
+    @given(exact_operands(1))
+    @settings(max_examples=60, deadline=None)
+    def test_storage_is_canonical(self, operands):
+        (a,), _v, s = operands
+        halved = a.scale(2).scale(Fraction(1, 2))
+        assert halved == a and hash(halved) == hash(a)
+        assert a - a == CMatrix.zeros(a.n)
+        assert CMatrix(a.rows) == a
+        if s:
+            assert a.scale(s).scale(1 / s) == a
 
 
 class TestJson:

@@ -85,6 +85,13 @@ class TestCustom:
         assert seq.value(2) == Fraction(15, 4)
 
 
+class TestMittagLefflerParameter:
+    @pytest.mark.parametrize("k", [0, -1, math.nan, math.inf])
+    def test_rejects_nonpositive_and_nonfinite(self, k):
+        with pytest.raises(SequenceError):
+            MomentSequence.mittag_leffler(k)
+
+
 class TestRapidGrowthDefaults:
     def test_defaults(self):
         assert MomentSequence.factorial().rapid_growth_declared
