@@ -8,7 +8,7 @@ grown top-down with the convention
 
 A backend supplies only kernel bases (SVD for float, RREF for exact) and a
 basis that takes a vector only if it is independent (Gram-Schmidt for float,
-an RREF rank test for exact).  Float eigenvalues come from the QR iteration,
+an integer rank test for exact).  Float eigenvalues come from the QR iteration,
 clustered by a dedicated tolerance; exact ones are supplied by the caller
 (root finding itself is float-only).
 
@@ -25,7 +25,16 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ChainConstructionFailed, DimensionMismatch
-from .matrices import EXACT, FLOAT, CMatrix, GaussianRational, mat_vec, rref
+from .matrices import (
+    EXACT,
+    FLOAT,
+    CMatrix,
+    GaussianRational,
+    _common_denominator,
+    bareiss,
+    gaussian_quotient,
+    mat_vec,
+)
 
 
 @dataclass
@@ -121,30 +130,35 @@ class _Onb:
 
 
 def _nullspace_exact(m):
-    """Basis vectors (tuples) of ker(m) for an exact CMatrix."""
-    rows = [list(r) for r in m.rows]
-    pivots = [c for c, _, _ in rref(rows, m.n, True)]
+    """Basis vectors (tuples) of ker(m) for an exact CMatrix: one per free
+    column of its reduced row echelon form, read off the integer numerators."""
+    n = m.n
+    re, im = m._int_rows()
+    pivots, (dr, di), _ = bareiss(re, im, n)
     basis = []
-    for fc in (c for c in range(m.n) if c not in pivots):
-        v = [GaussianRational(0)] * m.n
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [GaussianRational(0)] * n
         v[fc] = GaussianRational(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = gaussian_quotient(-re[r][fc], -im[r][fc] if im else 0, dr, di)
         basis.append(tuple(v))
     return basis
 
 
 class _ExactSpan:
-    """Exact span; add(v) keeps v itself, so chains stay rational."""
+    """Exact span; add(v) keeps v itself, so chains stay rational.  Each
+    vector is kept as its Gaussian-integer numerators for the rank test."""
 
     def __init__(self, vectors):
-        self.vecs = list(vectors)
+        self.ints = [_common_denominator(v)[:2] for v in vectors]
 
     def add(self, v):
-        rows = [list(u) for u in self.vecs + [v]]
-        if len(rref(rows, len(v), True)) < len(rows):
+        ints = self.ints + [_common_denominator(v)[:2]]
+        re = [list(a) for a, _ in ints]
+        im = [list(b) for _, b in ints] if any(any(b) for _, b in ints) else None
+        if len(bareiss(re, im, len(v))[0]) < len(ints):
             return None
-        self.vecs.append(v)
+        self.ints = ints
         return v
 
 

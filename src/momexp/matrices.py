@@ -34,8 +34,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def _coerce(value):
@@ -266,6 +266,8 @@ class CMatrix:
 
     @classmethod
     def identity(cls, n, backend=EXACT):
+        if n < 1:
+            raise DimensionMismatch("matrix must be square and nonempty")
         if backend == EXACT:
             eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             return cls._from_ints(n, eye, ((0,) * n,) * n, 1)
@@ -276,6 +278,8 @@ class CMatrix:
 
     @classmethod
     def zeros(cls, n, backend=EXACT):
+        if n < 1:
+            raise DimensionMismatch("matrix must be square and nonempty")
         if backend == EXACT:
             zero = ((0,) * n,) * n
             return cls._from_ints(n, zero, zero, 1)
@@ -391,6 +395,12 @@ class CMatrix:
         return out
 
     def trace(self):
+        if self.backend == EXACT:
+            d = self._den
+            return GaussianRational(
+                Fraction(sum(r[i] for i, r in enumerate(self._re)), d),
+                Fraction(sum(r[i] for i, r in enumerate(self._im)), d),
+            )
         t = self.rows[0][0]
         for i in range(1, self.n):
             t = t + self.rows[i][i]
@@ -398,23 +408,68 @@ class CMatrix:
 
     def row_sum_norm(self):
         """Max row sum of entry moduli; normalized and submultiplicative."""
+        if self.backend == EXACT:
+            d = self._den
+            # int / int is correctly rounded, as float(Fraction) is
+            return max(
+                sum(math.hypot(a / d, b / d) for a, b in zip(ra, ia))
+                for ra, ia in zip(self._re, self._im)
+            )
         return max(sum(abs(x) for x in r) for r in self.rows)
 
     # -- elimination --------------------------------------------------
 
+    def _int_rows(self, augment=()):
+        """Mutable copies of the numerator rows for :func:`bareiss`, each
+        followed by its row of ``augment``; ``im`` is None for a real matrix."""
+        augment = augment or [[]] * self.n
+        re = [list(r) + a for r, a in zip(self._re, augment)]
+        if _is_zero(self._im):
+            return re, None
+        return re, [list(r) + [0] * len(a) for r, a in zip(self._im, augment)]
+
     def inverse(self):
         n = self.n
+        if self.backend == EXACT:
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            re, im = self._int_rows(eye)
+            pivots, (dr, di), _ = bareiss(re, im, n)
+            if len(pivots) < n:
+                raise SingularMatrix("matrix is singular at the working precision")
+            # rows end as [d I | X] with X A_int = d I, and A = A_int / _den,
+            # so A^{-1} = _den X / d
+            xr = [r[n:] for r in re]
+            xi = [r[n:] for r in im] if im else [[0] * n] * n
+            if di:  # X / d = X conj(d) / |d|^2
+                xr, xi = (
+                    [[a * dr + b * di for a, b in zip(ra, ia)] for ra, ia in zip(xr, xi)],
+                    [[b * dr - a * di for a, b in zip(ra, ia)] for ra, ia in zip(xr, xi)],
+                )
+                dr = dr * dr + di * di
+            f = self._den if dr > 0 else -self._den
+            return CMatrix._from_ints(
+                n, tuple(tuple(f * v for v in r) for r in xr),
+                tuple(tuple(f * v for v in r) for r in xi), abs(dr))
         eye = CMatrix.identity(n, self.backend)
         rows = [list(r) + list(e) for r, e in zip(self.rows, eye.rows)]
-        if len(rref(rows, n, self.backend == EXACT)) < n:
+        if len(rref(rows, n)) < n:
             raise SingularMatrix("matrix is singular at the working precision")
         return CMatrix([row[n:] for row in rows], self.backend)
 
     def det(self):
-        pivots = rref([list(r) for r in self.rows], self.n, self.backend == EXACT)
-        if len(pivots) < self.n:
-            return GaussianRational(0) if self.backend == EXACT else 0j
-        d = GaussianRational(1) if self.backend == EXACT else 1 + 0j
+        n = self.n
+        if self.backend == EXACT:
+            pivots, (dr, di), swaps = bareiss(*self._int_rows(), n)
+            if len(pivots) < n:
+                return GaussianRational(0)
+            if swaps % 2:
+                dr, di = -dr, -di
+            q = self._den ** n
+            return GaussianRational(Fraction(dr, q), Fraction(di, q))
+        pivots = rref([list(r) for r in self.rows], n)
+        if len(pivots) < n:
+            return 0j
+        d = 1 + 0j
         for _, piv, swapped in pivots:
             d = d * piv
             if swapped:
@@ -446,43 +501,33 @@ class CMatrix:
         return f"CMatrix({[list(r) for r in self.rows]!r}, backend={self.backend!r})"
 
 
-def rref(rows, ncols, exact):
-    """Gauss-Jordan elimination of ``rows`` in place on the first ``ncols``
-    columns; further columns are an augment carried along.
+def rref(rows, ncols):
+    """Gauss-Jordan elimination of float ``rows`` in place on the first
+    ``ncols`` columns; further columns are an augment carried along.
 
-    Columns without a pivot are skipped.  Exact rows take the first nonzero
-    pivot; float rows take the largest and reject it at or below
-    1e-12 * ||rows||.  Pivot rows end on top, scaled to 1 in their column.
-    Returns [(column, pivot, swapped)].
+    Columns without a pivot are skipped.  The pivot is the largest entry of
+    its column, rejected at or below 1e-12 * ||rows||.  Pivot rows end on
+    top, scaled to 1 in their column.  Returns [(column, pivot, swapped)].
     """
-    if not exact:
-        norm = max(sum(abs(x) for x in row[:ncols]) for row in rows)
-        threshold = 1e-12 * max(norm, 1e-300)
+    norm = max(sum(abs(x) for x in row[:ncols]) for row in rows)
+    threshold = 1e-12 * max(norm, 1e-300)
     pivots = []
     width = len(rows[0])
     r = 0
     for c in range(ncols):
         if r == len(rows):
             break
-        if exact:
-            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        else:
-            pr = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
-            pr = pr if abs(rows[pr][c]) > threshold else None
-        if pr is None:
+        pr = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
+        if abs(rows[pr][c]) <= threshold:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         row = rows[r]
         piv = row[c]
         pivots.append((c, piv, pr != r))
         # entries left of c are zero in the pivot row, so updates start at c
-        if exact:
-            for j in range(c, width):
-                row[j] = row[j] / piv
-        else:
-            inv = 1 / piv
-            for j in range(c, width):
-                row[j] = row[j] * inv
+        inv = 1 / piv
+        for j in range(c, width):
+            row[j] = row[j] * inv
         for i, other in enumerate(rows):
             f = other[c]
             if i == r or not f:
@@ -491,6 +536,86 @@ def rref(rows, ncols, exact):
                 other[j] = other[j] - f * row[j]
         r += 1
     return pivots
+
+
+def bareiss(re, im, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the Gaussian-integer
+    rows ``re + i im`` in place on the first ``ncols`` columns; further
+    columns are an augment carried along.  ``im`` is None for real rows,
+    which then skip all imaginary work.
+
+    The pivot is the first nonzero entry of its column at or below the
+    current row; columns without one are skipped.  Each step replaces every
+    other row by (p * row - f * pivot row) / p_prev, where p is the pivot,
+    f the row's entry in the pivot column and p_prev the previous pivot; the
+    division is exact, so all entries stay integers.  Pivot rows end on top,
+    and outside the pivot columns (which are not kept) pivot row r holds
+    d times row r of the reduced row echelon form, d being the last pivot.
+    Returns (pivot columns, d as (re, im), number of row swaps); for a square
+    matrix of full rank, d is its determinant times (-1)^swaps.
+    """
+    nrows = len(re)
+    pivots = []
+    swaps = 0
+    qr, qi = 1, 0  # previous pivot
+    lo = None  # first pivot-less column: updates start there or at c
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = next((i for i in range(r, nrows) if re[i][c] or im and im[i][c]), None)
+        if k is None:
+            lo = c if lo is None else lo
+            continue
+        if k != r:
+            swaps += 1
+            re[r], re[k] = re[k], re[r]
+            if im:
+                im[r], im[k] = im[k], im[r]
+        start = c if lo is None else lo
+        yr = re[r][start:]
+        pr = yr[c - start]
+        if im is None:
+            for i, row in enumerate(re):
+                if i == r:
+                    continue
+                f = row[c]
+                tail = row[start:]
+                if f:
+                    row[start:] = [(pr * x - f * y) // qr for x, y in zip(tail, yr)]
+                else:
+                    row[start:] = [pr * x // qr for x in tail]
+            qr = pr
+        else:
+            yi = im[r][start:]
+            pi = yi[c - start]
+            nq = qr * qr + qi * qi
+            for i in range(nrows):
+                if i == r:
+                    continue
+                fr, fi = re[i][c], im[i][c]
+                out_r, out_i = [], []
+                for xr, xi, ar, ai in zip(re[i][start:], im[i][start:], yr, yi):
+                    # (p x - f y) conj(q) / |q|^2
+                    nr = pr * xr - pi * xi - fr * ar + fi * ai
+                    ni = pr * xi + pi * xr - fr * ai - fi * ar
+                    out_r.append((nr * qr + ni * qi) // nq)
+                    out_i.append((ni * qr - nr * qi) // nq)
+                re[i][start:] = out_r
+                im[i][start:] = out_i
+            qr, qi = pr, pi
+        pivots.append(c)
+        r += 1
+    return pivots, (qr, qi), swaps
+
+
+def gaussian_quotient(ar, ai, dr, di):
+    """The GaussianRational (ar + i ai) / (dr + i di) of Gaussian integers."""
+    if di == 0:
+        return GaussianRational(Fraction(ar, dr), Fraction(ai, dr))
+    nq = dr * dr + di * di
+    return GaussianRational(
+        Fraction(ar * dr + ai * di, nq), Fraction(ai * dr - ar * di, nq))
 
 
 # module-level operation names, matching the rest of the package's vocabulary

@@ -2,18 +2,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from momexp import (
     CMatrix,
     ChainConstructionFailed,
+    GaussianRational,
     eigenvalues,
     jordan_decompose,
     mat_inverse,
     verify_decomposition,
 )
-from momexp.jordan import JordanDecomposition, assemble_jordan
+from momexp.jordan import JordanDecomposition, _ExactSpan, _nullspace_exact, assemble_jordan
 
-from helpers import recovered_multiset, synthetic_jordan_instance
+from helpers import (
+    elimination_matrices,
+    lazy_rows_reads,
+    recovered_multiset,
+    reference_kernel,
+    reference_rank,
+    synthetic_jordan_instance,
+)
 
 EXAMPLE1 = CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]])
 EXAMPLE2 = CMatrix([[0, 1, 1], [-1, 2, 1], [1, -1, 1]])
@@ -108,6 +117,29 @@ class TestJordanDecompose:
         ]:
             with pytest.raises(ChainConstructionFailed):
                 jordan_decompose(A, eigenvalues_hint=hint)
+
+
+class TestExactBackend:
+    """Exact kernels and rank tests against a plain-Fraction Gauss-Jordan."""
+
+    @given(elimination_matrices())
+    @example(CMatrix([[1, 2, 3], [2, 4, 5], [0, 0, GaussianRational(1, 1)]]))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_and_rank_match_reference(self, m):
+        assert _nullspace_exact(m) == reference_kernel(m)
+        vecs = [tuple(r) for r in m.rows]
+        for k in range(len(vecs)):
+            independent = reference_rank(vecs[:k + 1]) == k + 1
+            top = _ExactSpan(vecs[:k]).add(vecs[k])
+            assert top == (vecs[k] if independent else None)
+
+    def test_decomposition_builds_no_rows(self):
+        A = P1 @ assemble_jordan(J1_BLOCKS, "exact") @ P1.inverse()
+        with lazy_rows_reads() as reads:
+            dec = jordan_decompose(A, eigenvalues_hint=[(1, 2), (2, 1)])
+            ok = verify_decomposition(A, dec)["ok"]
+        assert reads == []
+        assert dec.blocks == J1_BLOCKS and dec.residual == 0.0 and ok
 
 
 class TestVerifyDecomposition:

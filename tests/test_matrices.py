@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momexp import (
@@ -19,6 +19,8 @@ from momexp import (
     matrix_to_json,
     row_sum_norm,
 )
+
+from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
 EXAMPLE1 = CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]])
 
@@ -172,6 +174,47 @@ class TestInverse:
             a = CMatrix([[rng.uniform(-3, 3) for _ in range(4)] for _ in range(4)])
             r = a @ mat_inverse(a) - CMatrix.identity(4, "float")
             assert row_sum_norm(r) <= 1e-12 * max(1.0, row_sum_norm(a)) * 100
+
+
+class TestExactElimination:
+    """Fraction-free elimination against a plain-Fraction Gauss-Jordan."""
+
+    @given(elimination_matrices())
+    @example(CMatrix([[0, GaussianRational(Fraction(1, 2), 1)],
+                      [Fraction(2, 3), 1]]))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_and_det_match_reference(self, m):
+        assert m.det() == reference_det(m)
+        # the integer norm rounds as the entrywise GaussianRational moduli do
+        norm = max(sum(abs(x) for x in r) for r in m.rows)
+        assert m.row_sum_norm().hex() == norm.hex()
+        expected = reference_inverse(m)
+        if expected is None:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert m.inverse() == expected
+
+    def test_elimination_builds_no_rows(self):
+        a = CMatrix([[0, 2, 1], [Fraction(1, 3), 1, 0], [1, 0, GaussianRational(0, 1)]])
+        a = a @ CMatrix.identity(3)
+        with lazy_rows_reads() as reads:
+            inv = a.inverse()
+            a.det()
+            a.trace()
+            a.row_sum_norm()
+        assert reads == []
+        assert inv @ a == CMatrix.identity(3)
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_identity_and_zeros_need_n_positive(self, backend, n):
+        with pytest.raises(DimensionMismatch):
+            CMatrix.identity(n, backend)
+        with pytest.raises(DimensionMismatch):
+            CMatrix.zeros(n, backend)
 
 
 class TestMatVec:
