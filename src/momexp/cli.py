@@ -203,7 +203,7 @@ def _cmd_verify_jordan(args):
     obj = _load_json(args.decomposition)
     entries = obj.get("blocks") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(
-        isinstance(e, list) and len(e) == 3 and isinstance(e[2], int) for e in entries
+        isinstance(e, list) and len(e) == 3 and type(e[2]) is int for e in entries
     ):
         raise ValueError("decomposition JSON needs 'blocks': [[re, im, size], ...]")
     blocks = [(scalar_from_json(e[:2]), e[2]) for e in entries]

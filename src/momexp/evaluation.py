@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BackendMismatch, EvaluationError
-from .matrices import EXACT, FLOAT, CMatrix, GaussianRational
+from .matrices import EXACT, FLOAT, CMatrix, GaussianRational, _block_toeplitz
 
 CONVERGED = "converged"
 RADIUS_EXCEEDED = "radius_exceeded"
@@ -192,53 +192,41 @@ def scalar_exp(lam, z, seq, policy=TruncationPolicy()):
 
 
 def _merge_reports(value, reports):
-    status = CONVERGED
-    for r in reports:
-        if r.status != CONVERGED:
-            status = r.status
-            value = None
-            break
+    status = next((r.status for r in reports if r.status != CONVERGED), CONVERGED)
     return EvalReport(
-        value,
+        value if status == CONVERGED else None,
         max(r.terms_used for r in reports),
         sum(r.tail_estimate for r in reports),
         status,
     )
 
 
+def _jordan_exp(blocks, z, seq, policy):
+    """E(Jz) for J = blockdiag of the Jordan blocks [(lam, size)]: each block
+    is upper-triangular Toeplitz with first row (Delta_h E(lam, z))_h."""
+    rows = [[delta_E(lam, h, z, seq, policy) for h in range(size)]
+            for lam, size in blocks]
+    value = None
+    if all(r.status == CONVERGED for row in rows for r in row):
+        value = _block_toeplitz(
+            [(size, [r.value for r in row]) for (_, size), row in zip(blocks, rows)],
+            FLOAT,
+        )
+    return _merge_reports(value, [_merge_reports(None, row) for row in rows])
+
+
 def jordan_block_exp(lam, size, z, seq, policy=TruncationPolicy()):
     """E(J z) for a single Jordan block: upper-triangular Toeplitz with
     (r, r+h) entry Delta_h E(lam, z)."""
-    if size < 1:
-        raise ValueError("block size must be positive")
-    reports = [delta_E(lam, h, z, seq, policy) for h in range(size)]
-    if any(r.status != CONVERGED for r in reports):
-        return _merge_reports(None, reports)
-    rows = [
-        [reports[j - i].value if j >= i else 0j for j in range(size)]
-        for i in range(size)
-    ]
-    return _merge_reports(CMatrix(rows, FLOAT), reports)
+    return _jordan_exp([(lam, size)], z, seq, policy)
 
 
 def eval_via_jordan(dec, z, seq, policy=TruncationPolicy()):
     """E(Az) through a verified decomposition: P blockdiag(E(J_i z)) P^{-1}."""
-    n = sum(size for _, size in dec.blocks)
-    block_reports = [
-        jordan_block_exp(complex(lam), size, z, seq, policy)
-        for lam, size in dec.blocks
-    ]
-    if any(r.status != CONVERGED for r in block_reports):
-        return _merge_reports(None, block_reports)
-    big = [[0j] * n for _ in range(n)]
-    off = 0
-    for (_, size), rep in zip(dec.blocks, block_reports):
-        for i in range(size):
-            for j in range(size):
-                big[off + i][off + j] = rep.value.rows[i][j]
-        off += size
-    value = dec.P.to_float() @ CMatrix(big, FLOAT) @ dec.P_inv.to_float()
-    return _merge_reports(value, block_reports)
+    report = _jordan_exp(dec.blocks, z, seq, policy)
+    if report.value is not None:
+        report.value = dec.P.to_float() @ report.value @ dec.P_inv.to_float()
+    return report
 
 
 def norm_bound_check(A, z, seq, policy=TruncationPolicy()):

@@ -6,11 +6,15 @@ grown top-down with the convention
 
     (A - lam I) v^j = v^{j-1},   v^0 = 0.
 
-A backend supplies only kernel bases (SVD for float, RREF for exact) and a
-basis that takes a vector only if it is independent (Gram-Schmidt for float,
-an integer rank test for exact).  Float eigenvalues come from the QR iteration,
-clustered by a dedicated tolerance; exact ones are supplied by the caller
-(root finding itself is float-only).
+A backend supplies only kernel bases (SVD for float, fraction-free
+elimination for exact) and a basis that takes a vector only if it is
+independent (Gram-Schmidt for float, an integer rank test for exact).  Float
+eigenvalues come from the QR iteration, clustered by a dedicated tolerance;
+exact ones are supplied by the caller (root finding itself is float-only).
+Both backends invert the chain matrix P with :meth:`CMatrix.inverse`, so a P
+that is singular under its rule (or a float P with |det P| < 1e-12) fails
+the decomposition, and J is laid out by the same block-Toeplitz builder as
+E(Jz) in :mod:`momexp.evaluation`.
 
 Jordan structure is discontinuous, so all rank decisions carry explicit
 thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
@@ -24,12 +28,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ChainConstructionFailed, DimensionMismatch
+from .errors import ChainConstructionFailed, DimensionMismatch, SingularMatrix
 from .matrices import (
     EXACT,
     FLOAT,
     CMatrix,
     GaussianRational,
+    _block_toeplitz,
     _common_denominator,
     bareiss,
     gaussian_quotient,
@@ -51,24 +56,12 @@ class JordanDecomposition:
 
 def assemble_jordan(blocks, backend=FLOAT):
     """Build the block-diagonal J from an ordered (lam, size) list."""
-    n = sum(size for _, size in blocks)
     if backend == EXACT:
-        zero, one = GaussianRational(0), GaussianRational(1)
-        rows = [[zero] * n for _ in range(n)]
-    else:
-        rows = [[0j] * n for _ in range(n)]
-        one = 1 + 0j
-    off = 0
-    for lam, size in blocks:
-        lam = GaussianRational._coerce(lam) if backend == EXACT else complex(lam)
-        if backend == EXACT and lam is None:
+        if any(GaussianRational._coerce(lam) is None for lam, _ in blocks):
             raise ValueError("exact assembly needs exact eigenvalues")
-        for i in range(size):
-            rows[off + i][off + i] = lam
-            if i + 1 < size:
-                rows[off + i][off + i + 1] = one
-        off += size
-    return CMatrix(rows, backend)
+    else:
+        blocks = [(complex(lam), size) for lam, size in blocks]
+    return _block_toeplitz([(size, (lam, 1)) for lam, size in blocks], backend)
 
 
 # -- eigenvalues --------------------------------------------------------
@@ -255,13 +248,16 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
             cols.extend(chain)
     if exact:
         P = CMatrix([[v[i] for v in cols] for i in range(n)], EXACT)
-        P_inv = P.inverse()
     else:
-        p = np.column_stack(cols)
-        if abs(np.linalg.det(p)) < 1e-12:
-            raise ChainConstructionFailed("assembled eigenvector matrix is singular")
-        P = CMatrix.from_numpy(p)
-        P_inv = CMatrix.from_numpy(np.linalg.inv(p))
+        P = CMatrix.from_numpy(np.column_stack(cols))
+    try:
+        # a float P also needs |det P| >= 1e-12, an absolute floor that
+        # rejects some well-conditioned P of large n (see ROADMAP)
+        if not exact and abs(P.det()) < 1e-12:
+            raise SingularMatrix("|det P| is below 1e-12")
+        P_inv = P.inverse()
+    except SingularMatrix as exc:
+        raise ChainConstructionFailed("assembled eigenvector matrix is singular") from exc
     residual = (A - P @ assemble_jordan(blocks, A.backend) @ P_inv).row_sum_norm()
     return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv, residual=residual)
 

@@ -4,8 +4,12 @@ Two scalar backends coexist:
 
 * exact  -- Gaussian rationals (pairs of ``fractions.Fraction``), so that
   coefficient identities can be tested with no tolerance at all; an exact
-  matrix computes on integer numerators over one common denominator;
-* float  -- IEEE-754 binary64 complex numbers (Python ``complex``).
+  matrix computes on integer numerators over one common denominator, and
+  its inverse and determinant come from one fraction-free elimination
+  (:func:`bareiss`);
+* float  -- IEEE-754 binary64 complex numbers (Python ``complex``); the
+  inverse and determinant come from numpy (LAPACK), and a float matrix is
+  singular when sigma_min <= 1e-12 sigma_max.
 
 Mixing backends in one operation raises :class:`BackendMismatch`; the only
 bridge is the explicit, lossy :meth:`CMatrix.to_float`.
@@ -450,11 +454,10 @@ class CMatrix:
             return CMatrix._from_ints(
                 n, tuple(tuple(f * v for v in r) for r in xr),
                 tuple(tuple(f * v for v in r) for r in xi), abs(dr))
-        eye = CMatrix.identity(n, self.backend)
-        rows = [list(r) + list(e) for r, e in zip(self.rows, eye.rows)]
-        if len(rref(rows, n)) < n:
+        a = self.to_numpy()
+        if _float_singular(a):
             raise SingularMatrix("matrix is singular at the working precision")
-        return CMatrix([row[n:] for row in rows], self.backend)
+        return CMatrix.from_numpy(np.linalg.inv(a))
 
     def det(self):
         n = self.n
@@ -466,15 +469,8 @@ class CMatrix:
                 dr, di = -dr, -di
             q = self._den ** n
             return GaussianRational(Fraction(dr, q), Fraction(di, q))
-        pivots = rref([list(r) for r in self.rows], n)
-        if len(pivots) < n:
-            return 0j
-        d = 1 + 0j
-        for _, piv, swapped in pivots:
-            d = d * piv
-            if swapped:
-                d = -d
-        return d
+        a = self.to_numpy()
+        return 0j if _float_singular(a) else complex(np.linalg.det(a))
 
     # -- misc ---------------------------------------------------------
 
@@ -501,41 +497,29 @@ class CMatrix:
         return f"CMatrix({[list(r) for r in self.rows]!r}, backend={self.backend!r})"
 
 
-def rref(rows, ncols):
-    """Gauss-Jordan elimination of float ``rows`` in place on the first
-    ``ncols`` columns; further columns are an augment carried along.
+def _block_toeplitz(blocks, backend):
+    """Block-diagonal matrix of upper-triangular Toeplitz blocks, each given
+    as (size, first row c): entry (r, r + h) of a block is c_h, and zero
+    where c is shorter than the block."""
+    if any(size < 1 for size, _ in blocks):
+        raise ValueError("block size must be positive")
+    n = sum(size for size, _ in blocks)
+    zero = GaussianRational(0) if backend == EXACT else 0j
+    rows = [[zero] * n for _ in range(n)]
+    off = 0
+    for size, first in blocks:
+        first = list(first[:size]) + [zero] * (size - len(first))
+        for r in range(size):
+            rows[off + r][off + r:off + size] = first[:size - r]
+        off += size
+    return CMatrix(rows, backend)
 
-    Columns without a pivot are skipped.  The pivot is the largest entry of
-    its column, rejected at or below 1e-12 * ||rows||.  Pivot rows end on
-    top, scaled to 1 in their column.  Returns [(column, pivot, swapped)].
-    """
-    norm = max(sum(abs(x) for x in row[:ncols]) for row in rows)
-    threshold = 1e-12 * max(norm, 1e-300)
-    pivots = []
-    width = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
-        if abs(rows[pr][c]) <= threshold:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        piv = row[c]
-        pivots.append((c, piv, pr != r))
-        # entries left of c are zero in the pivot row, so updates start at c
-        inv = 1 / piv
-        for j in range(c, width):
-            row[j] = row[j] * inv
-        for i, other in enumerate(rows):
-            f = other[c]
-            if i == r or not f:
-                continue
-            for j in range(c, width):
-                other[j] = other[j] - f * row[j]
-        r += 1
-    return pivots
+
+def _float_singular(a):
+    """The one singularity rule of the float backend, relative to the
+    matrix's scale: sigma_min <= 1e-12 sigma_max."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[-1] <= 1e-12 * s[0]
 
 
 def bareiss(re, im, ncols):
@@ -691,7 +675,10 @@ def scalar_from_json(pair):
         raise ValueError(f"scalar entry must be a [re, im] pair, got {pair!r}")
     re, im = pair
     if isinstance(re, str) or isinstance(im, str):
-        return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+        try:
+            return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in scalar entry {pair!r}") from exc
     if not all(isinstance(x, (int, float)) for x in pair):
         raise ValueError(f"scalar parts must be numbers or 'p/q' strings, got {pair!r}")
     return complex(float(re), float(im))

@@ -28,7 +28,7 @@ from .errors import SequenceError
 def _as_fraction(x, what):
     try:
         return Fraction(x)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SequenceError(f"{what} must be rational, got {x!r}") from exc
 
 
@@ -231,9 +231,9 @@ def parse_specifier(spec):
     if spec.startswith("ml:"):
         return MomentSequence.mittag_leffler(float(spec[3:]))
     if spec.startswith("qfac:"):
-        return MomentSequence.q_factorial(Fraction(spec[5:]))
+        return MomentSequence.q_factorial(spec[5:])
     if spec.startswith("geom:"):
-        return MomentSequence.geometric(Fraction(spec[5:]))
+        return MomentSequence.geometric(spec[5:])
     if spec.startswith("custom:"):
         return load_custom(spec[7:])
     raise SequenceError(f"unknown moment sequence specifier {spec!r}")

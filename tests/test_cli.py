@@ -254,6 +254,12 @@ class TestErrors:
              "--v0", "[[1,0],[0,0],[1,0]]", "--check", "residual", "--order", "-5"],
             ["series", "--op", "phi", "--moment", "ml:nan", "--order", "3"],
             ["probe", "--moment", "ml:inf"],
+            ["verify-jordan", "--matrix", "{one}", "--decomposition", "{negative_size}"],
+            ["verify-jordan", "--matrix", "{one}", "--decomposition", "{bool_size}"],
+            ["eval", "--matrix", "{zero_den}", "--moment", "factorial"],
+            ["probe", "--moment", "qfac:1/0"],
+            ["probe", "--moment", "geom:1/0"],
+            ["probe", "--moment", "custom:{zero_table}"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -262,17 +268,25 @@ class TestErrors:
             "zero-tol", "zero-max-terms", "solve-zero-tol",
             "float-v0-exact-residual", "negative-phi-order", "negative-residual-order",
             "nan-ml-parameter", "infinite-ml-parameter",
+            "negative-block-size", "bool-block-size", "zero-denominator-entry",
+            "zero-denominator-qfac", "zero-denominator-geom", "zero-denominator-custom",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
                                 argv):
         eye = matrix_to_json(CMatrix.identity(3, "float"))
+        one = matrix_to_json(CMatrix.identity(1, "float"))
         docs = {
             "entries5": {"entries": [5]},
             "null_entry": {"entries": [[[None, 0.0]]]},  # a non-finite value as emitted
             "int_coeffs": {"sequence": "factorial", "coeffs": 5},
             "short_block": {"blocks": [[1, 0]], "P": eye, "P_inv": eye},
             "list_doc": [1, 2],
+            "one": one,
+            "negative_size": {"blocks": [[2, 0, 2], [2, 0, -1]], "P": one, "P_inv": one},
+            "bool_size": {"blocks": [[1, 0, True]], "P": one, "P_inv": one},
+            "zero_den": {"entries": [[["1/0", "0"]]]},
+            "zero_table": ["1", "1/0"],
         }
         files = {"ex1": example1, "exact": identity2_exact}
         for name, doc in docs.items():

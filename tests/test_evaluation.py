@@ -192,6 +192,20 @@ class TestEvalViaJordan:
         for i, l in enumerate(lams):
             assert abs(rep.value.rows[i][i] - scalar_exp(l, 0.7, ML2).value) < 1e-12
 
+    def test_blocks_laid_out_on_the_diagonal(self):
+        blocks = [(0.5, 2), (-1.0 + 0.5j, 1), (0.3, 3)]
+        eye = CMatrix.identity(6, "float")
+        dec = JordanDecomposition(P=eye, blocks=blocks, P_inv=eye, residual=0.0)
+        expected = [[0j] * 6 for _ in range(6)]
+        off = 0
+        for lam, size in blocks:
+            block = jordan_block_exp(lam, size, 0.7, ML2).value.rows
+            for i in range(size):
+                expected[off + i][off:off + size] = block[i]
+            off += size
+        value = eval_via_jordan(dec, 0.7, ML2).value
+        assert [list(r) for r in value.rows] == expected
+
     @pytest.mark.parametrize("z", [0.3, 1 + 0.5j])
     @pytest.mark.parametrize("seq", [FACTORIAL, ML2], ids=["factorial", "ml2"])
     def test_example1_agreement(self, seq, z):

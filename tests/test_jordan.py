@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,3 +181,13 @@ class TestAssemble:
             [0.0, 2.0, 0.0],
             [0.0, 0.0, 5.0],
         ]
+
+    def test_exact_and_float_layouts_agree(self):
+        blocks = [(Fraction(1, 2), 2), (GaussianRational(-1, 3), 3), (4, 1)]
+        assert assemble_jordan(blocks, "exact").to_float() == assemble_jordan(blocks)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("sizes", [[0], [2, -1]], ids=["zero", "negative"])
+    def test_block_size_must_be_positive(self, backend, sizes):
+        with pytest.raises(ValueError, match="block size"):
+            assemble_jordan([(2, s) for s in sizes], backend)

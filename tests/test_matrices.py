@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,35 @@ class TestInverse:
             a = CMatrix([[rng.uniform(-3, 3) for _ in range(4)] for _ in range(4)])
             r = a @ mat_inverse(a) - CMatrix.identity(4, "float")
             assert row_sum_norm(r) <= 1e-12 * max(1.0, row_sum_norm(a)) * 100
+
+
+class TestFloatElimination:
+    """Float inverse and det under the relative rule sigma_min <= 1e-12 sigma_max."""
+
+    def test_nearly_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            CMatrix([[1, 1], [1, 1 + 1e-14]]).inverse()
+
+    def test_rule_is_relative(self):
+        tiny = CMatrix.identity(3, "float").scale(1e-14)
+        assert row_sum_norm(tiny @ tiny.inverse() - CMatrix.identity(3, "float")) <= 1e-15
+        assert tiny.det() != 0
+
+    def test_singular_det_is_zero(self):
+        assert CMatrix([[1.0, 2.0], [2.0, 4.0]]).det() == 0
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_agrees_with_numpy(self, kind):
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            a = rng.standard_normal((n, n)) + 4 * np.sqrt(n) * np.eye(n)
+            if kind == "complex":
+                a = a + 1j * rng.standard_normal((n, n))
+            assert np.linalg.cond(a) < 100
+            m = CMatrix.from_numpy(a)
+            inv, ref = m.inverse().to_numpy(), np.linalg.inv(a)
+            assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert abs(m.det() - np.linalg.det(a)) <= 1e-12 * abs(np.linalg.det(a))
 
 
 class TestExactElimination:
