@@ -41,16 +41,13 @@ from .jordan import (
 from .matrices import (
     CMatrix,
     GaussianRational,
-    mat_inverse,
-    mat_mul,
     mat_pow,
     mat_vec,
     matrix_from_json,
     matrix_to_json,
-    row_sum_norm,
     vec_norm,
 )
-from .moments import MomentSequence, growth_probe, moment_value, parse_specifier
+from .moments import MomentSequence, growth_probe, parse_specifier
 from .series import (
     MomentSeries,
     cauchy_product,

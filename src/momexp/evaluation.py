@@ -1,12 +1,15 @@
 """Analytic evaluation of generalized exponentials.
 
-Everything here sums the series sum_p A^p z^p / m(p) (or its scalar /
-Jordan-block variants) with an incremental term recurrence and a common
-stopping rule: a term is "settled" after `settle_count` consecutive norms
-below `tol` with an empirical term ratio below one, and the tail is then
-bounded geometrically.  Sequences without declared rapid growth can hit a
-finite radius of convergence; a persistent term ratio >= 1 is reported as
-`radius_exceeded` instead of a value.
+Every series here, sum_p A^p z^p / m(p) and its scalar / Jordan-block
+variants, is summed by one term loop (:func:`_sum`) under one stopping rule:
+a term of size exactly 0 ends the sum as converged, since every later term
+vanishes too; otherwise the sum is settled after five consecutive term
+sizes below `tol` with an empirical term ratio below one, and the tail is
+then bounded geometrically.  Sequences without declared rapid growth can hit
+a finite radius of convergence; five consecutive term ratios >= 1 are
+reported as `radius_exceeded` instead of a value.  The matrix series of a
+geometric sequence m(p) = b^p is not summed at all: on either backend it is
+the Neumann closed form (I - Az/b)^{-1}, which exists iff rho(Az/b) < 1.
 """
 
 from __future__ import annotations
@@ -26,19 +29,20 @@ RADIUS_EXCEEDED = "radius_exceeded"
 ABORTED_DIVERGENT = "aborted_divergent"
 MAX_TERMS_REACHED = "max_terms_reached"
 
+_SETTLE = 5  # consecutive small (or growing) terms that decide a sum
+_DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     tol: float = 1e-12
     max_terms: int = 10000
-    settle_count: int = 5
-    divergence_guard: float = 1e100
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not self.max_terms >= self.settle_count >= 1:
-            raise ValueError("need max_terms >= settle_count >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_terms < _SETTLE:
+            raise ValueError(f"need max_terms >= {_SETTLE}")
 
 
 @dataclass
@@ -54,44 +58,33 @@ class EvalReport:
         return self.value
 
 
-class _Stopper:
-    """Shared stopping logic over the stream of term norms."""
-
-    def __init__(self, policy, rapid_growth):
-        self.policy = policy
-        self.rapid_growth = rapid_growth
-        self.prev_norm = None
-        self.small_run = 0
-        self.grow_run = 0
-        self.ratio = 0.0
-        self.last_norm = 0.0
-
-    def feed(self, norm):
-        """Returns a terminal status string, or None to keep summing."""
-        p = self.policy
-        if math.isnan(norm) or norm > p.divergence_guard:
-            return ABORTED_DIVERGENT
-        self.ratio = (norm / self.prev_norm) if self.prev_norm else 0.0
-        self.prev_norm = norm
-        self.last_norm = norm
-        if norm < p.tol:
-            self.small_run += 1
-        else:
-            self.small_run = 0
-        if self.ratio >= 1.0:
-            self.grow_run += 1
-        else:
-            self.grow_run = 0
-        if self.small_run >= p.settle_count and self.ratio < 1.0:
-            return CONVERGED
-        if not self.rapid_growth and self.grow_run >= p.settle_count:
-            return RADIUS_EXCEEDED
-        return None
-
-    def tail(self):
-        if self.ratio < 1.0:
-            return self.last_norm * self.ratio / (1.0 - self.ratio)
-        return math.inf
+def _sum(first, step, size, limit, policy=None, rapid_growth=True):
+    """Sum first + t_1 + ... + t_limit, t_k = step(t_{k-1}, k), under the
+    stopping rule; ``size`` measures a term.  Without a policy only a zero
+    term converges (exact sums, where size need only tell zero from not).
+    ``terms_used`` counts the terms summed, or those examined on failure.
+    """
+    total = term = first
+    prev = small = grow = 0
+    for k in range(1, limit + 1):
+        term = step(term, k)
+        norm = size(term)
+        if norm == 0:
+            return EvalReport(total, k, 0.0, CONVERGED)
+        total = total + term
+        if policy is None:
+            continue
+        if math.isnan(norm) or norm > _DIVERGENCE_GUARD:
+            return EvalReport(None, k + 1, math.inf, ABORTED_DIVERGENT)
+        ratio = norm / prev if prev else 0.0
+        prev = norm
+        small = small + 1 if norm < policy.tol else 0
+        grow = grow + 1 if ratio >= 1.0 else 0
+        if small >= _SETTLE and ratio < 1.0:
+            return EvalReport(total, k + 1, norm * ratio / (1.0 - ratio), CONVERGED)
+        if not rapid_growth and grow >= _SETTLE:
+            return EvalReport(None, k + 1, math.inf, RADIUS_EXCEEDED)
+    return EvalReport(total, limit + 1, math.inf, MAX_TERMS_REACHED)
 
 
 def _is_exact_z(z):
@@ -102,88 +95,60 @@ def _spectral_radius(m):
     return max(abs(ev) for ev in np.linalg.eigvals(m.to_float().to_numpy()))
 
 
-def _eval_exp_exact(A, z, seq, policy):
-    if seq.kind == "geometric":
-        # Neumann closed form: sum (Az/b)^p = (I - Az/b)^{-1} inside the
-        # radius; exact rational arithmetic throughout.
-        M = A.scale(GaussianRational._coerce(z) / seq.param)
-        if _spectral_radius(M) >= 1.0:
-            return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
-        value = (CMatrix.identity(A.n, EXACT) - M).inverse()
-        return EvalReport(value, 0, 0.0, CONVERGED)
-    # general exact path: the series is finite iff Az is nilpotent, and then
-    # (Az)^n = 0 by Cayley-Hamilton, so n terms decide it
-    M = A.scale(z)
-    total = CMatrix.identity(A.n, EXACT)
-    term = total
-    last = min(A.n, policy.max_terms)
-    for p in range(1, last + 1):
-        term = (term @ M).scale(seq.value(p - 1) / seq.value(p))
-        if term.is_zero():
-            return EvalReport(total, p, 0.0, CONVERGED)
-        total = total + term
-    return EvalReport(total, last + 1, math.inf, MAX_TERMS_REACHED)
-
-
 def eval_exp(A, z, seq, policy=TruncationPolicy()):
     """Evaluate E(Az) = sum A^p z^p / m(p).
 
-    Float backend: incremental partial sums, T_p = T_{p-1} (Az) m(p-1)/m(p).
-    Exact backend (exact matrix, exact z, exact sequence): closed form for
-    geometric sequences, otherwise exact summation that converges only when
-    the terms vanish identically (nilpotent Az); after n terms without that
-    it stops with ``max_terms_reached``.
+    The exact backend needs an exact matrix, z and sequence.  A geometric
+    sequence takes the Neumann closed form, with ``terms_used`` 0.  Any
+    other is summed as T_p = T_{p-1} (Az) m(p-1)/m(p): under the policy on
+    the float backend; exactly on the exact backend, where the sum is finite
+    iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
+    terms without a zero term it stops with ``max_terms_reached``.
     """
-    if A.backend == EXACT:
-        if not (seq.exact and _is_exact_z(z)):
-            raise BackendMismatch(
-                "exact matrices need an exact sequence and exact z; "
-                "convert with to_float() for analytic evaluation"
-            )
-        return _eval_exp_exact(A, z, seq, policy)
-    M = A.scale(complex(z))
-    total = CMatrix.identity(A.n, FLOAT)
-    term = total
-    stopper = _Stopper(policy, seq.rapid_growth_declared)
-    terms_used = 1
-    for p in range(1, policy.max_terms + 1):
-        term = (term @ M).scale(seq.step_ratio(p))
-        norm = term.row_sum_norm()
-        if norm > 0.0:
-            total = total + term
-            terms_used = p + 1
-        status = stopper.feed(norm)
-        if status == CONVERGED:
-            return EvalReport(total, terms_used, stopper.tail(), CONVERGED)
-        if status is not None:
-            return EvalReport(None, p + 1, math.inf, status)
-    return EvalReport(total, terms_used, math.inf, MAX_TERMS_REACHED)
+    exact = A.backend == EXACT
+    if exact and not (seq.exact and _is_exact_z(z)):
+        raise BackendMismatch(
+            "exact matrices need an exact sequence and exact z; "
+            "convert with to_float() for analytic evaluation"
+        )
+    z = GaussianRational._coerce(z) if exact else complex(z)
+    eye = CMatrix.identity(A.n, A.backend)
+    if seq.kind == "geometric":
+        M = A.scale(z / seq.param)
+        if _spectral_radius(M) >= 1.0:
+            return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
+        return EvalReport((eye - M).inverse(), 0, 0.0, CONVERGED)
+    M = A.scale(z)
+
+    def step(term, p):
+        return (term @ M).scale(seq.step_ratio(p))
+
+    if exact:
+        return _sum(eye, step, lambda t: float(not t.is_zero()),
+                    min(A.n, policy.max_terms))
+    return _sum(eye, step, CMatrix.row_sum_norm, policy.max_terms, policy,
+                seq.rapid_growth_declared)
 
 
 def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
     """The scalar family Delta_h E(lam, z) = sum_{p>=h} C(p,h) lam^{p-h} z^p/m(p).
 
-    Binomials are carried incrementally, C(p+1,h) = C(p,h) (p+1)/(p+1-h),
-    so no factorial quotient ever overflows.
+    Binomials are carried incrementally, C(p,h) = C(p-1,h) p/(p-h), so no
+    factorial quotient ever overflows.  This stays a series for every
+    sequence, geometric included, so the Jordan path checks the closed form.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    lam = complex(lam)
     z = complex(z)
-    term = z**h / float(seq.value(h))
-    total = term
-    if lam == 0:
-        return EvalReport(total, 1, 0.0, CONVERGED)
-    stopper = _Stopper(policy, seq.rapid_growth_declared)
-    for p in range(h + 1, h + 1 + policy.max_terms):
-        term *= lam * z * (p / (p - h)) * seq.step_ratio(p)
-        total += term
-        status = stopper.feed(abs(term))
-        if status == CONVERGED:
-            return EvalReport(total, p - h + 1, stopper.tail(), CONVERGED)
-        if status is not None:
-            return EvalReport(None, p - h + 1, math.inf, status)
-    return EvalReport(total, policy.max_terms, math.inf, MAX_TERMS_REACHED)
+    lz = complex(lam) * z
+
+    def step(term, k):
+        # a zero lam z ends the sum without reading m(h + 1)
+        p = h + k
+        return term * (lz * (p / k) * seq.step_ratio(p)) if lz else 0j
+
+    return _sum(z**h / float(seq.value(h)), step, abs, policy.max_terms, policy,
+                seq.rapid_growth_declared)
 
 
 def scalar_exp(lam, z, seq, policy=TruncationPolicy()):

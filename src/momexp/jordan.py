@@ -22,6 +22,7 @@ thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
@@ -64,6 +65,11 @@ def assemble_jordan(blocks, backend=FLOAT):
     return _block_toeplitz([(size, (lam, 1)) for lam, size in blocks], backend)
 
 
+def _check_tol(name, tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 # -- eigenvalues --------------------------------------------------------
 
 def eigenvalues(A, tol=1e-2):
@@ -75,6 +81,7 @@ def eigenvalues(A, tol=1e-2):
     spread of a defective multiplicity-k root near (eps * ||A||)^(1/k) instead
     of the much larger spread that characteristic-polynomial roots exhibit.
     """
+    _check_tol("tol", tol)
     a = A.to_float().to_numpy()
     roots = np.linalg.eigvals(a)
     clusters = []  # list of lists of roots
@@ -215,6 +222,8 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
     ``eigenvalues_hint`` as [(lam, mult), ...]).  Exact backend: the hint is
     mandatory and everything runs over Gaussian rationals.
     """
+    _check_tol("tol", tol)
+    _check_tol("eig_tol", eig_tol)
     n = A.n
     exact = A.backend == EXACT
     if exact:
@@ -264,6 +273,7 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
 
 def verify_decomposition(A, dec, tol=1e-8):
     """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||; ok iff both <= tol."""
+    _check_tol("tol", tol)
     if dec.n != A.n:
         raise DimensionMismatch(f"decomposition is {dec.n}x{dec.n}, A is {A.n}x{A.n}")
     backend = A.backend

@@ -238,6 +238,16 @@ class CMatrix:
         m._set_ints(n, re, im, den)
         return m
 
+    @classmethod
+    def _from_complex(cls, rows):
+        """A float matrix on rows of Python complex that the class computed
+        itself; unlike ``__init__`` it checks and coerces no entry."""
+        rows = tuple(map(tuple, rows))
+        m = object.__new__(cls)
+        for name, value in (("n", len(rows)), ("backend", FLOAT), ("rows", rows)):
+            _set(m, name, value)
+        return m
+
     def _set_ints(self, n, re, im, den):
         """Store (re + i im) / den, reduced to the canonical form."""
         if den != 1:
@@ -275,10 +285,8 @@ class CMatrix:
         if backend == EXACT:
             eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             return cls._from_ints(n, eye, ((0,) * n,) * n, 1)
-        return cls(
-            [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)],
-            backend,
-        )
+        return cls._from_complex(
+            [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n, backend=EXACT):
@@ -287,12 +295,14 @@ class CMatrix:
         if backend == EXACT:
             zero = ((0,) * n,) * n
             return cls._from_ints(n, zero, zero, 1)
-        return cls([[0j] * n for _ in range(n)], backend)
+        return cls._from_complex([[0j] * n] * n)
 
     @classmethod
     def from_numpy(cls, arr):
         arr = np.asarray(arr, dtype=complex)
-        return cls([[complex(x) for x in row] for row in arr], FLOAT)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise DimensionMismatch("matrix must be square and nonempty")
+        return cls._from_complex(arr.tolist())
 
     def to_numpy(self):
         if self.backend != FLOAT:
@@ -305,11 +315,9 @@ class CMatrix:
             return self
         d = self._den
         # int / int is correctly rounded, as float(Fraction) is
-        return CMatrix(
-            [[complex(a / d, b / d) for a, b in zip(ra, ia)]
-             for ra, ia in zip(self._re, self._im)],
-            FLOAT,
-        )
+        return CMatrix._from_complex(
+            [complex(a / d, b / d) for a, b in zip(ra, ia)]
+            for ra, ia in zip(self._re, self._im))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -344,7 +352,7 @@ class CMatrix:
                     s = s + ai[k] * bt[k][j]
                 row.append(s)
             out.append(row)
-        return CMatrix(out, self.backend)
+        return CMatrix._from_complex(out)
 
     def _combine(self, other, op):
         self._check(other)
@@ -357,10 +365,8 @@ class CMatrix:
                 _entrywise(op, _iscale(self._im, f), _iscale(other._im, g)),
                 den,
             )
-        return CMatrix(
-            [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
-            self.backend,
-        )
+        return CMatrix._from_complex(
+            map(op, ra, rb) for ra, rb in zip(self.rows, other.rows))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -372,7 +378,7 @@ class CMatrix:
         if self.backend == EXACT:
             return CMatrix._from_ints(
                 self.n, _iscale(self._re, -1), _iscale(self._im, -1), self._den)
-        return CMatrix([[-a for a in r] for r in self.rows], self.backend)
+        return CMatrix._from_complex([-a for a in r] for r in self.rows)
 
     def scale(self, s):
         if self.backend == EXACT:
@@ -384,7 +390,7 @@ class CMatrix:
                 im = _entrywise(add, im, _iscale(self._re, si))
             return CMatrix._from_ints(self.n, re, im, self._den * q)
         s = complex(s)
-        return CMatrix([[a * s for a in r] for r in self.rows], self.backend)
+        return CMatrix._from_complex([a * s for a in r] for r in self.rows)
 
     def pow(self, p):
         if not isinstance(p, int) or p < 0:
@@ -602,22 +608,10 @@ def gaussian_quotient(ar, ai, dr, di):
         Fraction(ar * dr + ai * di, nq), Fraction(ai * dr - ar * di, nq))
 
 
-# module-level operation names, matching the rest of the package's vocabulary
-
-def mat_mul(a, b):
-    return a @ b
-
+# module-level power; bench/workloads.py calls it as mx.mat_pow
 
 def mat_pow(a, p):
     return a.pow(p)
-
-
-def row_sum_norm(a):
-    return a.row_sum_norm()
-
-
-def mat_inverse(a):
-    return a.inverse()
 
 
 # -- vectors ----------------------------------------------------------

@@ -247,7 +247,3 @@ def load_custom(path):
     if not isinstance(data, list):
         raise SequenceError("custom sequence file must hold a JSON list")
     return MomentSequence.custom(data, rapid_growth_declared=False)
-
-
-def moment_value(seq, p):
-    return seq.value(p)

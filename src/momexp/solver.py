@@ -11,7 +11,6 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .evaluation import TruncationPolicy, eval_exp
 from .matrices import (
-    mat_inverse,
     mat_vec,
     vec_norm,
     vec_scale,
@@ -74,7 +73,7 @@ def residual_check(sol, N):
 
 def fundamental_matrix(A, X0, seq, policy=TruncationPolicy()):
     """Closure z -> X(z) = E(Az) X0; columns solve the system, X(0) = X0."""
-    mat_inverse(X0)  # raises SingularMatrix for non-invertible initial data
+    X0.inverse()  # raises SingularMatrix for non-invertible initial data
 
     def X(z):
         return eval_exp(A, z, seq, policy).require_converged() @ X0
@@ -84,7 +83,7 @@ def fundamental_matrix(A, X0, seq, policy=TruncationPolicy()):
 
 def recover_exponential(X, X0, z):
     """E(Az) = X(z) X(0)^{-1}, independent of the fundamental matrix chosen."""
-    return X(z) @ mat_inverse(X0)
+    return X(z) @ X0.inverse()
 
 
 def q_derivative_residual(sol, q, zs):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from momexp import CMatrix, GaussianRational, mat_inverse
+from momexp import CMatrix, GaussianRational
 from momexp.jordan import assemble_jordan
 
 
@@ -44,7 +44,7 @@ def synthetic_jordan_instance(rng, n_max=6, cond_max=150.0):
         if abs(np.linalg.det(pf)) < 0.5 or np.linalg.cond(pf) > cond_max:
             continue
         J = assemble_jordan(blocks, backend="exact")
-        A = P @ J @ mat_inverse(P)
+        A = P @ J @ P.inverse()
         expected = sorted((lam, size) for lam, size in blocks)
         return A.to_float(), expected
 

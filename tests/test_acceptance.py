@@ -26,7 +26,6 @@ from momexp import (
     fundamental_matrix,
     inverse_series,
     jordan_decompose,
-    mat_inverse,
     mat_pow,
     norm_bound_check,
     phi_coefficients,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from momexp import matrix_from_json, matrix_to_json, CMatrix, mat_inverse
+from momexp import matrix_from_json, matrix_to_json, CMatrix
 from momexp.cli import main
 
 
@@ -169,7 +169,7 @@ class TestJordan:
                 {
                     "blocks": [["1", "0", 2], ["2", "0", 1]],
                     "P": matrix_to_json(P),
-                    "P_inv": matrix_to_json(mat_inverse(P)),
+                    "P_inv": matrix_to_json(P.inverse()),
                 }
             )
         )
@@ -260,6 +260,14 @@ class TestErrors:
             ["probe", "--moment", "qfac:1/0"],
             ["probe", "--moment", "geom:1/0"],
             ["probe", "--moment", "custom:{zero_table}"],
+            ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--tol", "inf"],
+            ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--tol", "nan"],
+            ["jordan", "--matrix", "{ex1}", "--tol", "nan"],
+            ["jordan", "--matrix", "{ex1}", "--tol", "inf"],
+            ["jordan", "--matrix", "{ex1}", "--eig-tol", "nan"],
+            ["jordan", "--matrix", "{ex1}", "--eig-tol", "-1"],
+            ["verify-jordan", "--matrix", "{ex1}", "--decomposition", "{eye_dec}",
+             "--tol", "inf"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -270,6 +278,8 @@ class TestErrors:
             "nan-ml-parameter", "infinite-ml-parameter",
             "negative-block-size", "bool-block-size", "zero-denominator-entry",
             "zero-denominator-qfac", "zero-denominator-geom", "zero-denominator-custom",
+            "infinite-tol", "nan-tol", "jordan-nan-tol", "jordan-infinite-tol",
+            "jordan-nan-eig-tol", "jordan-negative-eig-tol", "verify-infinite-tol",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
@@ -287,6 +297,7 @@ class TestErrors:
             "bool_size": {"blocks": [[1, 0, True]], "P": one, "P_inv": one},
             "zero_den": {"entries": [[["1/0", "0"]]]},
             "zero_table": ["1", "1/0"],
+            "eye_dec": {"blocks": [[1, 0, 1]] * 3, "P": eye, "P_inv": eye},
         }
         files = {"ex1": example1, "exact": identity2_exact}
         for name, doc in docs.items():

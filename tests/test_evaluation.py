@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from momexp import (
@@ -92,6 +93,34 @@ class TestEvalExp:
         rep = eval_exp(CMatrix.identity(2, "float"), 1.0, GEOM2)
         assert abs(rep.value.rows[0][0] - 2.0) < 1e-11
 
+    def test_geometric_float_non_normal_inside_radius(self):
+        # rho(Az/b) = 0.9, though the terms grow for a while
+        A = CMatrix([[1.8, 20.0], [0.0, 1.8]])
+        rep = eval_exp(A, 1.0, GEOM2)
+        assert rep.status == "converged"
+        want = np.linalg.inv(np.eye(2) - A.to_numpy() / 2)
+        got = rep.value.to_numpy()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.allclose(got, [[10, 1000], [0, 10]], rtol=1e-13, atol=0)
+
+    def test_geometric_float_near_radius(self):
+        rep = eval_exp(CMatrix.identity(2, "float").scale(1.996), 1.0, GEOM2)
+        assert rep.status == "converged"
+        want = CMatrix.identity(2, "float").scale(500.0)
+        assert (rep.value - want).row_sum_norm() <= 1e-12 * 500
+        out = eval_exp(CMatrix.identity(2, "float").scale(2.01), 1.0, GEOM2)
+        assert out.status == "radius_exceeded"
+
+    def test_zero_term_ends_float_sum(self):
+        # a nilpotent Az: the third term is zero, so m(4) is never needed
+        seq = MomentSequence.custom(["1", "1", "2", "6"], rapid_growth_declared=True)
+        N = CMatrix([[0.0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        rep = eval_exp(N, 1.0, seq)
+        assert rep.status == "converged"
+        assert rep.terms_used == 3
+        assert rep.tail_estimate == 0.0
+        assert rep.value == CMatrix([[1.0, 1, 3.5], [0, 1, 3], [0, 0, 1]])
+
     def test_exact_matrix_with_float_sequence_rejected(self):
         with pytest.raises(BackendMismatch):
             eval_exp(CMatrix.identity(2), 1, ML2)
@@ -137,6 +166,17 @@ class TestDeltaE:
             for h in (0, 1, 2):
                 got = delta_E(1.0, h, 0.5, seq).value
                 assert abs(got - direct_sum(1.0, h, 0.5, seq)) < 1e-12
+
+    def test_max_terms_counts_every_term(self):
+        # terms 0..max_terms were summed, as eval_exp reports them
+        pol = TruncationPolicy(max_terms=5)
+        rep = delta_E(3.0, 1, 1.0, FACTORIAL, pol)
+        assert rep.status == "max_terms_reached"
+        assert rep.terms_used == 6
+        assert eval_exp(CMatrix([[3.0]]), 1.0, FACTORIAL, pol).terms_used == 6
+        block = jordan_block_exp(3.0, 2, 1.0, FACTORIAL, pol)
+        assert block.status == "max_terms_reached"
+        assert block.terms_used == 6
 
     def test_coefficient_recurrence_exact(self):
         # d_p(h) = C(p,h) lam^{p-h} satisfies d_{p+1}(h) = lam d_p(h) + d_p(h-1)
@@ -285,7 +325,7 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(tol=0.0)
         with pytest.raises(ValueError):
-            TruncationPolicy(max_terms=2, settle_count=5)
+            TruncationPolicy(max_terms=2)
 
     def test_require_converged_raises(self):
         rep = eval_exp(CMatrix.identity(2, "float"), 3.0, GEOM2)

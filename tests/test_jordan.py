@@ -11,7 +11,6 @@ from momexp import (
     GaussianRational,
     eigenvalues,
     jordan_decompose,
-    mat_inverse,
     verify_decomposition,
 )
 from momexp.jordan import JordanDecomposition, _ExactSpan, _nullspace_exact, assemble_jordan
@@ -146,7 +145,7 @@ class TestExactBackend:
 class TestVerifyDecomposition:
     def _known_dec(self, P, blocks):
         return JordanDecomposition(
-            P=P, blocks=blocks, P_inv=mat_inverse(P), residual=0.0
+            P=P, blocks=blocks, P_inv=P.inverse(), residual=0.0
         )
 
     def test_example1_witness_exact(self):
@@ -166,7 +165,7 @@ class TestVerifyDecomposition:
         dec = JordanDecomposition(
             P=bad,
             blocks=[(1.0, 2), (2.0, 1)],
-            P_inv=mat_inverse(bad),
+            P_inv=bad.inverse(),
             residual=0.0,
         )
         out = verify_decomposition(EXAMPLE1.to_float(), dec)

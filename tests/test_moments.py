@@ -4,23 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from momexp import MomentSequence, SequenceError, growth_probe, moment_value
+from momexp import MomentSequence, SequenceError, growth_probe
 from momexp.moments import load_custom, parse_specifier
 
 
 class TestValues:
     def test_factorial(self):
         seq = MomentSequence.factorial()
-        assert moment_value(seq, 5) == 120
-        assert moment_value(seq, 0) == 1
+        assert seq.value(5) == 120
+        assert seq.value(0) == 1
 
     def test_q_factorial(self):
         seq = MomentSequence.q_factorial(2)
         # [1] [2] [3] = 1 * 3 * 7
-        assert moment_value(seq, 3) == 21
+        assert seq.value(3) == 21
 
     def test_geometric(self):
-        assert moment_value(MomentSequence.geometric(2), 4) == 16
+        assert MomentSequence.geometric(2).value(4) == 16
 
     def test_memoized_identical(self):
         seq = MomentSequence.mittag_leffler(2)
@@ -34,7 +34,7 @@ class TestValues:
             MomentSequence.mittag_leffler(1.5),
             MomentSequence.custom(["1", "1/2"], rapid_growth_declared=False),
         ):
-            assert moment_value(seq, 0) == 1
+            assert seq.value(0) == 1
 
     def test_recurrences_exact(self):
         fac = MomentSequence.factorial()
