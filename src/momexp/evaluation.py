@@ -157,13 +157,13 @@ def scalar_exp(lam, z, seq, policy=TruncationPolicy()):
 
 
 def _merge_reports(value, reports):
-    status = next((r.status for r in reports if r.status != CONVERGED), CONVERGED)
-    return EvalReport(
-        value if status == CONVERGED else None,
-        max(r.terms_used for r in reports),
-        sum(r.tail_estimate for r in reports),
-        status,
-    )
+    """One report for several sums: the first failure, with its own term
+    count, or else converged with the largest count."""
+    tail = sum(r.tail_estimate for r in reports)
+    failed = next((r for r in reports if r.status != CONVERGED), None)
+    if failed is not None:
+        return EvalReport(None, failed.terms_used, tail, failed.status)
+    return EvalReport(value, max(r.terms_used for r in reports), tail, CONVERGED)
 
 
 def _jordan_exp(blocks, z, seq, policy):

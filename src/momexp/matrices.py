@@ -176,11 +176,20 @@ def _entrywise(op, a, b):
 
 
 def _iscale(a, f):
-    return a if f == 1 else tuple(tuple(v * f for v in r) for r in a)
+    return a if f == 1 else tuple(tuple(map(f.__mul__, r)) for r in a)
 
 
 def _is_zero(a):
     return not any(map(any, a))
+
+
+def _gauss_matmul(ar, ai, br, bi):
+    """Numerators (re, im) of (ar + i ai) @ (br + i bi), not reduced."""
+    re = _imatmul(ar, br)
+    if _is_zero(ai) and _is_zero(bi):
+        return re, ai
+    return (_entrywise(sub, re, _imatmul(ai, bi)),
+            _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br)))
 
 
 def _square(flat, n):
@@ -333,13 +342,7 @@ class CMatrix:
         self._check(other)
         n = self.n
         if self.backend == EXACT:
-            ar, ai, br, bi = self._re, self._im, other._re, other._im
-            re = _imatmul(ar, br)
-            if _is_zero(ai) and _is_zero(bi):
-                im = ai
-            else:
-                re = _entrywise(sub, re, _imatmul(ai, bi))
-                im = _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br))
+            re, im = _gauss_matmul(self._re, self._im, other._re, other._im)
             return CMatrix._from_ints(n, re, im, self._den * other._den)
         bt = other.rows
         out = []
@@ -353,6 +356,33 @@ class CMatrix:
                 row.append(s)
             out.append(row)
         return CMatrix._from_complex(out)
+
+    @staticmethod
+    def weighted_products(weights, lefts, rights):
+        """sum_k w_k (lefts[k] @ rights[k]) for exact matrices and Fraction
+        weights w_k.  Each raw integer product is scaled to the lcm of the
+        denominators w_k.den * a_k.den * b_k.den and added there, and the
+        sum is reduced once."""
+        if not lefts or not len(weights) == len(lefts) == len(rights):
+            raise ValueError("weighted_products needs equally many weights and factors")
+        n = lefts[0].n
+        if any(m.backend != EXACT for m in chain(lefts, rights)):
+            raise BackendMismatch("weighted_products needs exact matrices")
+        if any(m.n != n for m in chain(lefts, rights)):
+            raise DimensionMismatch("weighted_products factors differ in size")
+        dens = [w.denominator * a._den * b._den
+                for w, a, b in zip(weights, lefts, rights)]
+        den = math.lcm(*dens)
+        re = im = None
+        for w, d, a, b in zip(weights, dens, lefts, rights):
+            f = w.numerator * (den // d)
+            tr, ti = _gauss_matmul(a._re, a._im, b._re, b._im)
+            tr, ti = _iscale(tr, f), _iscale(ti, f)
+            if re is None:
+                re, im = tr, ti
+            else:
+                re, im = _entrywise(add, re, tr), _entrywise(add, im, ti)
+        return CMatrix._from_ints(n, re, im, den)
 
     def _combine(self, other, op):
         self._check(other)

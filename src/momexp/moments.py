@@ -40,6 +40,7 @@ class MomentSequence:
         self.param = param
         self._table = ()
         self._lock = threading.Lock()
+        self._rows = []  # ratio rows, see ratio_row
         if kind == "factorial":
             self.exact = True
             default_rapid = True
@@ -140,6 +141,20 @@ class MomentSequence:
             while len(self._cache) <= p:
                 self._cache.append(self._compute(len(self._cache)))
         return self._cache[p]
+
+    def ratio_row(self, p):
+        """(m(p) / (m(n) m(p-n)))_{n<=p}, the weights of coefficient p of a
+        moment-basis product, in the sequence's own number type (Fraction,
+        or float for mittag_leffler).  Rows are memoized on the object."""
+        if p < len(self._rows):
+            return self._rows[p]
+        self.value(p)  # fills m(0..p) first; value takes the lock itself
+        m = self._cache
+        with self._lock:
+            while len(self._rows) <= p:
+                q = len(self._rows)
+                self._rows.append(tuple(m[q] / (m[n] * m[q - n]) for n in range(q + 1)))
+        return self._rows[p]
 
     def step_ratio(self, p):
         """m(p-1)/m(p), computed stably (log-gamma for mittag_leffler)."""

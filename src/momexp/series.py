@@ -16,8 +16,11 @@ share a sequence when their ``MomentSequence`` objects compare equal by value.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SequenceError
-from .matrices import CMatrix
+import math
+from fractions import Fraction
+
+from .errors import BackendMismatch, DimensionMismatch, SequenceError
+from .matrices import EXACT, CMatrix, GaussianRational
 
 
 def _check_order(N):
@@ -87,9 +90,16 @@ def moment_derivative(s):
     return MomentSeries(s.seq, s.coeffs[1:])
 
 
-def _basis_ratio(seq, p, n):
-    """m(p) / (m(n) m(p-n)); a Fraction for exact sequences, else a float."""
-    return seq.value(p) / (seq.value(n) * seq.value(p - n))
+def _is_exact(c):
+    return c.backend == EXACT if isinstance(c, CMatrix) else isinstance(c, GaussianRational)
+
+
+def _require_exact_sequence(seq, coeff):
+    if _is_exact(coeff) and not seq.exact:
+        raise BackendMismatch(
+            f"exact coefficients need an exact moment sequence; "
+            f"{seq.specifier()} is float-only"
+        )
 
 
 def cauchy_product(s1, s2):
@@ -97,21 +107,40 @@ def cauchy_product(s1, s2):
 
     r_p = sum_n m(p)/(m(n) m(p-n)) c1_n c2_{p-n}; the factor order is kept,
     matrix coefficients need not commute.  Truncation order min(N1, N2).
+    Exact matrix coefficients are summed on integer numerators and reduced
+    once per coefficient (:meth:`CMatrix.weighted_products`).
     """
     if s1.seq != s2.seq:
         raise SequenceError("Cauchy product requires one common moment sequence")
     if s1.shape != s2.shape or s1.shape[0] == "vector":
         raise DimensionMismatch(f"no Cauchy product of {s1.shape} and {s2.shape}")
-    seq, matrix = s1.seq, s1.shape[0] == "matrix"
+    seq, c1, c2 = s1.seq, s1.coeffs, s2.coeffs
+    _require_exact_sequence(seq, c1[0])
+    _require_exact_sequence(seq, c2[0])
+    matrix = s1.shape[0] == "matrix"
     out = []
     for p in range(min(s1.order, s2.order) + 1):
+        row = seq.ratio_row(p)
+        if matrix and _is_exact(c1[0]):
+            out.append(CMatrix.weighted_products(row, c1[:p + 1], c2[p::-1]))
+            continue
         acc = None
         for n in range(p + 1):
-            a, b, r = s1.coeffs[n], s2.coeffs[p - n], _basis_ratio(seq, p, n)
+            a, b, r = c1[n], c2[p - n], row[n]
             term = (a @ b).scale(r) if matrix else a * b * r
             acc = term if acc is None else acc + term
         out.append(acc)
     return MomentSeries(seq, out)
+
+
+def _fraction_dot(ws, xs):
+    """sum_k ws[k] xs[k] for Fractions, over one denominator, reduced once."""
+    dens = [w.denominator * x.denominator for w, x in zip(ws, xs)]
+    den = math.lcm(*dens)
+    return Fraction(
+        sum(w.numerator * x.numerator * (den // d) for w, x, d in zip(ws, xs, dens)),
+        den,
+    )
 
 
 def phi_coefficients(seq, N):
@@ -119,12 +148,17 @@ def phi_coefficients(seq, N):
     _check_order(N)
     phis = [seq.value(0)]  # m(0) = 1, in the sequence's own number type
     for p in range(1, N + 1):
-        phis.append(-sum(_basis_ratio(seq, p, j) * phis[j] for j in range(p)))
+        row = seq.ratio_row(p)
+        if seq.exact:
+            phis.append(-_fraction_dot(row[:p], phis))
+        else:
+            phis.append(-sum(row[j] * phis[j] for j in range(p)))
     return phis
 
 
 def inverse_series(A, seq, N):
     """Coefficients phi_p A^p of the multiplicative inverse of E(Az)."""
+    _require_exact_sequence(seq, A)
     phis = phi_coefficients(seq, N)
     coeffs = []
     Ap = CMatrix.identity(A.n, A.backend)

@@ -1,5 +1,7 @@
 """Shared test utilities: synthetic Jordan instances with known structure,
-and a plain-Fraction Gauss-Jordan reference for exact elimination."""
+a plain-Fraction Gauss-Jordan reference for exact elimination, and
+plain-Fraction references for the moment-basis Cauchy product and the
+inverse-series scalars."""
 
 import random
 from contextlib import contextmanager
@@ -139,6 +141,49 @@ def reference_kernel(m):
 
 def reference_rank(vectors):
     return len(fraction_gauss_jordan(_pairs(vectors), len(vectors[0]))[0])
+
+
+# -- series references ------------------------------------------------------
+# The generalized binomial m(p) / (m(n) m(p-n)) from m(p) alone, and matrix
+# coefficients as (re, im) Fraction pairs; no momexp series code is used.
+
+def _binomial_rows(seq, N):
+    m = [Fraction(seq.value(p)) for p in range(N + 1)]
+    return [[m[p] / (m[n] * m[p - n]) for n in range(p + 1)] for p in range(N + 1)]
+
+
+def reference_cauchy_product(seq, c1, c2):
+    """r_p = sum_n m(p)/(m(n) m(p-n)) c1_n c2_{p-n} for exact CMatrix or
+    scalar coefficients, up to order min(N1, N2)."""
+    matrix = isinstance(c1[0], CMatrix)
+    a = [_pairs(c.rows) if matrix else [[(Fraction(c.re), Fraction(c.im))]] for c in c1]
+    b = [_pairs(c.rows) if matrix else [[(Fraction(c.re), Fraction(c.im))]] for c in c2]
+    N = min(len(c1), len(c2)) - 1
+    size = len(a[0])
+    out = []
+    for p, row in enumerate(_binomial_rows(seq, N)):
+        acc = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
+        for n, r in enumerate(row):
+            x, y = a[n], b[p - n]
+            for i in range(size):
+                for j in range(size):
+                    t = (Fraction(0), Fraction(0))
+                    for k in range(size):
+                        u = _mul(x[i][k], y[k][j])
+                        t = (t[0] + u[0], t[1] + u[1])
+                    acc[i][j] = (acc[i][j][0] + r * t[0], acc[i][j][1] + r * t[1])
+        value = [[_gaussian(e) for e in r] for r in acc]
+        out.append(CMatrix(value, "exact") if matrix else value[0][0])
+    return out
+
+
+def reference_phi(seq, N):
+    """phi_0 = 1, phi_p = -sum_{j<p} m(p)/(m(j) m(p-j)) phi_j, in Fractions."""
+    phis = []
+    for p, row in enumerate(_binomial_rows(seq, N)):
+        phis.append(-sum((row[j] * phis[j] for j in range(p)), Fraction(0)) if p
+                    else Fraction(1))
+    return phis
 
 
 @st.composite

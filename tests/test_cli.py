@@ -268,6 +268,9 @@ class TestErrors:
             ["jordan", "--matrix", "{ex1}", "--eig-tol", "-1"],
             ["verify-jordan", "--matrix", "{ex1}", "--decomposition", "{eye_dec}",
              "--tol", "inf"],
+            ["series", "--op", "inverse", "--matrix", "{exact}", "--moment", "ml:2"],
+            ["series", "--op", "product", "--series", "{exact_ml}",
+             "--series2", "{exact_ml}"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -280,6 +283,7 @@ class TestErrors:
             "zero-denominator-qfac", "zero-denominator-geom", "zero-denominator-custom",
             "infinite-tol", "nan-tol", "jordan-nan-tol", "jordan-infinite-tol",
             "jordan-nan-eig-tol", "jordan-negative-eig-tol", "verify-infinite-tol",
+            "exact-inverse-float-sequence", "exact-product-float-sequence",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
@@ -298,6 +302,8 @@ class TestErrors:
             "zero_den": {"entries": [[["1/0", "0"]]]},
             "zero_table": ["1", "1/0"],
             "eye_dec": {"blocks": [[1, 0, 1]] * 3, "P": eye, "P_inv": eye},
+            "exact_ml": {"sequence": "ml:2",
+                         "coeffs": [matrix_to_json(CMatrix.identity(2))] * 3},
         }
         files = {"ex1": example1, "exact": identity2_exact}
         for name, doc in docs.items():

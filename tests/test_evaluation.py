@@ -246,6 +246,20 @@ class TestEvalViaJordan:
         value = eval_via_jordan(dec, 0.7, ML2).value
         assert [list(r) for r in value.rows] == expected
 
+    def test_merged_failure_keeps_its_own_term_count(self):
+        # with m(p) = 1 the block at 2 grows (radius_exceeded after 7 terms)
+        # and the block at 0.9 settles too slowly (max_terms_reached, 13)
+        ones = MomentSequence.custom(["1"] * 30, rapid_growth_declared=False)
+        pol = TruncationPolicy(max_terms=12)
+        first, second = (jordan_block_exp(lam, 1, 1.0, ones, pol) for lam in (2.0, 0.9))
+        assert (first.status, first.terms_used) == ("radius_exceeded", 7)
+        assert (second.status, second.terms_used) == ("max_terms_reached", 13)
+        eye = CMatrix.identity(2, "float")
+        dec = JordanDecomposition(P=eye, blocks=[(2.0, 1), (0.9, 1)], P_inv=eye,
+                                  residual=0.0)
+        rep = eval_via_jordan(dec, 1.0, ones, pol)
+        assert (rep.value, rep.status, rep.terms_used) == (None, "radius_exceeded", 7)
+
     @pytest.mark.parametrize("z", [0.3, 1 + 0.5j])
     @pytest.mark.parametrize("seq", [FACTORIAL, ML2], ids=["factorial", "ml2"])
     def test_example1_agreement(self, seq, z):

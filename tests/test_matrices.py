@@ -92,6 +92,24 @@ class TestMatMul:
             a, b, c = (rand_exact(3, rng) for _ in range(3))
             assert (a @ b) @ c == a @ (b @ c)
 
+    def test_weighted_products_is_the_reduced_sum(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            a, b, c, d = (rand_exact(3, rng).scale(GaussianRational(
+                Fraction(1, rng.randint(1, 4)), rng.randint(-2, 2))) for _ in range(4))
+            w = (Fraction(rng.randint(1, 9), rng.randint(1, 6)), Fraction(-2, 3))
+            got = CMatrix.weighted_products(w, [a, c], [b, d])
+            assert got == (a @ b).scale(w[0]) + (c @ d).scale(w[1])
+
+    def test_weighted_products_rejects_bad_input(self):
+        I = CMatrix.identity(2)
+        with pytest.raises(ValueError):
+            CMatrix.weighted_products((1,), [I, I], [I, I])
+        with pytest.raises(DimensionMismatch):
+            CMatrix.weighted_products((1,), [I], [CMatrix.identity(3)])
+        with pytest.raises(BackendMismatch):
+            CMatrix.weighted_products((1,), [I], [CMatrix.identity(2, "float")])
+
 
 class TestMatPow:
     def test_zeroth_power(self):

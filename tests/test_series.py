@@ -1,11 +1,16 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from helpers import reference_cauchy_product, reference_phi
 
 from momexp import (
+    BackendMismatch,
     CMatrix,
     DimensionMismatch,
+    GaussianRational,
     MomentSequence,
     MomentSeries,
     SequenceError,
@@ -22,6 +27,13 @@ from momexp.moments import parse_specifier
 FACTORIAL = MomentSequence.factorial()
 QFAC2 = MomentSequence.q_factorial(2)
 GEOM2 = MomentSequence.geometric(2)
+ML2 = MomentSequence.mittag_leffler(2)
+# non-integer generalized binomials m(p) / (m(n) m(p-n))
+CUSTOM = MomentSequence.custom(
+    ["1", "3/2", "7/3", "5", "41/4", "30", "100", "1001/3", "2000", "9999/7"],
+    rapid_growth_declared=False)
+NON_INTEGER = {"qfac:3/2": MomentSequence.q_factorial("3/2"),
+               "geom:5/3": MomentSequence.geometric("5/3"), "custom": CUSTOM}
 
 
 def rand_exact(n, rng, lo=-4, hi=4):
@@ -181,3 +193,130 @@ class TestInverseSeries:
                     inverse_series(A, seq, 12), exp_series(A, seq, 12)
                 )
                 assert prod.coeffs == unit_series(seq, 12, A).coeffs
+
+
+def rand_gaussian(rng, complex_entries):
+    im = Fraction(rng.randint(-3, 3), rng.choice((1, 2))) if complex_entries else 0
+    return GaussianRational(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))), im)
+
+
+def rand_coeffs(rng, n, N, complex_entries):
+    """N + 1 exact coefficients: n x n matrices, or scalars for n = 0."""
+    if n == 0:
+        return [rand_gaussian(rng, complex_entries) for _ in range(N + 1)]
+    return [CMatrix([[rand_gaussian(rng, complex_entries) for _ in range(n)]
+                     for _ in range(n)]) for _ in range(N + 1)]
+
+
+class TestExactParity:
+    """Exact products and phi against plain-Fraction references."""
+
+    @pytest.mark.parametrize("spec", ["factorial", "qfac:2", *NON_INTEGER])
+    @pytest.mark.parametrize("n", [0, 1, 3], ids=["scalar", "1x1", "3x3"])
+    def test_cauchy_product(self, spec, n):
+        seq = NON_INTEGER.get(spec) or parse_specifier(spec)
+        rng = random.Random(f"{spec}/{n}")
+        for complex_entries in (False, True):
+            N1, N2 = rng.sample(range(9), 2)  # unequal orders
+            c1 = rand_coeffs(rng, n, N1, complex_entries)
+            c2 = rand_coeffs(rng, n, N2, complex_entries)
+            got = cauchy_product(MomentSeries(seq, c1), MomentSeries(seq, c2))
+            assert got.order == min(N1, N2)
+            assert got.coeffs == reference_cauchy_product(seq, c1, c2)
+
+    def test_inverse_identity_against_reference(self):
+        rng = random.Random(5)
+        for seq in NON_INTEGER.values():
+            A = CMatrix([[rand_gaussian(rng, True) for _ in range(2)] for _ in range(2)])
+            inv, ex = inverse_series(A, seq, 8).coeffs, exp_series(A, seq, 8).coeffs
+            got = cauchy_product(MomentSeries(seq, inv), MomentSeries(seq, ex))
+            assert got.coeffs == reference_cauchy_product(seq, inv, ex)
+            assert got.coeffs == unit_series(seq, 8, A).coeffs
+
+    @pytest.mark.parametrize("spec", ["factorial", "qfac:2", "geom:2", *NON_INTEGER])
+    def test_phi(self, spec):
+        seq = NON_INTEGER.get(spec) or parse_specifier(spec)
+        N = 9 if spec == "custom" else 25
+        got = phi_coefficients(seq, N)
+        assert got == reference_phi(seq, N)
+        assert all(type(x) is Fraction for x in got)
+
+
+class TestFloatParity:
+    def test_ml2_product_bitwise(self):
+        # pinned against the textbook loop: (a @ b) scaled by the generalized
+        # binomial, summed in n order
+        A = CMatrix([[0.5, 1.25j], [-0.75, 0.3 + 0.1j]])
+        s1, s2 = inverse_series(A, ML2, 12), exp_series(A, ML2, 9)
+        m = [ML2.value(p) for p in range(13)]
+        want = []
+        for p in range(10):
+            acc = None
+            for n in range(p + 1):
+                term = (s1.coeffs[n] @ s2.coeffs[p - n]).scale(m[p] / (m[n] * m[p - n]))
+                acc = term if acc is None else acc + term
+            want.append(acc)
+
+        def bits(c):
+            return [(x.real.hex(), x.imag.hex()) for r in c.rows for x in r]
+
+        got = cauchy_product(s1, s2).coeffs
+        assert [bits(c) for c in got] == [bits(c) for c in want]
+
+    def test_ml2_phi_bitwise(self):
+        m = [ML2.value(p) for p in range(21)]
+        want = [m[0]]
+        for p in range(1, 21):
+            want.append(-sum(m[p] / (m[j] * m[p - j]) * want[j] for j in range(p)))
+        got = phi_coefficients(ML2, 20)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+class TestFloatOnlySequence:
+    def test_exact_inverse_names_the_sequence(self):
+        with pytest.raises(BackendMismatch, match="ml:2"):
+            inverse_series(CMatrix([[1, 2], [0, 1]]), ML2, 4)
+
+    def test_exact_product_names_the_sequence(self):
+        s = MomentSeries(ML2, [CMatrix.identity(2)] * 3)
+        with pytest.raises(BackendMismatch, match="ml:2"):
+            cauchy_product(s, s)
+
+    def test_float_coefficients_still_work(self):
+        A = CMatrix([[0.5, 0.0], [0.25, -0.5]])
+        prod = cauchy_product(inverse_series(A, ML2, 6), exp_series(A, ML2, 6))
+        assert all((c - u).row_sum_norm() < 1e-12 for c, u in
+                   zip(prod.coeffs, unit_series(ML2, 6, A).coeffs))
+
+
+class TestRatioRows:
+    def test_threads_agree_with_one_thread(self):
+        want = phi_coefficients(MomentSequence.q_factorial("3/2"), 30)
+        seq = MomentSequence.q_factorial("3/2")  # fresh: empty memo
+        barrier = threading.Barrier(6)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append(phi_coefficients(seq, 30))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 6
+
+    def test_equal_sequences_keep_separate_memos(self):
+        a, b = MomentSequence.q_factorial(3), MomentSequence.q_factorial(3)
+        assert a == b and hash(a) == hash(b)
+        row = a.ratio_row(6)
+        assert a.ratio_row(6) is row
+        assert b.ratio_row(6) is not row
+        assert b.ratio_row(6) == row
