@@ -61,17 +61,6 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_matrix(path, backend=None):
-    m = matrix_from_json(_load_json(path))
-    if backend == "float":
-        m = m.to_float()
-    elif backend == "exact" and m.backend != "exact":
-        raise ValueError(
-            "--backend exact requires 'p/q' string entries in the matrix JSON"
-        )
-    return m
-
-
 def _policy(args):
     return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
 
@@ -119,7 +108,7 @@ def _report_doc(rep):
 # -- verbs ---------------------------------------------------------------
 
 def _cmd_eval(args):
-    A = _load_matrix(args.matrix, args.backend)
+    A = matrix_from_json(_load_json(args.matrix))
     seq = parse_specifier(args.moment)
     z = _parse_complex(args.z)
     policy = _policy(args)
@@ -132,6 +121,9 @@ def _cmd_eval(args):
     status = CONVERGED
     if args.path in ("series", "both"):
         rep = eval_exp(A, z_in, seq, policy)
+        if rep.status == "max_terms_reached" and A.backend == "exact":
+            # the exact series is finite only for nilpotent Az: sum in floats
+            rep = eval_exp(A.to_float(), z, seq, policy)
         doc = _report_doc(rep)
         status = rep.status
     if args.path in ("jordan", "both"):
@@ -153,7 +145,7 @@ def _cmd_eval(args):
 
 
 def _cmd_solve(args):
-    A = _load_matrix(args.matrix, args.backend)
+    A = matrix_from_json(_load_json(args.matrix))
     seq = parse_specifier(args.moment)
     v0 = vector_from_json(json.loads(args.v0))
     policy = _policy(args)
@@ -185,7 +177,7 @@ def _cmd_solve(args):
 
 
 def _cmd_jordan(args):
-    A = _load_matrix(args.matrix, "float")
+    A = matrix_from_json(_load_json(args.matrix)).to_float()
     dec = jordan_decompose(A, tol=args.tol, eig_tol=args.eig_tol)
     _emit(
         {
@@ -199,7 +191,7 @@ def _cmd_jordan(args):
 
 
 def _cmd_verify_jordan(args):
-    A = _load_matrix(args.matrix, args.backend)
+    A = matrix_from_json(_load_json(args.matrix))
     obj = _load_json(args.decomposition)
     entries = obj.get("blocks") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(
@@ -238,7 +230,7 @@ def _cmd_series(args):
         s2 = _series_from_json(_load_json(args.series2))
         _emit(_series_to_json(cauchy_product(s1, s2)))
     elif args.op == "inverse":
-        A = _load_matrix(args.matrix, args.backend)
+        A = matrix_from_json(_load_json(args.matrix))
         seq = parse_specifier(args.moment)
         _emit(_series_to_json(inverse_series(A, seq, args.order)))
     else:  # phi
@@ -267,9 +259,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument("--backend", choices=["exact", "float"], default=None)
-
     p = sub.add_parser("eval", help="evaluate E(Az)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--z", default="1,0")
@@ -277,7 +266,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-terms", dest="max_terms", type=int, default=10000)
     p.add_argument("--path", choices=["series", "jordan", "both"], default="series")
-    add_common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("solve", help="solve dy = Ay, y(0) = v0")
@@ -289,7 +277,6 @@ def build_parser():
     p.add_argument("--order", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-terms", dest="max_terms", type=int, default=10000)
-    add_common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("jordan", help="Jordan canonical decomposition")
@@ -302,7 +289,6 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--decomposition", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    add_common(p)
     p.set_defaults(func=_cmd_verify_jordan)
 
     p = sub.add_parser("series", help="formal series operations")
@@ -312,7 +298,6 @@ def build_parser():
     p.add_argument("--matrix")
     p.add_argument("--moment")
     p.add_argument("--order", type=int, default=20)
-    add_common(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("probe", help="growth diagnostics for a moment sequence")

@@ -10,7 +10,7 @@ class DimensionMismatch(MomexpError):
 
 
 class BackendMismatch(MomexpError):
-    """Exact and float values were mixed without an explicit conversion."""
+    """Mixed exact and float values, or a non-exact input to an exact computation."""
 
 
 class SingularMatrix(MomexpError):

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .errors import BackendMismatch, EvaluationError
-from .matrices import EXACT, FLOAT, CMatrix, GaussianRational, _block_toeplitz
+from .errors import EvaluationError
+from .matrices import EXACT, FLOAT, CMatrix, _block_toeplitz, require_exact
 
 CONVERGED = "converged"
 RADIUS_EXCEEDED = "radius_exceeded"
@@ -41,8 +40,9 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_terms < _SETTLE:
-            raise ValueError(f"need max_terms >= {_SETTLE}")
+        if not isinstance(self.max_terms, int) or self.max_terms < _SETTLE:
+            raise ValueError(f"max_terms must be an integer >= {_SETTLE}, "
+                             f"got {self.max_terms!r}")
 
 
 @dataclass
@@ -87,10 +87,6 @@ def _sum(first, step, size, limit, policy=None, rapid_growth=True):
     return EvalReport(total, limit + 1, math.inf, MAX_TERMS_REACHED)
 
 
-def _is_exact_z(z):
-    return isinstance(z, (int, Fraction, GaussianRational))
-
-
 def _spectral_radius(m):
     return max(abs(ev) for ev in np.linalg.eigvals(m.to_float().to_numpy()))
 
@@ -106,12 +102,9 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     terms without a zero term it stops with ``max_terms_reached``.
     """
     exact = A.backend == EXACT
-    if exact and not (seq.exact and _is_exact_z(z)):
-        raise BackendMismatch(
-            "exact matrices need an exact sequence and exact z; "
-            "convert with to_float() for analytic evaluation"
-        )
-    z = GaussianRational._coerce(z) if exact else complex(z)
+    if exact:
+        require_exact(seq, "moment sequence")
+    z = require_exact(z, "z") if exact else complex(z)
     eye = CMatrix.identity(A.n, A.backend)
     if seq.kind == "geometric":
         M = A.scale(z / seq.param)

@@ -40,6 +40,7 @@ from .matrices import (
     bareiss,
     gaussian_quotient,
     mat_vec,
+    require_exact,
 )
 
 
@@ -58,8 +59,7 @@ class JordanDecomposition:
 def assemble_jordan(blocks, backend=FLOAT):
     """Build the block-diagonal J from an ordered (lam, size) list."""
     if backend == EXACT:
-        if any(GaussianRational._coerce(lam) is None for lam, _ in blocks):
-            raise ValueError("exact assembly needs exact eigenvalues")
+        blocks = [(require_exact(lam, "eigenvalue"), size) for lam, size in blocks]
     else:
         blocks = [(complex(lam), size) for lam, size in blocks]
     return _block_toeplitz([(size, (lam, 1)) for lam, size in blocks], backend)
@@ -232,9 +232,7 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
                 "exact decomposition needs eigenvalues_hint (root finding is "
                 "float-only); or convert with to_float()"
             )
-        eigs = [(GaussianRational._coerce(lam), m) for lam, m in eigenvalues_hint]
-        if any(lam is None for lam, _ in eigs):
-            raise ValueError("exact decomposition needs exact eigenvalues")
+        eigs = [(require_exact(lam, "eigenvalue"), m) for lam, m in eigenvalues_hint]
         shifted = (A - CMatrix.identity(n, EXACT).scale(lam) for lam, _ in eigs)
         kernel, span = _nullspace_exact, _ExactSpan
     else:
@@ -272,17 +270,17 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
 
 
 def verify_decomposition(A, dec, tol=1e-8):
-    """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||; ok iff both <= tol."""
+    """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||, exactly if A, P and
+    P_inv are all exact and in float otherwise; ok iff both <= tol."""
     _check_tol("tol", tol)
     if dec.n != A.n:
         raise DimensionMismatch(f"decomposition is {dec.n}x{dec.n}, A is {A.n}x{A.n}")
-    backend = A.backend
-    P = dec.P if dec.P.backend == backend else dec.P.to_float()
-    P_inv = dec.P_inv if dec.P_inv.backend == backend else dec.P_inv.to_float()
-    if backend == EXACT and (P.backend != EXACT or P_inv.backend != EXACT):
-        raise ValueError("exact verification needs exact P and P_inv")
-    J = assemble_jordan(dec.blocks, backend)
-    eye = CMatrix.identity(A.n, backend)
+    mats = (A, dec.P, dec.P_inv)
+    if any(m.backend != EXACT for m in mats):
+        mats = [m.to_float() for m in mats]
+    A, P, P_inv = mats
+    J = assemble_jordan(dec.blocks, A.backend)
+    eye = CMatrix.identity(A.n, A.backend)
     inv_err = (P @ P_inv - eye).row_sum_norm()
     residual = (A - P @ J @ P_inv).row_sum_norm()
     return {"residual": residual, "ok": residual <= tol and inv_err <= tol}

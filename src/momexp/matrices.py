@@ -11,8 +11,15 @@ Two scalar backends coexist:
   inverse and determinant come from numpy (LAPACK), and a float matrix is
   singular when sigma_min <= 1e-12 sigma_max.
 
-Mixing backends in one operation raises :class:`BackendMismatch`; the only
-bridge is the explicit, lossy :meth:`CMatrix.to_float`.
+The backend of any mix of inputs follows one rule (:func:`infer_backend`): a
+float or complex value makes it float, a GaussianRational or exact matrix
+next to one raises :class:`BackendMismatch`, and otherwise it is exact, so
+``int`` and ``Fraction`` count as exact.  An exact computation admits its
+other inputs through :func:`require_exact`, which names the one that is not
+exact.  On the float backend, scalar arguments (``z``, a scale factor, an
+eigenvalue) are converted with ``complex()``, but matrix and vector entries
+must not be GaussianRational; an exact matrix converts only through the
+lossy :meth:`CMatrix.to_float`.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from .errors import BackendMismatch, DimensionMismatch, SingularMatrix
+from .moments import MomentSequence
 
 EXACT = "exact"
 FLOAT = "float"
@@ -147,11 +155,42 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def _coerce_exact(value):
+def _kinds(values, out):
+    # one test per distinct type, tuples and lists flattened a level at a
+    # time, so a long series of vectors costs little more than its length
+    for t in set(map(type, values)):
+        if issubclass(t, (float, complex)):
+            out.add(FLOAT)
+        elif issubclass(t, GaussianRational):
+            out.add(EXACT)
+        elif issubclass(t, CMatrix):
+            out.update(v.backend for v in values if type(v) is t)
+        elif issubclass(t, (tuple, list)):
+            _kinds(list(chain.from_iterable(v for v in values if type(v) is t)), out)
+    return out
+
+
+def infer_backend(*values):
+    """The backend of a computation on ``values``, any mix of scalars, tuples
+    or lists of them and CMatrix values, by the rule above."""
+    kinds = _kinds(values, set())
+    if len(kinds) > 1:
+        raise BackendMismatch("mixed exact and float values")
+    return kinds.pop() if kinds else EXACT
+
+
+def require_exact(value, what="scalar"):
+    """Admit ``value`` to an exact computation: a scalar comes back as a
+    GaussianRational and an exact moment sequence unchanged.  Anything else
+    raises BackendMismatch naming ``what`` the input is."""
     g = GaussianRational._coerce(value)
-    if g is None:
-        raise BackendMismatch(f"not an exact scalar: {value!r}")
-    return g
+    if g is not None:
+        return g
+    if isinstance(value, MomentSequence):
+        if value.exact:
+            return value
+        value = f"{value.specifier()} (float-only)"
+    raise BackendMismatch(f"the exact backend needs an exact {what}, got {value!r}")
 
 
 def _coerce_float(value):
@@ -224,15 +263,9 @@ class CMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
         if backend is None:
-            has_float = any(
-                isinstance(x, (float, complex)) for r in rows for x in r
-            )
-            has_exact = any(isinstance(x, GaussianRational) for r in rows for x in r)
-            if has_float and has_exact:
-                raise BackendMismatch("mixed exact and float entries")
-            backend = FLOAT if has_float else EXACT
+            backend = infer_backend(rows)
         if backend == EXACT:
-            rows = tuple(tuple(_coerce_exact(x) for x in r) for r in rows)
+            rows = tuple(tuple(require_exact(x) for x in r) for r in rows)
             re, im, den = _common_denominator([x for r in rows for x in r])
             self._set_ints(n, _square(re, n), _square(im, n), den)
         else:
@@ -413,7 +446,7 @@ class CMatrix:
     def scale(self, s):
         if self.backend == EXACT:
             # s = (sr + i si) / q over the lcm of its two denominators
-            (sr,), (si,), q = _common_denominator([_coerce_exact(s)])
+            (sr,), (si,), q = _common_denominator([require_exact(s)])
             re, im = _iscale(self._re, sr), _iscale(self._im, sr)
             if si:
                 re = _entrywise(sub, re, _iscale(self._im, si))
@@ -651,7 +684,7 @@ def mat_vec(a, v):
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
     if a.backend == EXACT:
-        vr, vi, dv = _common_denominator([_coerce_exact(x) for x in v])
+        vr, vi, dv = _common_denominator([require_exact(x, "vector entry") for x in v])
         d = a._den * dv
         return tuple(
             GaussianRational(
@@ -718,13 +751,7 @@ def matrix_from_json(obj):
     entries = obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix 'entries' must be a list of rows")
-    scalars = [[scalar_from_json(x) for x in row] for row in entries]
-    kinds = {isinstance(x, GaussianRational) for row in scalars for x in row}
-    if len(kinds) > 1:
-        raise BackendMismatch(
-            "matrix JSON mixes exact ('p/q' string) and float (number) entries"
-        )
-    m = CMatrix(scalars)
+    m = CMatrix([[scalar_from_json(x) for x in row] for row in entries])
     if "n" in obj and obj["n"] != m.n:
         raise ValueError(f"declared n={obj['n']} but got {m.n} rows")
     return m
@@ -733,11 +760,9 @@ def matrix_from_json(obj):
 def vector_from_json(obj):
     if not isinstance(obj, list):
         raise ValueError(f"vector JSON must be a list of [re, im] pairs, got {obj!r}")
-    vals = [scalar_from_json(x) for x in obj]
-    kinds = {isinstance(x, GaussianRational) for x in vals}
-    if len(kinds) > 1:
-        raise BackendMismatch("vector JSON mixes exact and float entries")
-    return tuple(vals)
+    vals = tuple(scalar_from_json(x) for x in obj)
+    infer_backend(vals)  # raises if exact and float entries mix
+    return vals
 
 
 def vector_to_json(v):

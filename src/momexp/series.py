@@ -10,8 +10,10 @@ solution residual checks into exact rational identities.
 
 Coefficients are scalars or square :class:`CMatrix` values of one shape and
 backend, the kinds that have a Cauchy product; vector (tuple) coefficients,
-from ``IVPSolution.series``, support the moment derivative only.  Two series
-share a sequence when their ``MomentSequence`` objects compare equal by value.
+from ``IVPSolution.series``, support the moment derivative only.  The
+backend follows :func:`momexp.matrices.infer_backend`, so a series of
+``int`` or ``Fraction`` scalars is exact.  Two series share a sequence when
+their ``MomentSequence`` objects compare equal by value.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BackendMismatch, DimensionMismatch, SequenceError
-from .matrices import EXACT, CMatrix, GaussianRational
+from .errors import DimensionMismatch, SequenceError
+from .matrices import EXACT, CMatrix, infer_backend, require_exact
 
 
 def _check_order(N):
@@ -46,6 +48,7 @@ class MomentSeries:
         self.seq = seq
         self.coeffs = coeffs
         (self.shape,) = shapes
+        self.backend = infer_backend(coeffs)
 
     @property
     def order(self):
@@ -90,18 +93,6 @@ def moment_derivative(s):
     return MomentSeries(s.seq, s.coeffs[1:])
 
 
-def _is_exact(c):
-    return c.backend == EXACT if isinstance(c, CMatrix) else isinstance(c, GaussianRational)
-
-
-def _require_exact_sequence(seq, coeff):
-    if _is_exact(coeff) and not seq.exact:
-        raise BackendMismatch(
-            f"exact coefficients need an exact moment sequence; "
-            f"{seq.specifier()} is float-only"
-        )
-
-
 def cauchy_product(s1, s2):
     """Moment-basis coefficients of the product series.
 
@@ -115,13 +106,14 @@ def cauchy_product(s1, s2):
     if s1.shape != s2.shape or s1.shape[0] == "vector":
         raise DimensionMismatch(f"no Cauchy product of {s1.shape} and {s2.shape}")
     seq, c1, c2 = s1.seq, s1.coeffs, s2.coeffs
-    _require_exact_sequence(seq, c1[0])
-    _require_exact_sequence(seq, c2[0])
+    exact = infer_backend(c1, c2) == EXACT
+    if exact:
+        require_exact(seq, "moment sequence")
     matrix = s1.shape[0] == "matrix"
     out = []
     for p in range(min(s1.order, s2.order) + 1):
         row = seq.ratio_row(p)
-        if matrix and _is_exact(c1[0]):
+        if matrix and exact:
             out.append(CMatrix.weighted_products(row, c1[:p + 1], c2[p::-1]))
             continue
         acc = None
@@ -158,7 +150,8 @@ def phi_coefficients(seq, N):
 
 def inverse_series(A, seq, N):
     """Coefficients phi_p A^p of the multiplicative inverse of E(Az)."""
-    _require_exact_sequence(seq, A)
+    if A.backend == EXACT:
+        require_exact(seq, "moment sequence")
     phis = phi_coefficients(seq, N)
     coeffs = []
     Ap = CMatrix.identity(A.n, A.backend)

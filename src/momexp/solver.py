@@ -16,7 +16,7 @@ from .matrices import (
     vec_scale,
     vec_sub,
 )
-from .series import MomentSeries
+from .series import MomentSeries, _check_order
 
 
 class IVPSolution:
@@ -43,6 +43,7 @@ class IVPSolution:
 
     def series(self, N):
         """Vector-coefficient series: c_p = A^p v_c, p <= N."""
+        _check_order(N)
         coeffs = [self.v_c]
         for _ in range(N):
             coeffs.append(mat_vec(self.A, coeffs[-1]))
@@ -61,8 +62,7 @@ def solve(A, v_c, seq, policy=TruncationPolicy()):
 def residual_check(sol, N):
     """Largest coefficient norm of (moment derivative of y) - A y through
     order N; exactly zero in the exact backend by the shift identity."""
-    if N < 0:
-        raise ValueError(f"residual order must be nonnegative, got {N}")
+    _check_order(N)
     coeffs = sol.series(N + 1).coeffs
     worst = 0.0
     for p in range(N + 1):

@@ -87,11 +87,27 @@ class TestEval:
         assert doc["tail_estimate"] is None
 
     def test_exact_non_nilpotent_stops(self, capsys, tmp_path):
-        path = write_matrix(tmp_path, "A.json", CMatrix([[1, 1], [0, 2]]))
+        # the exact series is infinite, so eval sums A.to_float() instead
+        A = CMatrix([[1, 1], [0, 2]])
+        path = write_matrix(tmp_path, "A.json", A)
+        fpath = write_matrix(tmp_path, "Af.json", A.to_float())
         code, doc = run(capsys, "eval", "--matrix", path, "--moment", "factorial")
-        assert code == 3
-        assert doc["status"] == "max_terms_reached"
-        assert doc["terms_used"] <= 3
+        assert code == 0
+        assert doc == run(capsys, "eval", "--matrix", fpath, "--moment", "factorial")[1]
+        assert doc["status"] == "converged"
+        assert doc["value"]["entries"][0][0][0] == pytest.approx(2.718281828459045)
+
+    @pytest.mark.parametrize("path", ["series", "both"])
+    def test_exact_infinite_series_falls_back_to_float(self, capsys, tmp_path, path):
+        A = CMatrix([[1, 0], [2, 3]])
+        argv = ["--moment", "factorial", "--z", "1,0", "--path", path]
+        exact = write_matrix(tmp_path, "E.json", A)
+        code, doc = run(capsys, "eval", "--matrix", exact, *argv)
+        fcode, fdoc = run(capsys, "eval", "--matrix",
+                          write_matrix(tmp_path, "Ef.json", A.to_float()), *argv)
+        assert (code, doc) == (fcode, fdoc) and code == 0
+        if path == "both":
+            assert 0.0 <= doc["discrepancy"] <= 1e-10
 
     def test_deterministic_output(self, capsys, example1):
         argv = ["eval", "--matrix", example1, "--moment", "factorial"]
@@ -178,6 +194,18 @@ class TestJordan:
         )
         assert code == 0
         assert out["ok"] and out["residual"] == 0.0
+
+    def test_verify_own_output_for_exact_matrix(self, capsys, tmp_path):
+        A = write_matrix(tmp_path, "A.json", CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]]))
+        code, doc = run(capsys, "jordan", "--matrix", A)
+        assert code == 0
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(doc))
+        code, out = run(
+            capsys, "verify-jordan", "--matrix", A, "--decomposition", str(dec_path)
+        )
+        assert code == 0
+        assert out["ok"]
 
 
 class TestSeries:
@@ -320,8 +348,31 @@ class TestErrors:
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_jordan_has_no_backend(self, capsys, identity2_exact):
-        assert main(["jordan", "--matrix", identity2_exact, "--backend", "exact"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jordan", "--matrix", "{exact}", "--backend", "exact"],
+            ["eval", "--matrix", "{exact}", "--moment", "factorial",
+             "--backend", "float"],
+            ["solve", "--matrix", "{exact}", "--moment", "factorial",
+             "--v0", "[[1,0],[0,0]]", "--backend", "float"],
+            ["verify-jordan", "--matrix", "{exact}", "--decomposition", "{dec}",
+             "--backend", "float"],
+            ["series", "--op", "inverse", "--matrix", "{exact}", "--moment", "factorial",
+             "--backend", "exact"],
+        ],
+        ids=["jordan", "eval", "solve", "verify-jordan", "series"],
+    )
+    def test_jordan_has_no_backend(self, capsys, tmp_path, identity2_exact, argv):
+        # no verb takes --backend: the matrix JSON entries choose it
+        eye = matrix_to_json(CMatrix.identity(2))
+        dec = tmp_path / "dec.json"
+        dec.write_text(
+            json.dumps({"blocks": [["1", "0", 1]] * 2, "P": eye, "P_inv": eye}))
+        argv = [a.format(exact=identity2_exact, dec=dec) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv[:-2]) == 0
 
     def test_missing_file(self, capsys):
         assert main(["eval", "--matrix", "/nope.json", "--moment", "factorial"]) == 2

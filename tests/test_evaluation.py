@@ -340,6 +340,10 @@ class TestPolicy:
             TruncationPolicy(tol=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(max_terms=2)
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_terms=10.0)
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_terms=math.inf)
 
     def test_require_converged_raises(self):
         rep = eval_exp(CMatrix.identity(2, "float"), 3.0, GEOM2)

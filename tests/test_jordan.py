@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from momexp import (
+    BackendMismatch,
     CMatrix,
     ChainConstructionFailed,
     GaussianRational,
@@ -110,6 +111,10 @@ class TestJordanDecompose:
             (2.0, 1),
         ]
 
+    def test_exact_needs_exact_hint(self):
+        with pytest.raises(BackendMismatch, match="eigenvalue"):
+            jordan_decompose(EXAMPLE1, eigenvalues_hint=[(1.0, 2), (2, 1)])
+
     def test_exact_wrong_hint_fails(self):
         for A, hint in [
             (EXAMPLE1, [(3, 2), (2, 1)]),
@@ -171,6 +176,12 @@ class TestVerifyDecomposition:
         out = verify_decomposition(EXAMPLE1.to_float(), dec)
         assert not out["ok"]
 
+    def test_exact_matrix_with_float_decomposition_checks_in_float(self):
+        dec = jordan_decompose(EXAMPLE1.to_float())
+        out = verify_decomposition(EXAMPLE1, dec)
+        assert out == verify_decomposition(EXAMPLE1.to_float(), dec)
+        assert out["ok"] and 0.0 < out["residual"] <= 1e-8
+
 
 class TestAssemble:
     def test_blockdiag_layout(self):
@@ -184,6 +195,10 @@ class TestAssemble:
     def test_exact_and_float_layouts_agree(self):
         blocks = [(Fraction(1, 2), 2), (GaussianRational(-1, 3), 3), (4, 1)]
         assert assemble_jordan(blocks, "exact").to_float() == assemble_jordan(blocks)
+
+    def test_exact_needs_exact_eigenvalues(self):
+        with pytest.raises(BackendMismatch, match="eigenvalue"):
+            assemble_jordan([(1, 2), (0.5, 1)], "exact")
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     @pytest.mark.parametrize("sizes", [[0], [2, -1]], ids=["zero", "negative"])

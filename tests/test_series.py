@@ -289,6 +289,27 @@ class TestFloatOnlySequence:
                    zip(prod.coeffs, unit_series(ML2, 6, A).coeffs))
 
 
+class TestBackendRule:
+    def test_mixed_matrix_backends_rejected_at_construction(self):
+        with pytest.raises(BackendMismatch):
+            MomentSeries(FACTORIAL, [CMatrix.identity(2), CMatrix.identity(2, "float")])
+
+    def test_mixed_scalar_backends_rejected_at_construction(self):
+        with pytest.raises(BackendMismatch):
+            MomentSeries(FACTORIAL, [GaussianRational(1), 0.5])
+
+    def test_fraction_scalars_are_exact(self):
+        s = MomentSeries(ML2, [Fraction(1), Fraction(1, 3), Fraction(2)])
+        assert s.backend == "exact"
+        with pytest.raises(BackendMismatch, match="ml:2"):
+            cauchy_product(s, s)
+
+    def test_int_and_float_scalars_multiply_in_floats(self):
+        s = MomentSeries(FACTORIAL, [1, 0.5])
+        assert s.backend == "float"
+        assert cauchy_product(s, s).coeffs == [1.0, 1.0]
+
+
 class TestRatioRows:
     def test_threads_agree_with_one_thread(self):
         want = phi_coefficients(MomentSequence.q_factorial("3/2"), 30)

@@ -71,6 +71,10 @@ class TestSolve:
         for c, cu, cv in zip(s_combo, s_u, s_v):
             assert c == tuple(2 * a + 7 * b for a, b in zip(cu, cv))
 
+    def test_negative_series_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(EXAMPLE1, (1.0, 0.0, 1.0), FACTORIAL).series(-3)
+
 
 class TestResidualCheck:
     def test_exact_zero(self):
