@@ -39,6 +39,7 @@ from .matrices import (
     _common_denominator,
     bareiss,
     gaussian_quotient,
+    infer_backend,
     mat_vec,
     require_exact,
 )
@@ -270,13 +271,15 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
 
 
 def verify_decomposition(A, dec, tol=1e-8):
-    """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||, exactly if A, P and
-    P_inv are all exact and in float otherwise; ok iff both <= tol."""
+    """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||, exactly if A, P,
+    P_inv and every block eigenvalue are exact and in float otherwise; ok iff
+    both <= tol."""
     _check_tol("tol", tol)
     if dec.n != A.n:
         raise DimensionMismatch(f"decomposition is {dec.n}x{dec.n}, A is {A.n}x{A.n}")
     mats = (A, dec.P, dec.P_inv)
-    if any(m.backend != EXACT for m in mats):
+    lams = [lam for lam, _ in dec.blocks]
+    if any(infer_backend(x) != EXACT for x in (*mats, *lams)):
         mats = [m.to_float() for m in mats]
     A, P, P_inv = mats
     J = assemble_jordan(dec.blocks, A.backend)

@@ -222,11 +222,17 @@ def _is_zero(a):
     return not any(map(any, a))
 
 
+def _hcat(blocks):
+    """Blocks of equal height side by side: row i joins row i of each."""
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
+
+
 def _gauss_matmul(ar, ai, br, bi):
-    """Numerators (re, im) of (ar + i ai) @ (br + i bi), not reduced."""
+    """Numerators (re, im) of (ar + i ai) @ (br + i bi), not reduced; the
+    factors may be rectangular."""
     re = _imatmul(ar, br)
     if _is_zero(ai) and _is_zero(bi):
-        return re, ai
+        return re, ((0,) * len(br[0]),) * len(ar)
     return (_entrywise(sub, re, _imatmul(ai, bi)),
             _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br)))
 
@@ -393,9 +399,10 @@ class CMatrix:
     @staticmethod
     def weighted_products(weights, lefts, rights):
         """sum_k w_k (lefts[k] @ rights[k]) for exact matrices and Fraction
-        weights w_k.  Each raw integer product is scaled to the lcm of the
-        denominators w_k.den * a_k.den * b_k.den and added there, and the
-        sum is reduced once."""
+        weights w_k, as one integer product of the block row [f_k a_k] (row i
+        joins f_k times row i of each a_k) by the block column that stacks
+        every b_k.  The sum is over den = lcm_k d_k, d_k = w_k.den * a_k.den *
+        b_k.den, with f_k = w_k.num * den / d_k, and is reduced once."""
         if not lefts or not len(weights) == len(lefts) == len(rights):
             raise ValueError("weighted_products needs equally many weights and factors")
         n = lefts[0].n
@@ -406,15 +413,12 @@ class CMatrix:
         dens = [w.denominator * a._den * b._den
                 for w, a, b in zip(weights, lefts, rights)]
         den = math.lcm(*dens)
-        re = im = None
-        for w, d, a, b in zip(weights, dens, lefts, rights):
-            f = w.numerator * (den // d)
-            tr, ti = _gauss_matmul(a._re, a._im, b._re, b._im)
-            tr, ti = _iscale(tr, f), _iscale(ti, f)
-            if re is None:
-                re, im = tr, ti
-            else:
-                re, im = _entrywise(add, re, tr), _entrywise(add, im, ti)
+        fs = [w.numerator * (den // d) for w, d in zip(weights, dens)]
+        re, im = _gauss_matmul(
+            _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]),
+            _hcat([_iscale(a._im, f) for f, a in zip(fs, lefts)]),
+            tuple(chain.from_iterable(b._re for b in rights)),
+            tuple(chain.from_iterable(b._im for b in rights)))
         return CMatrix._from_ints(n, re, im, den)
 
     def _combine(self, other, op):

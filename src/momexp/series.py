@@ -98,8 +98,9 @@ def cauchy_product(s1, s2):
 
     r_p = sum_n m(p)/(m(n) m(p-n)) c1_n c2_{p-n}; the factor order is kept,
     matrix coefficients need not commute.  Truncation order min(N1, N2).
-    Exact matrix coefficients are summed on integer numerators and reduced
-    once per coefficient (:meth:`CMatrix.weighted_products`).
+    An exact matrix coefficient is one integer product of the block row
+    [f_n c1_n] by the block column [c2_{p-n}], f_n being the ratio above on
+    one common denominator, reduced once (:meth:`CMatrix.weighted_products`).
     """
     if s1.seq != s2.seq:
         raise SequenceError("Cauchy product requires one common moment sequence")

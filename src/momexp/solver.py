@@ -11,6 +11,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .evaluation import TruncationPolicy, eval_exp
 from .matrices import (
+    infer_backend,
     mat_vec,
     vec_norm,
     vec_scale,
@@ -20,13 +21,16 @@ from .series import MomentSeries, _check_order
 
 
 class IVPSolution:
-    """y(z) = E(Az) v_c for one matrix, sequence and initial vector."""
+    """y(z) = E(Az) v_c for one matrix, sequence and initial vector, on the
+    backend :func:`momexp.matrices.infer_backend` decides from A and v_c, so
+    an exact A with a float v_c raises BackendMismatch here."""
 
     def __init__(self, A, v_c, seq, policy=TruncationPolicy()):
         if len(v_c) != A.n:
             raise DimensionMismatch(f"matrix {A.n} vs vector {len(v_c)}")
         self.A = A
         self.v_c = tuple(v_c)
+        self.backend = infer_backend(A, self.v_c)
         self.seq = seq
         self.policy = policy
 

@@ -195,6 +195,25 @@ class TestJordan:
         assert code == 0
         assert out["ok"] and out["residual"] == 0.0
 
+    def test_verify_exact_witness_with_numeric_blocks(self, capsys, tmp_path):
+        A = write_matrix(tmp_path, "A.json", CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]]))
+        P = CMatrix([[1, -1, 0], [-1, 0, 1], [0, 1, 0]])
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(
+            json.dumps(
+                {
+                    "blocks": [[1.0, 0.0, 2], [2.0, 0.0, 1]],
+                    "P": matrix_to_json(P),
+                    "P_inv": matrix_to_json(P.inverse()),
+                }
+            )
+        )
+        code, out = run(
+            capsys, "verify-jordan", "--matrix", A, "--decomposition", str(dec_path)
+        )
+        assert code == 0
+        assert out == {"residual": 0.0, "ok": True}
+
     def test_verify_own_output_for_exact_matrix(self, capsys, tmp_path):
         A = write_matrix(tmp_path, "A.json", CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]]))
         code, doc = run(capsys, "jordan", "--matrix", A)

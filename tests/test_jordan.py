@@ -182,6 +182,15 @@ class TestVerifyDecomposition:
         assert out == verify_decomposition(EXAMPLE1.to_float(), dec)
         assert out["ok"] and 0.0 < out["residual"] <= 1e-8
 
+    def test_float_eigenvalue_checks_in_float(self):
+        I = CMatrix.identity(2)
+        A = CMatrix([[0, 1], [0, 0]])
+        for lam in (0.0, 0j):
+            dec = JordanDecomposition(P=I, blocks=[(lam, 2)], P_inv=I, residual=0.0)
+            assert verify_decomposition(A, dec) == {"residual": 0.0, "ok": True}
+        dec = JordanDecomposition(P=I, blocks=[(0.5, 2)], P_inv=I, residual=0.0)
+        assert not verify_decomposition(A, dec)["ok"]
+
 
 class TestAssemble:
     def test_blockdiag_layout(self):

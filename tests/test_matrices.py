@@ -17,6 +17,7 @@ from momexp import (
     matrix_from_json,
     matrix_to_json,
 )
+from momexp.matrices import _gauss_matmul
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
@@ -100,6 +101,43 @@ class TestMatMul:
             w = (Fraction(rng.randint(1, 9), rng.randint(1, 6)), Fraction(-2, 3))
             got = CMatrix.weighted_products(w, [a, c], [b, d])
             assert got == (a @ b).scale(w[0]) + (c @ d).scale(w[1])
+
+    @pytest.mark.parametrize(
+        "count, left_complex, right_complex",
+        [(4, True, False), (4, False, True), (1, True, True), (41, True, True),
+         (41, False, False)],
+        ids=["left-complex", "right-complex", "one-term", "41-terms", "41-terms-real"],
+    )
+    def test_weighted_products_matches_per_term_sum(self, count, left_complex, right_complex):
+        rng = random.Random(count * 4 + 2 * left_complex + right_complex)
+
+        def factor(is_complex):
+            m = rand_exact(3, rng).scale(Fraction(1, rng.randint(1, 6)))
+            if is_complex:
+                i = GaussianRational(0, Fraction(1, rng.randint(1, 5)))
+                m = m + rand_exact(3, rng, 1, 5).scale(i)
+            return m
+
+        for _ in range(3):
+            ws = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(count)]
+            lefts = [factor(left_complex) for _ in range(count)]
+            rights = [factor(right_complex) for _ in range(count)]
+            want = (lefts[0] @ rights[0]).scale(ws[0])
+            for w, a, b in zip(ws[1:], lefts[1:], rights[1:]):
+                want = want + (a @ b).scale(w)
+            got = CMatrix.weighted_products(ws, lefts, rights)
+            assert got._key() == want._key()
+
+    def test_gauss_matmul_real_rectangular(self):
+        rng = random.Random(11)
+        ar = tuple(tuple(rng.randint(-5, 5) for _ in range(6)) for _ in range(2))
+        br = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(6))
+        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 2,) * 6
+        re, im = _gauss_matmul(ar, zero_a, br, zero_b)
+        assert re == tuple(
+            tuple(sum(ar[i][k] * br[k][j] for k in range(6)) for j in range(2))
+            for i in range(2))
+        assert im == ((0, 0), (0, 0))
 
     def test_weighted_products_rejects_bad_input(self):
         I = CMatrix.identity(2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from momexp import (
+    BackendMismatch,
     CMatrix,
     MomentSequence,
     SingularMatrix,
@@ -74,6 +75,12 @@ class TestSolve:
     def test_negative_series_order_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             solve(EXAMPLE1, (1.0, 0.0, 1.0), FACTORIAL).series(-3)
+
+    def test_exact_matrix_with_float_vector_rejected_by_solve(self):
+        with pytest.raises(BackendMismatch):
+            solve(CMatrix([[0, 1], [0, 0]]), (1.0, 2.0), FACTORIAL)
+        assert solve(CMatrix([[0, 1], [0, 0]]), (1, Fraction(1, 2)), FACTORIAL).backend == "exact"
+        assert solve(CMatrix([[0.0, 1], [0, 0]]), (1, 2), FACTORIAL).backend == "float"
 
 
 class TestResidualCheck:
