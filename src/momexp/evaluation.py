@@ -127,8 +127,10 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
     """The scalar family Delta_h E(lam, z) = sum_{p>=h} C(p,h) lam^{p-h} z^p/m(p).
 
     Binomials are carried incrementally, C(p,h) = C(p-1,h) p/(p-h), so no
-    factorial quotient ever overflows.  This stays a series for every
-    sequence, geometric included, so the Jordan path checks the closed form.
+    factorial quotient ever overflows.  Nor does m(h) past the float range:
+    the first term z^h / m(h) then takes 1 / m(h) rounded once, and
+    underflows toward 0.  This stays a series for every sequence, geometric
+    included, so the Jordan path checks the closed form.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -140,8 +142,12 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
         p = h + k
         return term * (lz * (p / k) * seq.step_ratio(p)) if lz else 0j
 
-    return _sum(z**h / float(seq.value(h)), step, abs, policy.max_terms, policy,
-                seq.rapid_growth_declared)
+    first, m = z**h, seq.value(h)
+    try:
+        first /= float(m)
+    except OverflowError:
+        first *= 1 / m
+    return _sum(first, step, abs, policy.max_terms, policy, seq.rapid_growth_declared)
 
 
 def scalar_exp(lam, z, seq, policy=TruncationPolicy()):

@@ -4,9 +4,9 @@ Two scalar backends coexist:
 
 * exact  -- Gaussian rationals (pairs of ``fractions.Fraction``), so that
   coefficient identities can be tested with no tolerance at all; an exact
-  matrix computes on integer numerators over one common denominator, and
-  its inverse and determinant come from one fraction-free elimination
-  (:func:`bareiss`);
+  matrix computes on integer numerators over one common denominator, a real
+  one on its real numerators alone, and its inverse and determinant come
+  from one fraction-free elimination (:func:`bareiss`);
 * float  -- IEEE-754 binary64 complex numbers (Python ``complex``); the
   inverse and determinant come from numpy (LAPACK), and a float matrix is
   singular when sigma_min <= 1e-12 sigma_max.
@@ -36,6 +36,8 @@ from .moments import MomentSequence
 
 EXACT = "exact"
 FLOAT = "float"
+
+_ZERO = Fraction(0)
 
 _set = object.__setattr__
 
@@ -140,9 +142,6 @@ class GaussianRational:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 
@@ -202,8 +201,9 @@ def _coerce_float(value):
 
 
 # -- integer kernels of the exact backend --------------------------------
-# An exact matrix is (re + i im) / den: re and im are n x n tuples of int
-# rows, den > 0, and gcd(den, every numerator) == 1.
+# An exact matrix is (re + i im) / den: re is an n x n tuple of int rows, im
+# is one too or None for a real matrix (never an all-zero block), den > 0,
+# and gcd(den, every numerator) == 1.
 
 def _imatmul(a, b):
     cols = tuple(zip(*b))
@@ -222,6 +222,10 @@ def _is_zero(a):
     return not any(map(any, a))
 
 
+def _zeros(n):
+    return ((0,) * n,) * n
+
+
 def _hcat(blocks):
     """Blocks of equal height side by side: row i joins row i of each."""
     return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
@@ -229,10 +233,14 @@ def _hcat(blocks):
 
 def _gauss_matmul(ar, ai, br, bi):
     """Numerators (re, im) of (ar + i ai) @ (br + i bi), not reduced; the
-    factors may be rectangular."""
+    factors may be rectangular, and an imaginary part of None is zero.  It
+    takes 1 integer product when both factors are real (im None), 2 when one
+    is, and 4 when both are complex."""
     re = _imatmul(ar, br)
-    if _is_zero(ai) and _is_zero(bi):
-        return re, ((0,) * len(br[0]),) * len(ar)
+    if ai is None:
+        return re, None if bi is None else _imatmul(ar, bi)
+    if bi is None:
+        return re, _imatmul(ai, br)
     return (_entrywise(sub, re, _imatmul(ai, bi)),
             _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br)))
 
@@ -256,9 +264,10 @@ class CMatrix:
     """Immutable dense n x n complex matrix over one scalar backend.
 
     A float matrix holds its entries in ``rows``.  An exact matrix holds
-    integer numerators ``_re``, ``_im`` over one reduced ``_den``; its
-    ``rows`` of GaussianRationals are kept when it is built from them and
-    otherwise built on first read.
+    integer numerators ``_re``, ``_im`` over one reduced ``_den``; a real
+    exact matrix stores no imaginary numerators (``_im`` is None), so its
+    kernels skip every imaginary product.  Its ``rows`` of GaussianRationals
+    are kept when it is built from them and otherwise built on first read.
     """
 
     __slots__ = ("n", "rows", "backend", "_re", "_im", "_den")
@@ -297,16 +306,24 @@ class CMatrix:
         return m
 
     def _set_ints(self, n, re, im, den):
-        """Store (re + i im) / den, reduced to the canonical form."""
+        """Store (re + i im) / den, reduced to the canonical form; ``im`` may
+        be None, and an all-zero ``im`` is stored as None."""
+        if im is not None and _is_zero(im):
+            im = None
         if den != 1:
-            g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+            g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
             if g != 1:
                 re = tuple(tuple(v // g for v in r) for r in re)
-                im = tuple(tuple(v // g for v in r) for r in im)
+                if im is not None:
+                    im = tuple(tuple(v // g for v in r) for r in im)
                 den //= g
         for name, value in (("n", n), ("backend", EXACT),
                             ("_re", re), ("_im", im), ("_den", den)):
             _set(self, name, value)
+
+    def _imag(self):
+        """The imaginary numerators, as an all-zero block for a real matrix."""
+        return _zeros(self.n) if self._im is None else self._im
 
     def __getattr__(self, name):
         # only an exact matrix's ``rows`` is ever missing: build it once
@@ -316,7 +333,7 @@ class CMatrix:
         rows = tuple(
             tuple(GaussianRational(Fraction(a, d), Fraction(b, d))
                   for a, b in zip(ra, ia))
-            for ra, ia in zip(self._re, self._im)
+            for ra, ia in zip(self._re, self._imag())
         )
         _set(self, "rows", rows)
         return rows
@@ -332,7 +349,7 @@ class CMatrix:
             raise DimensionMismatch("matrix must be square and nonempty")
         if backend == EXACT:
             eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            return cls._from_ints(n, eye, ((0,) * n,) * n, 1)
+            return cls._from_ints(n, eye, None, 1)
         return cls._from_complex(
             [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)])
 
@@ -341,8 +358,7 @@ class CMatrix:
         if n < 1:
             raise DimensionMismatch("matrix must be square and nonempty")
         if backend == EXACT:
-            zero = ((0,) * n,) * n
-            return cls._from_ints(n, zero, zero, 1)
+            return cls._from_ints(n, _zeros(n), None, 1)
         return cls._from_complex([[0j] * n] * n)
 
     @classmethod
@@ -365,7 +381,7 @@ class CMatrix:
         # int / int is correctly rounded, as float(Fraction) is
         return CMatrix._from_complex(
             [complex(a / d, b / d) for a, b in zip(ra, ia)]
-            for ra, ia in zip(self._re, self._im))
+            for ra, ia in zip(self._re, self._imag()))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -402,7 +418,9 @@ class CMatrix:
         weights w_k, as one integer product of the block row [f_k a_k] (row i
         joins f_k times row i of each a_k) by the block column that stacks
         every b_k.  The sum is over den = lcm_k d_k, d_k = w_k.den * a_k.den *
-        b_k.den, with f_k = w_k.num * den / d_k, and is reduced once."""
+        b_k.den, with f_k = w_k.num * den / d_k, and is reduced once.  A
+        block side whose factors are all real has no imaginary block, so the
+        product takes 1, 2 or 4 integer products as for ``@``."""
         if not lefts or not len(weights) == len(lefts) == len(rights):
             raise ValueError("weighted_products needs equally many weights and factors")
         n = lefts[0].n
@@ -414,11 +432,14 @@ class CMatrix:
                 for w, a, b in zip(weights, lefts, rights)]
         den = math.lcm(*dens)
         fs = [w.numerator * (den // d) for w, d in zip(weights, dens)]
+        ai = bi = None
+        if any(a._im is not None for a in lefts):
+            ai = _hcat([_iscale(a._imag(), f) for f, a in zip(fs, lefts)])
+        if any(b._im is not None for b in rights):
+            bi = tuple(chain.from_iterable(b._imag() for b in rights))
         re, im = _gauss_matmul(
-            _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]),
-            _hcat([_iscale(a._im, f) for f, a in zip(fs, lefts)]),
-            tuple(chain.from_iterable(b._re for b in rights)),
-            tuple(chain.from_iterable(b._im for b in rights)))
+            _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]), ai,
+            tuple(chain.from_iterable(b._re for b in rights)), bi)
         return CMatrix._from_ints(n, re, im, den)
 
     def _combine(self, other, op):
@@ -426,10 +447,13 @@ class CMatrix:
         if self.backend == EXACT:
             den = math.lcm(self._den, other._den)
             f, g = den // self._den, den // other._den
+            im = None
+            if self._im is not None or other._im is not None:
+                im = _entrywise(op, _iscale(self._imag(), f), _iscale(other._imag(), g))
             return CMatrix._from_ints(
                 self.n,
                 _entrywise(op, _iscale(self._re, f), _iscale(other._re, g)),
-                _entrywise(op, _iscale(self._im, f), _iscale(other._im, g)),
+                im,
                 den,
             )
         return CMatrix._from_complex(
@@ -443,18 +467,22 @@ class CMatrix:
 
     def __neg__(self):
         if self.backend == EXACT:
-            return CMatrix._from_ints(
-                self.n, _iscale(self._re, -1), _iscale(self._im, -1), self._den)
+            im = None if self._im is None else _iscale(self._im, -1)
+            return CMatrix._from_ints(self.n, _iscale(self._re, -1), im, self._den)
         return CMatrix._from_complex([-a for a in r] for r in self.rows)
 
     def scale(self, s):
         if self.backend == EXACT:
             # s = (sr + i si) / q over the lcm of its two denominators
             (sr,), (si,), q = _common_denominator([require_exact(s)])
-            re, im = _iscale(self._re, sr), _iscale(self._im, sr)
+            re = _iscale(self._re, sr)
+            im = None if self._im is None else _iscale(self._im, sr)
             if si:
-                re = _entrywise(sub, re, _iscale(self._im, si))
-                im = _entrywise(add, im, _iscale(self._re, si))
+                if im is None:
+                    im = _iscale(self._re, si)
+                else:
+                    re = _entrywise(sub, re, _iscale(self._im, si))
+                    im = _entrywise(add, im, _iscale(self._re, si))
             return CMatrix._from_ints(self.n, re, im, self._den * q)
         s = complex(s)
         return CMatrix._from_complex([a * s for a in r] for r in self.rows)
@@ -476,7 +504,7 @@ class CMatrix:
             d = self._den
             return GaussianRational(
                 Fraction(sum(r[i] for i, r in enumerate(self._re)), d),
-                Fraction(sum(r[i] for i, r in enumerate(self._im)), d),
+                Fraction(sum(r[i] for i, r in enumerate(self._imag())), d),
             )
         t = self.rows[0][0]
         for i in range(1, self.n):
@@ -490,7 +518,7 @@ class CMatrix:
             # int / int is correctly rounded, as float(Fraction) is
             return max(
                 sum(math.hypot(a / d, b / d) for a, b in zip(ra, ia))
-                for ra, ia in zip(self._re, self._im)
+                for ra, ia in zip(self._re, self._imag())
             )
         return max(sum(abs(x) for x in r) for r in self.rows)
 
@@ -501,7 +529,7 @@ class CMatrix:
         followed by its row of ``augment``; ``im`` is None for a real matrix."""
         augment = augment or [[]] * self.n
         re = [list(r) + a for r, a in zip(self._re, augment)]
-        if _is_zero(self._im):
+        if self._im is None:
             return re, None
         return re, [list(r) + [0] * len(a) for r, a in zip(self._im, augment)]
 
@@ -516,7 +544,7 @@ class CMatrix:
             # rows end as [d I | X] with X A_int = d I, and A = A_int / _den,
             # so A^{-1} = _den X / d
             xr = [r[n:] for r in re]
-            xi = [r[n:] for r in im] if im else [[0] * n] * n
+            xi = None if im is None else [r[n:] for r in im]
             if di:  # X / d = X conj(d) / |d|^2
                 xr, xi = (
                     [[a * dr + b * di for a, b in zip(ra, ia)] for ra, ia in zip(xr, xi)],
@@ -526,7 +554,8 @@ class CMatrix:
             f = self._den if dr > 0 else -self._den
             return CMatrix._from_ints(
                 n, tuple(tuple(f * v for v in r) for r in xr),
-                tuple(tuple(f * v for v in r) for r in xi), abs(dr))
+                None if xi is None else tuple(tuple(f * v for v in r) for r in xi),
+                abs(dr))
         a = self.to_numpy()
         if _float_singular(a):
             raise SingularMatrix("matrix is singular at the working precision")
@@ -549,7 +578,7 @@ class CMatrix:
 
     def is_zero(self):
         if self.backend == EXACT:
-            return _is_zero(self._re) and _is_zero(self._im)
+            return self._im is None and _is_zero(self._re)
         return all(x == 0 for r in self.rows for x in r)
 
     def _key(self):
@@ -685,18 +714,21 @@ def mat_pow(a, p):
 # Vectors are plain tuples of scalars from one backend.
 
 def mat_vec(a, v):
+    """a v for a vector v of a's backend.  On the exact backend v goes over
+    one common denominator and through :func:`_gauss_matmul` as an n x 1
+    column: one integer dot product per entry when a and v are both real,
+    two when one of them is, four when both are complex."""
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
     if a.backend == EXACT:
         vr, vi, dv = _common_denominator([require_exact(x, "vector entry") for x in v])
         d = a._den * dv
-        return tuple(
-            GaussianRational(
-                Fraction(sum(map(mul, ra, vr)) - sum(map(mul, ia, vi)), d),
-                Fraction(sum(map(mul, ra, vi)) + sum(map(mul, ia, vr)), d),
-            )
-            for ra, ia in zip(a._re, a._im)
-        )
+        re, im = _gauss_matmul(a._re, a._im, tuple(zip(vr)),
+                               tuple(zip(vi)) if any(vi) else None)
+        if im is None:
+            return tuple(GaussianRational(Fraction(r, d), _ZERO) for (r,) in re)
+        return tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
+                     for (r,), (i,) in zip(re, im))
     v = [_coerce_float(x) for x in v]
     return tuple(
         sum((row[k] * v[k] for k in range(1, a.n)), row[0] * v[0])

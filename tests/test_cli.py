@@ -109,6 +109,19 @@ class TestEval:
         if path == "both":
             assert 0.0 <= doc["discrepancy"] <= 1e-10
 
+    def test_jordan_path_with_moments_past_float_range(self, capsys, tmp_path):
+        # 16 x 16 Jordan block: the entry (0, 15) divides by m(15) ~ 1e315
+        n = 16
+        J = CMatrix([[0.5 if j == i else 1.0 if j == i + 1 else 0.0 for j in range(n)]
+                     for i in range(n)])
+        path = write_matrix(tmp_path, "J.json", J)
+        argv = ["eval", "--matrix", path, "--moment", "qfac:1000", "--path"]
+        code, doc = run(capsys, *argv, "jordan")  # stdout is one JSON document
+        assert code == 0 and doc["status"] == "converged"
+        series = run(capsys, *argv, "series")[1]
+        got = matrix_from_json(doc["value"])
+        assert (got - matrix_from_json(series["value"])).row_sum_norm() <= 1e-12
+
     def test_deterministic_output(self, capsys, example1):
         argv = ["eval", "--matrix", example1, "--moment", "factorial"]
         main(argv)

@@ -161,6 +161,21 @@ class TestDeltaE:
             assert rep.terms_used == 1
             assert abs(rep.value - 0.7**h / float(seq.value(h))) < 1e-15
 
+    @pytest.mark.parametrize("lam, h, seq", [
+        (0.5, 15, MomentSequence.q_factorial(1000)),
+        (1.0, 46, QFAC2),
+        (1.0, 171, FACTORIAL),
+    ])
+    def test_moment_past_float_range(self, lam, h, seq):
+        # m(h) > 1.8e308, so the value is subnormal or 0 and must not raise
+        rep = delta_E(lam, h, 1.0, seq)
+        assert rep.status == "converged"
+        lam = Fraction(lam)
+        want = float(sum(math.comb(p, h) * lam ** (p - h) / seq.value(p)
+                         for p in range(h, h + 60)))
+        assert want < 1e-300 and rep.value.imag == 0.0
+        assert math.isclose(rep.value.real, want, rel_tol=1e-3, abs_tol=1e-320)
+
     def test_against_direct_sum(self):
         for seq in (FACTORIAL, ML2, QFAC2):
             for h in (0, 1, 2):

@@ -17,7 +17,8 @@ from momexp import (
     matrix_from_json,
     matrix_to_json,
 )
-from momexp.matrices import _gauss_matmul
+from momexp import matrices
+from momexp.matrices import _gauss_matmul, _is_zero
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
@@ -138,6 +139,30 @@ class TestMatMul:
             tuple(sum(ar[i][k] * br[k][j] for k in range(6)) for j in range(2))
             for i in range(2))
         assert im == ((0, 0), (0, 0))
+
+    def test_gauss_matmul_one_complex_side(self, monkeypatch):
+        rng = random.Random(12)
+
+        def block(rows, cols):
+            return tuple(tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows))
+
+        ar, ai, br, bi = block(2, 6), block(2, 6), block(6, 3), block(6, 3)
+        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 3,) * 6
+        products = []
+        imatmul = matrices._imatmul
+        monkeypatch.setattr(matrices, "_imatmul",
+                            lambda a, b: products.append(1) or imatmul(a, b))
+        # a real side (im None) gives what four products give on its zero block
+        for left, right, count in (((ai, ai), (None, zero_b), 2),
+                                   ((None, zero_a), (bi, bi), 2),
+                                   ((None, zero_a), (None, zero_b), 1)):
+            products.clear()
+            got = _gauss_matmul(ar, left[0], br, right[0])
+            assert len(products) == count
+            re, im = _gauss_matmul(ar, left[1], br, right[1])
+            assert got == (re, None if _is_zero(im) else im)
+        re, im = _gauss_matmul(ar, ai, br, None)
+        assert re == imatmul(ar, br) and im == imatmul(ai, br)
 
     def test_weighted_products_rejects_bad_input(self):
         I = CMatrix.identity(2)
@@ -313,17 +338,24 @@ class TestMatVec:
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, fractions, fractions)
+reals = st.builds(GaussianRational, fractions)
 
 
 @st.composite
 def exact_operands(draw, count):
-    """``count`` exact n x n matrices for one n in 1..4, a vector and a scalar."""
+    """``count`` exact n x n matrices for one n in 1..4, a vector and a
+    scalar, each of them real about half the time."""
     n = draw(st.integers(1, 4))
-    mats = [
-        CMatrix([[draw(gaussians) for _ in range(n)] for _ in range(n)])
-        for _ in range(count)
-    ]
-    return mats, tuple(draw(gaussians) for _ in range(n)), draw(gaussians)
+
+    def values(size):
+        kind = reals if draw(st.booleans()) else gaussians
+        return [draw(kind) for _ in range(size)]
+
+    mats = [CMatrix([values(n) for _ in range(n)]) for _ in range(count)]
+    for m in mats:
+        # a real matrix stores no imaginary numerators
+        assert (m._im is None) == all(not x.im for r in m.rows for x in r)
+    return mats, tuple(values(n)), values(1)[0]
 
 
 def entries(m):
@@ -355,16 +387,22 @@ class TestExactStorage:
         assert a.scale(0).is_zero()
         assert entries(a.to_float()) == [[complex(x) for x in r] for r in ra]
 
-    @given(exact_operands(1))
+    @given(exact_operands(2))
     @settings(max_examples=60, deadline=None)
     def test_storage_is_canonical(self, operands):
-        (a,), _v, s = operands
+        (a, b), _v, s = operands
         halved = a.scale(2).scale(Fraction(1, 2))
         assert halved == a and hash(halved) == hash(a)
         assert a - a == CMatrix.zeros(a.n)
         assert CMatrix(a.rows) == a
         if s:
             assert a.scale(s).scale(1 / s) == a
+        # a real matrix whose imaginary part cancels is stored as real
+        real = CMatrix([[x.re for x in r] for r in a.rows])
+        i = GaussianRational(0, 1)
+        for same in (real.scale(i).scale(-i), (real + b.scale(i)) - b.scale(i)):
+            assert same == real and hash(same) == hash(real)
+            assert same._key() == real._key()
 
 
 class TestJson:
