@@ -127,10 +127,10 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
     """The scalar family Delta_h E(lam, z) = sum_{p>=h} C(p,h) lam^{p-h} z^p/m(p).
 
     Binomials are carried incrementally, C(p,h) = C(p-1,h) p/(p-h), so no
-    factorial quotient ever overflows.  Nor does m(h) past the float range:
-    the first term z^h / m(h) then takes 1 / m(h) rounded once, and
-    underflows toward 0.  This stays a series for every sequence, geometric
-    included, so the Jordan path checks the closed form.
+    factorial quotient ever overflows.  Nor does z^h or m(h) past the float
+    range: the first term z^h / m(h) is then formed in logs
+    (:func:`_power_over_moment`).  This stays a series for every sequence,
+    geometric included, so the Jordan path checks the closed form.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -142,12 +142,28 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
         p = h + k
         return term * (lz * (p / k) * seq.step_ratio(p)) if lz else 0j
 
-    first, m = z**h, seq.value(h)
-    try:
-        first /= float(m)
-    except OverflowError:
-        first *= 1 / m
+    first = _power_over_moment(z, h, seq)
     return _sum(first, step, abs, policy.max_terms, policy, seq.rapid_growth_declared)
+
+
+def _power_over_moment(z, h, seq):
+    """z^h / m(h) for a complex z.  When z^h or m(h) is past the float range
+    (an ``ml:k`` value reads inf there), the quotient may not be, so it is
+    exp(h log|z| - log m(h)) times the phase of z^h: (z / |z|)^h, or the
+    sign (-1)^h for a real z, so a real quotient stays real."""
+    try:
+        m = float(seq.value(h))
+        if m == math.inf:
+            raise OverflowError
+        return z**h / m
+    except OverflowError:
+        pass
+    if z == 0:
+        return z**h * math.exp(-seq.log_value(h))
+    size = math.exp(h * math.log(abs(z)) - seq.log_value(h))
+    if z.imag == 0:
+        return complex(-size if z.real < 0 and h % 2 else size)
+    return size * (z / abs(z)) ** h
 
 
 def scalar_exp(lam, z, seq, policy=TruncationPolicy()):

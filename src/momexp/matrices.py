@@ -713,27 +713,90 @@ def mat_pow(a, p):
 # -- vectors ----------------------------------------------------------
 # Vectors are plain tuples of scalars from one backend.
 
+def _vec_ints(v):
+    """(re, im, den): an exact vector's integer numerators over one
+    denominator; ``im`` is None when every entry is real."""
+    re, im, den = _common_denominator([require_exact(x, "vector entry") for x in v])
+    return re, im if any(im) else None, den
+
+
+def _vec_from_ints(re, im, den):
+    # over den = 1, Fraction(r) skips the gcd that Fraction(r, 1) takes
+    frac = Fraction if den == 1 else lambda x: Fraction(x, den)
+    if im is None:
+        return tuple(GaussianRational(frac(r), _ZERO) for r in re)
+    return tuple(GaussianRational(frac(r), frac(i)) for r, i in zip(re, im))
+
+
+def mat_vecs(a, vs):
+    """[a v for v in vs] for vectors of a's backend.  On the exact backend
+    the k vectors are the columns of one n x k integer block, column j over
+    its own denominator d_j (a product acts column by column), so one
+    :func:`_gauss_matmul` forms all k products, and column j of it is over
+    ``a._den * d_j``: one integer dot product per entry when a and every v
+    are real, two when one side is, four when both are complex."""
+    if a.backend != EXACT:
+        return [mat_vec(a, v) for v in vs]
+    for v in vs:
+        if len(v) != a.n:
+            raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
+    if not vs:
+        return []
+    cols = [_vec_ints(v) for v in vs]
+    bi = None
+    if any(im is not None for _, im, _ in cols):
+        bi = tuple(zip(*(im or (0,) * a.n for _, im, _ in cols)))
+    re, im = _gauss_matmul(a._re, a._im, tuple(zip(*(re for re, _, _ in cols))), bi)
+    ims = [None] * len(cols) if im is None else zip(*im)
+    return [_vec_from_ints(r, i, a._den * d)
+            for r, i, (_, _, d) in zip(zip(*re), ims, cols)]
+
+
 def mat_vec(a, v):
-    """a v for a vector v of a's backend.  On the exact backend v goes over
-    one common denominator and through :func:`_gauss_matmul` as an n x 1
-    column: one integer dot product per entry when a and v are both real,
-    two when one of them is, four when both are complex."""
+    """a v for a vector v of a's backend; on the exact backend it is
+    :func:`mat_vecs` with k = 1, v one n x 1 integer column."""
+    if a.backend == EXACT:
+        (out,) = mat_vecs(a, [v])
+        return out
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
-    if a.backend == EXACT:
-        vr, vi, dv = _common_denominator([require_exact(x, "vector entry") for x in v])
-        d = a._den * dv
-        re, im = _gauss_matmul(a._re, a._im, tuple(zip(vr)),
-                               tuple(zip(vi)) if any(vi) else None)
-        if im is None:
-            return tuple(GaussianRational(Fraction(r, d), _ZERO) for (r,) in re)
-        return tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
-                     for (r,), (i,) in zip(re, im))
     v = [_coerce_float(x) for x in v]
     return tuple(
         sum((row[k] * v[k] for k in range(1, a.n)), row[0] * v[0])
         for row in a.rows
     )
+
+
+def krylov(a, v, N):
+    """[v, a v, ..., a^N v], v itself first.  On the exact backend the
+    powers stay integer numerator columns over one denominator: one
+    common denominator for v, then per step one n x 1 integer product,
+    ``den *= a._den`` and, when den != 1, a division of column and den by
+    their gcd, so den is the least common denominator the Fraction entries
+    would have; each vector is built once from them."""
+    if len(v) != a.n:
+        raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
+    out = [v]
+    if a.backend != EXACT:
+        for _ in range(N):
+            out.append(mat_vec(a, out[-1]))
+        return out
+    re, im, den = _vec_ints(v)
+    col_re, col_im = tuple(zip(re)), None if im is None else tuple(zip(im))
+    for _ in range(N):
+        col_re, col_im = _gauss_matmul(a._re, a._im, col_re, col_im)
+        re = [r for r, in col_re]
+        im = None if col_im is None else [i for i, in col_im]
+        den *= a._den
+        if den != 1:
+            g = math.gcd(den, *re, *(im or ()))
+            if g != 1:
+                den //= g
+                re = [r // g for r in re]
+                im = None if im is None else [i // g for i in im]
+                col_re, col_im = tuple(zip(re)), None if im is None else tuple(zip(im))
+        out.append(_vec_from_ints(re, im, den))
+    return out
 
 
 def vec_sub(u, v):
@@ -767,6 +830,8 @@ def scalar_from_json(pair):
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"scalar entry must be a [re, im] pair, got {pair!r}")
     re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError(f"scalar parts must not be booleans, got {pair!r}")
     if isinstance(re, str) or isinstance(im, str):
         try:
             return GaussianRational(Fraction(str(re)), Fraction(str(im)))

@@ -331,6 +331,7 @@ class TestErrors:
             ["series", "--op", "inverse", "--matrix", "{exact}", "--moment", "ml:2"],
             ["series", "--op", "product", "--series", "{exact_ml}",
              "--series2", "{exact_ml}"],
+            ["eval", "--matrix", "{bool_entry}", "--moment", "factorial"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -344,6 +345,7 @@ class TestErrors:
             "infinite-tol", "nan-tol", "jordan-nan-tol", "jordan-infinite-tol",
             "jordan-nan-eig-tol", "jordan-negative-eig-tol", "verify-infinite-tol",
             "exact-inverse-float-sequence", "exact-product-float-sequence",
+            "bool-entry",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
@@ -360,6 +362,7 @@ class TestErrors:
             "negative_size": {"blocks": [[2, 0, 2], [2, 0, -1]], "P": one, "P_inv": one},
             "bool_size": {"blocks": [[1, 0, True]], "P": one, "P_inv": one},
             "zero_den": {"entries": [[["1/0", "0"]]]},
+            "bool_entry": {"entries": [[[True, False]]]},
             "zero_table": ["1", "1/0"],
             "eye_dec": {"blocks": [[1, 0, 1]] * 3, "P": eye, "P_inv": eye},
             "exact_ml": {"sequence": "ml:2",

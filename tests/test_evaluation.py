@@ -176,6 +176,33 @@ class TestDeltaE:
         assert want < 1e-300 and rep.value.imag == 0.0
         assert math.isclose(rep.value.real, want, rel_tol=1e-3, abs_tol=1e-320)
 
+    def test_power_past_float_range(self):
+        # 60^200 overflows a float, but Delta_200 E(1, 60) = 60^200 e^60 / 200!
+        # (mpmath, 40 digits) does not
+        rep = delta_E(1.0, 200, 60.0, FACTORIAL)
+        assert rep.status == "converged"
+        assert math.isclose(rep.value.real, 6180595.920278906, rel_tol=1e-10)
+        assert rep.value.imag == 0.0
+
+    @pytest.mark.parametrize("h", [200, 201])
+    def test_negative_power_past_float_range_stays_real(self, h):
+        # (-60)^h overflows; Delta_h E(-1, -60) = (-60)^h e^60 / h! is real
+        rep = delta_E(-1.0, h, -60.0, FACTORIAL)
+        want = (-1) ** h * float(Fraction(60**h, math.factorial(h))) * math.exp(60)
+        assert rep.status == "converged"
+        assert rep.value.imag == 0.0
+        assert math.isclose(rep.value.real, want, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("h, z, seq", [(200, 10, FACTORIAL), (400, 5, ML2)])
+    def test_quotient_in_range_past_moment_range(self, h, z, seq):
+        # m(h) = 200! is past the float range (ml:2 reads it as inf) while
+        # z^h / m(h) is not; with lam = 0 that quotient is the whole value
+        rep = delta_E(0.0, h, float(z), seq)
+        want = float(Fraction(z**h, math.factorial(200)))
+        assert rep.status == "converged" and rep.terms_used == 1
+        assert want > 1e-200 and rep.value.imag == 0.0
+        assert math.isclose(rep.value.real, want, rel_tol=1e-10)
+
     def test_against_direct_sum(self):
         for seq in (FACTORIAL, ML2, QFAC2):
             for h in (0, 1, 2):

@@ -18,7 +18,7 @@ from momexp import (
     matrix_to_json,
 )
 from momexp import matrices
-from momexp.matrices import _gauss_matmul, _is_zero
+from momexp.matrices import _gauss_matmul, _is_zero, mat_vecs, scalar_from_json
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
@@ -335,6 +335,44 @@ class TestMatVec:
         with pytest.raises(BackendMismatch):
             mat_vec(EXAMPLE1.to_float(), (GaussianRational(1), 2, 3))
 
+    def test_block_is_one_mat_vec_per_column(self):
+        rng = random.Random(23)
+
+        def part():
+            # odd over even: never an integer, so every denominator is > 1
+            return Fraction(2 * rng.randint(-5, 4) + 1, rng.choice((2, 4, 6)))
+
+        def scalar(cplx):
+            return GaussianRational(part(), part() if cplx else 0)
+
+        for n in (1, 2, 4):
+            for cplx in (False, True):
+                a = CMatrix([[scalar(cplx) for _ in range(n)] for _ in range(n)])
+                assert a._den != 1
+                # columns over different denominators, real and complex,
+                # plus an int and a zero vector
+                vs = [tuple(scalar(k % 2) for _ in range(n)) for k in range(5)]
+                vs += [tuple(range(1, n + 1)), (0,) * n]
+                block = mat_vecs(a, vs)
+                assert block == [mat_vec(a, v) for v in vs]
+                assert block == [
+                    tuple(sum((a.rows[i][k] * v[k] for k in range(n)), GaussianRational(0))
+                          for i in range(n))
+                    for v in vs
+                ]
+                assert mat_vecs(a, vs[:1]) == [mat_vec(a, vs[0])]
+                assert mat_vecs(a, []) == []
+
+    def test_block_errors(self):
+        with pytest.raises(DimensionMismatch):
+            mat_vecs(EXAMPLE1, [(1, 2, 3), (1, 2)])
+        with pytest.raises(BackendMismatch):
+            mat_vecs(EXAMPLE1, [(1, 2, 3), (1.0, 2, 3)])
+        with pytest.raises(BackendMismatch):
+            mat_vecs(EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (GaussianRational(1), 2, 3)])
+        vs = [(1.0, 2.0, 3.0), (0.5j, -1.0, 2.0)]
+        assert mat_vecs(EXAMPLE1.to_float(), vs) == [mat_vec(EXAMPLE1.to_float(), v) for v in vs]
+
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -424,6 +462,12 @@ class TestJson:
         m = matrix_from_json({"n": 1, "entries": [[["1/2", "0"]]]})
         assert m.backend == "exact"
         assert m.rows[0][0] == GaussianRational(Fraction(1, 2))
+
+    @pytest.mark.parametrize("pair", [[True, False], [1, False], [True, "0"]])
+    def test_booleans_rejected(self, pair):
+        # bool is an int subclass, but a JSON true is not a number
+        with pytest.raises(ValueError, match="boolean"):
+            scalar_from_json(pair)
 
     def test_mixed_rejected(self):
         with pytest.raises(BackendMismatch):

@@ -6,6 +6,8 @@ import pytest
 from momexp import (
     BackendMismatch,
     CMatrix,
+    GaussianRational,
+    IVPSolution,
     MomentSequence,
     SingularMatrix,
     eval_exp,
@@ -83,6 +85,53 @@ class TestSolve:
         assert solve(CMatrix([[0.0, 1], [0, 0]]), (1, 2), FACTORIAL).backend == "float"
 
 
+def mat_vec_recurrence(A, v, N):
+    coeffs = [tuple(v)]
+    for _ in range(N):
+        coeffs.append(mat_vec(A, coeffs[-1]))
+    return coeffs
+
+
+def entrywise_recurrence(A, v, N):
+    coeffs = [tuple(v)]
+    rng = range(A.n)
+    for _ in range(N):
+        c = coeffs[-1]
+        coeffs.append(tuple(sum((A.rows[i][k] * c[k] for k in rng), GaussianRational(0))
+                            for i in rng))
+    return coeffs
+
+
+class TestExactSeries:
+    def test_matches_mat_vec_recurrence(self):
+        rng = random.Random(41)
+
+        def part():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        def matrix(cplx):
+            return CMatrix([[GaussianRational(part(), part() if cplx else 0)
+                             for _ in range(3)] for _ in range(3)])
+
+        vectors = [(3, -2, 1), (Fraction(1, 2), Fraction(-2, 3), 5),
+                   (GaussianRational(1, Fraction(1, 3)), 0, GaussianRational(0, -2)),
+                   (0, 0, 0)]
+        nilpotent = CMatrix([[0, Fraction(1, 2), 3], [0, 0, Fraction(-2, 5)], [0, 0, 0]])
+        # A^2 = A: the powers' denominators cancel back to 1000 every step
+        idempotent = CMatrix([[Fraction(999, 1000), Fraction(1, 1000), 0]] * 2 + [[0, 0, 1]])
+        for A in (matrix(False), matrix(True), nilpotent, idempotent):
+            assert A._den != 1
+            for v in vectors:
+                for N in (0, 1, 60):
+                    coeffs = solve(A, v, QFAC2).series(N).coeffs
+                    assert coeffs == mat_vec_recurrence(A, v, N)
+                    assert coeffs == entrywise_recurrence(A, v, N)
+                    assert coeffs[0] == tuple(v)
+        # A^3 = 0 ends the series in zero vectors
+        assert solve(nilpotent, (1, 1, 1), FACTORIAL).series(5).coeffs[3:] == [
+            tuple(GaussianRational(0) for _ in range(3))] * 3
+
+
 class TestResidualCheck:
     def test_exact_zero(self):
         rng = random.Random(71)
@@ -97,6 +146,31 @@ class TestResidualCheck:
         assert residual_check(sol, 30) <= 1e-12 * max(
             1.0, max(vec_norm(c) for c in sol.series(31).coeffs)
         )
+
+    @pytest.mark.parametrize("where", ["last", "middle"])
+    def test_wrong_coefficient_shows(self, monkeypatch, where):
+        A = CMatrix([[0, 1, Fraction(1, 2)], [-1, 2, 1], [1, -1, 1]])
+        exact = solve(A, (1, 0, -3), QFAC3)
+        floats = solve(A.to_float(), (1.0, 0.0, -3.0), QFAC3)
+        N = 12
+        d_exact = (GaussianRational(0), GaussianRational(Fraction(1, 3), -2), GaussianRational(0))
+        d_float = (0.0, 1e-3, 0.0)
+        series = IVPSolution.series
+
+        def perturbed(sol, order):
+            s = series(sol, order)
+            delta = d_exact if sol.backend == "exact" else d_float
+            p = order if where == "last" else order // 2
+            s.coeffs[p] = tuple(a + b for a, b in zip(s.coeffs[p], delta))
+            return s
+
+        monkeypatch.setattr(IVPSolution, "series", perturbed)
+        want = vec_norm(d_exact)
+        if where == "middle":
+            # c_p + d also shifts A c_p by A d in the next residual
+            want = max(want, vec_norm(mat_vec(A, d_exact)))
+        assert residual_check(exact, N) == want
+        assert residual_check(floats, N) > 0.0
 
     def test_random_4x4_exact(self):
         rng = random.Random(73)
