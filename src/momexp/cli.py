@@ -4,7 +4,7 @@ One verb per run; a single strict JSON document (non-finite numbers written
 as null) goes to standard output and all diagnostics to standard error.
 Exit status: 0 on success, 2 on input or parse errors, 3 on numeric failure
 (radius exceeded, non-convergence, singular matrix, failed chain
-construction).
+construction, a value past the float range).
 """
 
 from __future__ import annotations
@@ -22,9 +22,16 @@ from .errors import (
     MomexpError,
     SingularMatrix,
 )
-from .evaluation import CONVERGED, TruncationPolicy, eval_exp, eval_via_jordan
+from .evaluation import (
+    CONVERGED,
+    MAX_TERMS_REACHED,
+    TruncationPolicy,
+    eval_exp,
+    eval_via_jordan,
+)
 from .jordan import JordanDecomposition, jordan_decompose, verify_decomposition
 from .matrices import (
+    EXACT,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
@@ -112,7 +119,7 @@ def _cmd_eval(args):
     seq = parse_specifier(args.moment)
     z = _parse_complex(args.z)
     policy = _policy(args)
-    if A.backend == "exact" and seq.exact and z.imag == 0 and z.real.is_integer():
+    if A.backend == EXACT and seq.exact and z.imag == 0 and z.real.is_integer():
         z_in = int(z.real)
     else:
         A = A.to_float()
@@ -121,7 +128,7 @@ def _cmd_eval(args):
     status = CONVERGED
     if args.path in ("series", "both"):
         rep = eval_exp(A, z_in, seq, policy)
-        if rep.status == "max_terms_reached" and A.backend == "exact":
+        if rep.status == MAX_TERMS_REACHED and A.backend == EXACT:
             # the exact series is finite only for nilpotent Az: sum in floats
             rep = eval_exp(A.to_float(), z, seq, policy)
         doc = _report_doc(rep)
@@ -132,14 +139,11 @@ def _cmd_eval(args):
         if args.path == "jordan":
             doc = _report_doc(jrep)
             status = jrep.status
+        elif status == CONVERGED and jrep.status == CONVERGED:
+            doc["discrepancy"] = (rep.value.to_float() - jrep.value).row_sum_norm()
         else:
-            if status == CONVERGED and jrep.status == CONVERGED:
-                doc["discrepancy"] = (
-                    rep.value.to_float() - jrep.value
-                ).row_sum_norm()
-            else:
-                doc["discrepancy"] = None
-                status = status if status != CONVERGED else jrep.status
+            doc["discrepancy"] = None
+            status = status if status != CONVERGED else jrep.status
     _emit(doc)
     return EXIT_OK if status == CONVERGED else EXIT_NUMERIC
 
@@ -165,7 +169,7 @@ def _cmd_solve(args):
         )
     doc = {"results": results}
     if args.check == "residual":
-        exact_sol = solve(A, v0, seq, policy) if A.backend == "exact" else sol
+        exact_sol = solve(A, v0, seq, policy) if A.backend == EXACT else sol
         doc["residual"] = residual_check(exact_sol, args.order)
     elif args.check == "qres":
         if seq.kind != "q_factorial":
@@ -316,10 +320,10 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_INPUT
     try:
         return args.func(args)
-    except (SingularMatrix, EvaluationError, ChainConstructionFailed) as exc:
+    except (SingularMatrix, EvaluationError, ChainConstructionFailed, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MomexpError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (MomexpError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, mul, sub
 
 import numpy as np
@@ -203,7 +203,8 @@ def _coerce_float(value):
 # -- integer kernels of the exact backend --------------------------------
 # An exact matrix is (re + i im) / den: re is an n x n tuple of int rows, im
 # is one too or None for a real matrix (never an all-zero block), den > 0,
-# and gcd(den, every numerator) == 1.
+# and gcd(den, every numerator) == 1.  :func:`_reduced` is the one place
+# that enforces this canonical form, for matrices and for krylov's columns.
 
 def _imatmul(a, b):
     cols = tuple(zip(*b))
@@ -243,6 +244,22 @@ def _gauss_matmul(ar, ai, br, bi):
         return re, _imatmul(ai, br)
     return (_entrywise(sub, re, _imatmul(ai, bi)),
             _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br)))
+
+
+def _reduced(re, im, den):
+    """(re, im, den) in canonical form, for integer blocks of any shape: an
+    all-zero ``im`` becomes None, and numerators and den are divided by
+    their gcd when den != 1."""
+    if im is not None and _is_zero(im):
+        im = None
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        if g != 1:
+            re = tuple(tuple(v // g for v in r) for r in re)
+            if im is not None:
+                im = tuple(tuple(v // g for v in r) for r in im)
+            den //= g
+    return re, im, den
 
 
 def _square(flat, n):
@@ -306,17 +323,9 @@ class CMatrix:
         return m
 
     def _set_ints(self, n, re, im, den):
-        """Store (re + i im) / den, reduced to the canonical form; ``im`` may
-        be None, and an all-zero ``im`` is stored as None."""
-        if im is not None and _is_zero(im):
-            im = None
-        if den != 1:
-            g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
-            if g != 1:
-                re = tuple(tuple(v // g for v in r) for r in re)
-                if im is not None:
-                    im = tuple(tuple(v // g for v in r) for r in im)
-                den //= g
+        """Store (re + i im) / den in the canonical form of :func:`_reduced`;
+        ``im`` may be None."""
+        re, im, den = _reduced(re, im, den)
         for name, value in (("n", n), ("backend", EXACT),
                             ("_re", re), ("_im", im), ("_den", den)):
             _set(self, name, value)
@@ -329,12 +338,8 @@ class CMatrix:
         # only an exact matrix's ``rows`` is ever missing: build it once
         if name != "rows" or self.backend != EXACT:
             raise AttributeError(name)
-        d = self._den
-        rows = tuple(
-            tuple(GaussianRational(Fraction(a, d), Fraction(b, d))
-                  for a, b in zip(ra, ia))
-            for ra, ia in zip(self._re, self._imag())
-        )
+        rows = tuple(map(_vec_from_ints, self._re, self._im or repeat(None),
+                         repeat(self._den)))
         _set(self, "rows", rows)
         return rows
 
@@ -467,8 +472,8 @@ class CMatrix:
 
     def __neg__(self):
         if self.backend == EXACT:
-            im = None if self._im is None else _iscale(self._im, -1)
-            return CMatrix._from_ints(self.n, _iscale(self._re, -1), im, self._den)
+            return self.scale(-1)
+        # not scale(-1): x * (-1+0j) differs from -x on signed zeros and infinities
         return CMatrix._from_complex([-a for a in r] for r in self.rows)
 
     def scale(self, s):
@@ -501,11 +506,8 @@ class CMatrix:
 
     def trace(self):
         if self.backend == EXACT:
-            d = self._den
-            return GaussianRational(
-                Fraction(sum(r[i] for i, r in enumerate(self._re)), d),
-                Fraction(sum(r[i] for i, r in enumerate(self._imag())), d),
-            )
+            re, im = (sum(r[i] for i, r in enumerate(b)) for b in (self._re, self._imag()))
+            return gaussian_quotient(re, im, self._den, 0)
         t = self.rows[0][0]
         for i in range(1, self.n):
             t = t + self.rows[i][i]
@@ -567,10 +569,7 @@ class CMatrix:
             pivots, (dr, di), swaps = bareiss(*self._int_rows(), n)
             if len(pivots) < n:
                 return GaussianRational(0)
-            if swaps % 2:
-                dr, di = -dr, -di
-            q = self._den ** n
-            return GaussianRational(Fraction(dr, q), Fraction(di, q))
+            return gaussian_quotient(dr, di, (-1) ** swaps * self._den ** n, 0)
         a = self.to_numpy()
         return 0j if _float_singular(a) else complex(np.linalg.det(a))
 
@@ -770,10 +769,10 @@ def mat_vec(a, v):
 def krylov(a, v, N):
     """[v, a v, ..., a^N v], v itself first.  On the exact backend the
     powers stay integer numerator columns over one denominator: one
-    common denominator for v, then per step one n x 1 integer product,
-    ``den *= a._den`` and, when den != 1, a division of column and den by
-    their gcd, so den is the least common denominator the Fraction entries
-    would have; each vector is built once from them."""
+    common denominator for v, then per step one n x 1 integer product over
+    ``den * a._den``, put in canonical form by :func:`_reduced`, so den is
+    the least common denominator the Fraction entries would have; each
+    vector is built once from them."""
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
     out = [v]
@@ -782,20 +781,10 @@ def krylov(a, v, N):
             out.append(mat_vec(a, out[-1]))
         return out
     re, im, den = _vec_ints(v)
-    col_re, col_im = tuple(zip(re)), None if im is None else tuple(zip(im))
+    re, im = tuple(zip(re)), im and tuple(zip(im))
     for _ in range(N):
-        col_re, col_im = _gauss_matmul(a._re, a._im, col_re, col_im)
-        re = [r for r, in col_re]
-        im = None if col_im is None else [i for i, in col_im]
-        den *= a._den
-        if den != 1:
-            g = math.gcd(den, *re, *(im or ()))
-            if g != 1:
-                den //= g
-                re = [r // g for r in re]
-                im = None if im is None else [i // g for i in im]
-                col_re, col_im = tuple(zip(re)), None if im is None else tuple(zip(im))
-        out.append(_vec_from_ints(re, im, den))
+        re, im, den = _reduced(*_gauss_matmul(a._re, a._im, re, im), den * a._den)
+        out.append(_vec_from_ints([r for r, in re], im and [i for i, in im], den))
     return out
 
 

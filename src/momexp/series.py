@@ -154,10 +154,4 @@ def inverse_series(A, seq, N):
     if A.backend == EXACT:
         require_exact(seq, "moment sequence")
     phis = phi_coefficients(seq, N)
-    coeffs = []
-    Ap = CMatrix.identity(A.n, A.backend)
-    for p in range(N + 1):
-        if p:
-            Ap = Ap @ A
-        coeffs.append(Ap.scale(phis[p]))
-    return MomentSeries(seq, coeffs)
+    return MomentSeries(seq, map(CMatrix.scale, exp_series(A, seq, N).coeffs, phis))

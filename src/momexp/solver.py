@@ -9,7 +9,7 @@ evaluation closure through :func:`momexp.evaluation.eval_exp`.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .evaluation import TruncationPolicy, eval_exp
+from .evaluation import CONVERGED, TruncationPolicy, eval_exp
 from .matrices import (
     infer_backend,
     krylov,
@@ -38,12 +38,11 @@ class IVPSolution:
 
     def __call__(self, z):
         """Evaluate the solution; raises EvaluationError on non-convergence."""
-        value = eval_exp(self.A, z, self.seq, self.policy).require_converged()
-        return mat_vec(value, self.v_c)
+        return self.evaluate_report(z).require_converged()
 
     def evaluate_report(self, z):
         rep = eval_exp(self.A, z, self.seq, self.policy)
-        if rep.status == "converged":
+        if rep.status == CONVERGED:
             rep.value = mat_vec(rep.value, self.v_c)
         return rep
 

@@ -380,6 +380,26 @@ class TestErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--matrix", "{big}", "--moment", "factorial"],
+            ["eval", "--matrix", "{big}", "--moment", "geom:2"],
+            ["jordan", "--matrix", "{big}"],
+            ["solve", "--matrix", "{big}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]"],
+        ],
+        ids=["eval-factorial", "eval-geom", "jordan", "solve"],
+    )
+    def test_entry_past_float_range_exit_3(self, capsys, tmp_path, argv):
+        # an exact 401-digit entry has no float: a numeric failure, not a traceback
+        big = write_matrix(tmp_path, "big.json", CMatrix([[10**400, 0], [0, 1]]))
+        code = main([a.format(big=big) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 

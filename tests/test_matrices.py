@@ -18,7 +18,7 @@ from momexp import (
     matrix_to_json,
 )
 from momexp import matrices
-from momexp.matrices import _gauss_matmul, _is_zero, mat_vecs, scalar_from_json
+from momexp.matrices import _gauss_matmul, _is_zero, _reduced, mat_vecs, scalar_from_json
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
@@ -441,6 +441,22 @@ class TestExactStorage:
         for same in (real.scale(i).scale(-i), (real + b.scale(i)) - b.scale(i)):
             assert same == real and hash(same) == hash(real)
             assert same._key() == real._key()
+
+    def test_reduced_canonical_form(self):
+        # an n x 1 column: the gcd 6 is divided out, the zero im dropped
+        assert _reduced(((12,), (-18,), (0,)), ((0,), (0,), (0,)), 30) == (
+            ((2,), (-3,), (0,)), None, 5)
+        # a 2 x 3 block: gcd(den, re, im) = 4, im kept
+        re, im = ((4, 8, 0), (-12, 4, 16)), ((0, 0, 8), (4, 0, 0))
+        assert _reduced(re, im, 20) == (
+            ((1, 2, 0), (-3, 1, 4)), ((0, 0, 2), (1, 0, 0)), 5)
+        assert _reduced(re, ((0, 0, 0),) * 2, 8) == (((1, 2, 0), (-3, 1, 4)), None, 2)
+        # coprime numerators and den stay as they are
+        assert _reduced(re, im, 3) == (re, im, 3)
+        # den == 1 comes back unchanged, the very same blocks
+        out = _reduced(re, im, 1)
+        assert out == (re, im, 1) and out[0] is re and out[1] is im
+        assert _reduced(re, None, 1)[1] is None
 
 
 class TestJson:

@@ -119,8 +119,14 @@ class TestExactSeries:
         nilpotent = CMatrix([[0, Fraction(1, 2), 3], [0, 0, Fraction(-2, 5)], [0, 0, 0]])
         # A^2 = A: the powers' denominators cancel back to 1000 every step
         idempotent = CMatrix([[Fraction(999, 1000), Fraction(1, 1000), 0]] * 2 + [[0, 0, 1]])
-        for A in (matrix(False), matrix(True), nilpotent, idempotent):
-            assert A._den != 1
+        # a complex A^2 = A over 1000: its imaginary part cancels to 1000 too
+        i_over_1000 = GaussianRational(0, Fraction(1, 1000))
+        complex_idempotent = CMatrix([[1, i_over_1000, 0], [0, 0, 0], [0, 0, 1]])
+        fractional = [matrix(False), matrix(True), nilpotent, idempotent, complex_idempotent]
+        assert all(A._den != 1 for A in fractional)
+        # A = iI: A v is imaginary for a real v, and A^2 v = -v real again
+        turns_real = CMatrix.identity(3).scale(GaussianRational(0, 1))
+        for A in fractional + [turns_real]:
             for v in vectors:
                 for N in (0, 1, 60):
                     coeffs = solve(A, v, QFAC2).series(N).coeffs
