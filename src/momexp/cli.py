@@ -68,6 +68,26 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _read_matrix(args):
+    """The matrix in the file named by --matrix, remembered on ``args`` so
+    that a value past the float range can be traced back to it."""
+    A = matrix_from_json(_load_json(args.matrix))
+    args.inputs.append((f"--matrix {args.matrix}", A))
+    return A
+
+
+def _past_float_range(inputs):
+    """Name the first entry of an input matrix that has no float, or None."""
+    for source, m in inputs:
+        for i, row in enumerate(m.rows):
+            for j, x in enumerate(row):
+                try:
+                    complex(x)
+                except OverflowError:
+                    return f"entry ({i}, {j}) of {source} is past the float range"
+    return None
+
+
 def _policy(args):
     return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
 
@@ -115,7 +135,7 @@ def _report_doc(rep):
 # -- verbs ---------------------------------------------------------------
 
 def _cmd_eval(args):
-    A = matrix_from_json(_load_json(args.matrix))
+    A = _read_matrix(args)
     seq = parse_specifier(args.moment)
     z = _parse_complex(args.z)
     policy = _policy(args)
@@ -149,7 +169,7 @@ def _cmd_eval(args):
 
 
 def _cmd_solve(args):
-    A = matrix_from_json(_load_json(args.matrix))
+    A = _read_matrix(args)
     seq = parse_specifier(args.moment)
     v0 = vector_from_json(json.loads(args.v0))
     policy = _policy(args)
@@ -181,7 +201,7 @@ def _cmd_solve(args):
 
 
 def _cmd_jordan(args):
-    A = matrix_from_json(_load_json(args.matrix)).to_float()
+    A = _read_matrix(args).to_float()
     dec = jordan_decompose(A, tol=args.tol, eig_tol=args.eig_tol)
     _emit(
         {
@@ -195,7 +215,7 @@ def _cmd_jordan(args):
 
 
 def _cmd_verify_jordan(args):
-    A = matrix_from_json(_load_json(args.matrix))
+    A = _read_matrix(args)
     obj = _load_json(args.decomposition)
     entries = obj.get("blocks") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(
@@ -209,6 +229,7 @@ def _cmd_verify_jordan(args):
         P_inv=matrix_from_json(obj["P_inv"]),
         residual=0.0,
     )
+    args.inputs += [(f"--decomposition {args.decomposition}", m) for m in (dec.P, dec.P_inv)]
     result = verify_decomposition(A, dec, tol=args.tol)
     _emit(result)
     return EXIT_OK if result["ok"] else EXIT_NUMERIC
@@ -234,7 +255,7 @@ def _cmd_series(args):
         s2 = _series_from_json(_load_json(args.series2))
         _emit(_series_to_json(cauchy_product(s1, s2)))
     elif args.op == "inverse":
-        A = matrix_from_json(_load_json(args.matrix))
+        A = _read_matrix(args)
         seq = parse_specifier(args.moment)
         _emit(_series_to_json(inverse_series(A, seq, args.order)))
     else:  # phi
@@ -246,6 +267,8 @@ def _cmd_series(args):
 
 def _cmd_probe(args):
     seq = parse_specifier(args.moment)
+    if args.terms < 8:
+        raise ValueError(f"--terms must be at least 8, got {args.terms}")
     report = growth_probe(seq, args.terms)
     doc = {"sequence": seq.specifier()}
     doc.update(report.to_json())
@@ -318,10 +341,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
+    args.inputs = []  # (option and file, matrix) pairs, see _read_matrix
     try:
         return args.func(args)
-    except (SingularMatrix, EvaluationError, ChainConstructionFailed, OverflowError) as exc:
+    except (SingularMatrix, EvaluationError, ChainConstructionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError as exc:
+        print(f"error: {_past_float_range(args.inputs) or exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (MomexpError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

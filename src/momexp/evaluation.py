@@ -112,9 +112,10 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
             return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
         return EvalReport((eye - M).inverse(), 0, 0.0, CONVERGED)
     M = A.scale(z)
+    ratio = seq.step_ratio if exact else seq.float_step_ratio
 
     def step(term, p):
-        return (term @ M).scale(seq.step_ratio(p))
+        return (term @ M).scale(ratio(p))
 
     if exact:
         return _sum(eye, step, lambda t: float(not t.is_zero()),
@@ -140,7 +141,7 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
     def step(term, k):
         # a zero lam z ends the sum without reading m(h + 1)
         p = h + k
-        return term * (lz * (p / k) * seq.step_ratio(p)) if lz else 0j
+        return term * (lz * (p / k) * seq.float_step_ratio(p)) if lz else 0j
 
     first = _power_over_moment(z, h, seq)
     return _sum(first, step, abs, policy.max_terms, policy, seq.rapid_growth_declared)
@@ -205,7 +206,8 @@ def eval_via_jordan(dec, z, seq, policy=TruncationPolicy()):
     """E(Az) through a verified decomposition: P blockdiag(E(J_i z)) P^{-1}."""
     report = _jordan_exp(dec.blocks, z, seq, policy)
     if report.value is not None:
-        report.value = dec.P.to_float() @ report.value @ dec.P_inv.to_float()
+        p, p_inv = (m.to_float().to_numpy() for m in (dec.P, dec.P_inv))
+        report.value = CMatrix.from_numpy(p @ report.value.to_numpy() @ p_inv)
     return report
 
 

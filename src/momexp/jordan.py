@@ -11,10 +11,11 @@ elimination for exact) and a basis that takes a vector only if it is
 independent (Gram-Schmidt for float, an integer rank test for exact).  Float
 eigenvalues come from the QR iteration, clustered by a dedicated tolerance;
 exact ones are supplied by the caller (root finding itself is float-only).
-Both backends invert the chain matrix P with :meth:`CMatrix.inverse`, so a P
-that is singular under its rule (or a float P with |det P| < 1e-12) fails
-the decomposition, and J is laid out by the same block-Toeplitz builder as
-E(Jz) in :mod:`momexp.evaluation`.
+An exact chain matrix P is inverted with :meth:`CMatrix.inverse`.  A float P
+is checked, inverted and multiplied on its numpy array, under the float
+backend's relative singularity rule plus an absolute floor |det P| >= 1e-12;
+a P failing either fails the decomposition.  J is laid out by the same
+block-Toeplitz builder as E(Jz) in :mod:`momexp.evaluation`.
 
 Jordan structure is discontinuous, so all rank decisions carry explicit
 thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
@@ -37,12 +38,16 @@ from .matrices import (
     GaussianRational,
     _block_toeplitz,
     _common_denominator,
+    _float_singular,
     bareiss,
     gaussian_quotient,
     infer_backend,
     mat_vec,
     require_exact,
 )
+
+
+_SINGULAR_P = "assembled eigenvector matrix is singular"
 
 
 @dataclass
@@ -256,17 +261,21 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
             cols.extend(chain)
     if exact:
         P = CMatrix([[v[i] for v in cols] for i in range(n)], EXACT)
+        try:
+            P_inv = P.inverse()
+        except SingularMatrix as exc:
+            raise ChainConstructionFailed(_SINGULAR_P) from exc
+        residual = (A - P @ assemble_jordan(blocks, EXACT) @ P_inv).row_sum_norm()
     else:
-        P = CMatrix.from_numpy(np.column_stack(cols))
-    try:
-        # a float P also needs |det P| >= 1e-12, an absolute floor that
-        # rejects some well-conditioned P of large n (see ROADMAP)
-        if not exact and abs(P.det()) < 1e-12:
-            raise SingularMatrix("|det P| is below 1e-12")
-        P_inv = P.inverse()
-    except SingularMatrix as exc:
-        raise ChainConstructionFailed("assembled eigenvector matrix is singular") from exc
-    residual = (A - P @ assemble_jordan(blocks, A.backend) @ P_inv).row_sum_norm()
+        p = np.column_stack(cols)
+        # beside the relative sigma rule, a float P needs |det P| >= 1e-12, an
+        # absolute floor that rejects some well-conditioned P of large n (see
+        # ROADMAP)
+        if _float_singular(p) or abs(np.linalg.det(p)) < 1e-12:
+            raise ChainConstructionFailed(_SINGULAR_P)
+        p_inv = np.linalg.inv(p)
+        residual = _row_sum_norm(a - p @ assemble_jordan(blocks).to_numpy() @ p_inv)
+        P, P_inv = CMatrix.from_numpy(p), CMatrix.from_numpy(p_inv)
     return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv, residual=residual)
 
 
@@ -279,11 +288,19 @@ def verify_decomposition(A, dec, tol=1e-8):
         raise DimensionMismatch(f"decomposition is {dec.n}x{dec.n}, A is {A.n}x{A.n}")
     mats = (A, dec.P, dec.P_inv)
     lams = [lam for lam, _ in dec.blocks]
-    if any(infer_backend(x) != EXACT for x in (*mats, *lams)):
-        mats = [m.to_float() for m in mats]
-    A, P, P_inv = mats
-    J = assemble_jordan(dec.blocks, A.backend)
-    eye = CMatrix.identity(A.n, A.backend)
-    inv_err = (P @ P_inv - eye).row_sum_norm()
-    residual = (A - P @ J @ P_inv).row_sum_norm()
+    if all(infer_backend(x) == EXACT for x in (*mats, *lams)):
+        A, P, P_inv = mats
+        J = assemble_jordan(dec.blocks, EXACT)
+        inv_err = (P @ P_inv - CMatrix.identity(A.n, EXACT)).row_sum_norm()
+        residual = (A - P @ J @ P_inv).row_sum_norm()
+    else:
+        a, p, p_inv = (m.to_float().to_numpy() for m in mats)
+        j = assemble_jordan(dec.blocks).to_numpy()
+        inv_err = _row_sum_norm(p @ p_inv - np.eye(A.n))
+        residual = _row_sum_norm(a - p @ j @ p_inv)
     return {"residual": residual, "ok": residual <= tol and inv_err <= tol}
+
+
+def _row_sum_norm(a):
+    """:meth:`CMatrix.row_sum_norm` of a numpy array, as a Python float."""
+    return float(np.abs(a).sum(axis=1).max())

@@ -33,7 +33,12 @@ def _as_fraction(x, what):
 
 
 class MomentSequence:
-    """Memoized positive sequence m(p) with m(0) = 1."""
+    """Memoized positive sequence m(p) with m(0) = 1.
+
+    Besides the values, an object memoizes the ratio rows of
+    :meth:`ratio_row` and one row of float step ratios
+    (:meth:`float_step_ratio`), all filled under one lock.
+    """
 
     def __init__(self, kind, param=None, values=None, rapid_growth_declared=None):
         self.kind = kind
@@ -41,6 +46,7 @@ class MomentSequence:
         self._table = ()
         self._lock = threading.Lock()
         self._rows = []  # ratio rows, see ratio_row
+        self._float_ratios = [math.nan]  # see float_step_ratio; entry 0 unused
         if kind == "factorial":
             self.exact = True
             default_rapid = True
@@ -164,6 +170,25 @@ class MomentSequence:
             k = self.param
             return math.exp(math.lgamma(1 + (p - 1) / k) - math.lgamma(1 + p / k))
         return self.value(p - 1) / self.value(p)
+
+    def float_step_ratio(self, p):
+        """float(step_ratio(p)), correctly rounded, read from one row of
+        float step ratios memoized on the object like ``ratio_row``; the
+        float term loops read it instead of dividing two moment values."""
+        row = self._float_ratios
+        if 0 < p < len(row):
+            return row[p]
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if self.exact:
+            self.value(p)  # fills m(0..p) first; value takes the lock itself
+        m = self._cache
+        with self._lock:
+            while len(row) <= p:
+                q = len(row)
+                # step_ratio of mittag_leffler reads no moment value
+                row.append(float(m[q - 1] / m[q]) if self.exact else self.step_ratio(q))
+        return row[p]
 
     def log_value(self, p):
         if self.kind == "mittag_leffler":

@@ -288,6 +288,13 @@ class TestProbe:
         assert code == 0
         assert doc["finite_radius_suspected"] is suspected
 
+    @pytest.mark.parametrize("terms", ["0", "-3", "7"])
+    def test_too_few_terms_names_the_option(self, capsys, terms):
+        code = main(["probe", "--moment", "factorial", "--terms", terms])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --terms must be at least 8, got {terms}\n"
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -387,18 +394,36 @@ class TestErrors:
             ["eval", "--matrix", "{big}", "--moment", "geom:2"],
             ["jordan", "--matrix", "{big}"],
             ["solve", "--matrix", "{big}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]"],
+            ["eval", "--matrix", "{big}", "--moment", "factorial", "--path", "jordan"],
+            ["verify-jordan", "--matrix", "{big}", "--decomposition", "{eye_dec}"],
+            ["verify-jordan", "--matrix", "{eye}", "--decomposition", "{big_dec}"],
         ],
-        ids=["eval-factorial", "eval-geom", "jordan", "solve"],
+        ids=["eval-factorial", "eval-geom", "jordan", "solve", "eval-jordan",
+             "verify-jordan-matrix", "verify-jordan-decomposition"],
     )
     def test_entry_past_float_range_exit_3(self, capsys, tmp_path, argv):
-        # an exact 401-digit entry has no float: a numeric failure, not a traceback
-        big = write_matrix(tmp_path, "big.json", CMatrix([[10**400, 0], [0, 1]]))
-        code = main([a.format(big=big) for a in argv])
+        # an exact 401-digit entry has no float: a numeric failure, not a
+        # traceback, and the one error line names the entry and its input
+        big = CMatrix([[1, 0], [0, 10**400]])
+        eye = CMatrix.identity(2, "float")
+        files = {"big": write_matrix(tmp_path, "big.json", big),
+                 "eye": write_matrix(tmp_path, "eye.json", eye)}
+        for name, P in (("eye_dec", eye), ("big_dec", big)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"blocks": [[1.0, 0.0, 1]] * 2,
+                                        "P": matrix_to_json(P),
+                                        "P_inv": matrix_to_json(eye)}))
+            files[name] = str(path)
+        argv = [a.format(**files) for a in argv]
+        code = main(argv)
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if files["big_dec"] in argv:
+            source = f"--decomposition {files['big_dec']}"
+        else:
+            source = f"--matrix {files['big']}"
+        assert err == f"error: entry (1, 1) of {source} is past the float range\n"
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -15,6 +15,7 @@ from momexp import (
     verify_decomposition,
 )
 from momexp.jordan import JordanDecomposition, _ExactSpan, _nullspace_exact, assemble_jordan
+from momexp.matrices import _float_singular
 
 from helpers import (
     elimination_matrices,
@@ -79,6 +80,36 @@ class TestJordanDecompose:
             dec = jordan_decompose(A)
             assert recovered_multiset(dec) == expected
             assert dec.residual <= 1e-8
+
+    def test_float_residuals_match_cmatrix_formula(self):
+        # the float tail runs on numpy arrays; it agrees with the CMatrix
+        # products at rounding level
+        rng = random.Random(2024)
+        for _ in range(40):
+            A, _ = synthetic_jordan_instance(rng)
+            dec = jordan_decompose(A)
+            want = (A - dec.P @ assemble_jordan(dec.blocks) @ dec.P_inv).row_sum_norm()
+            for got in (dec.residual, verify_decomposition(A, dec)["residual"]):
+                assert abs(got - want) <= 1e-13 * A.row_sum_norm()
+
+    def test_singular_float_P_fails(self):
+        # sigma rule: eigenvectors e1 and (1, 1e-13) are nearly parallel
+        A = CMatrix([[1.0, 1.0], [0.0, 1.0 + 1e-13]])
+        assert _float_singular(np.array([[1.0, 1.0], [0.0, 1e-13]]))
+        with pytest.raises(ChainConstructionFailed, match="singular"):
+            jordan_decompose(A, eigenvalues_hint=[(1.0, 1), (1.0 + 1e-13, 1)])
+        # |det P| floor: unit eigenvectors with condition number ~126 pass the
+        # sigma rule, but their determinant is ~4e-14
+        n = 16
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        p = u @ np.diag([1.0] * 8 + [0.01] * 8) @ v.T
+        p /= np.linalg.norm(p, axis=0)
+        assert not _float_singular(p) and abs(np.linalg.det(p)) < 1e-12
+        a = p @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(p)
+        with pytest.raises(ChainConstructionFailed, match="singular"):
+            jordan_decompose(CMatrix.from_numpy(a))
 
     def test_weyr_counts_match_kernel_dims(self):
         rng = random.Random(101)

@@ -1,11 +1,23 @@
 import json
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from momexp import MomentSequence, SequenceError, growth_probe
 from momexp.moments import load_custom, parse_specifier
+
+SPECS_WITH_FLOAT_RATIOS = ("factorial", "qfac:2", "qfac:3/2", "geom:5/3", "ml:2",
+                           "ml:0.5", "custom")
+
+
+def _sequence(spec, table):
+    if spec == "custom":
+        return MomentSequence.custom(table, rapid_growth_declared=True)
+    return parse_specifier(spec)
 
 
 class TestValues:
@@ -57,6 +69,47 @@ class TestValues:
                     float(seq.value(p - 1)) / float(seq.value(p)),
                     rel_tol=1e-12,
                 )
+        # the memoized float row holds the correctly rounded exact ratio
+        # (the lgamma value for ml:k), whether it is filled upward or at once
+        table = [str(math.factorial(p) * 3**p) for p in range(61)]
+        for spec in SPECS_WITH_FLOAT_RATIOS:
+            for order in (range(1, 61), range(60, 0, -1)):
+                seq = _sequence(spec, table)  # fresh: empty memo
+                got = {p: seq.float_step_ratio(p) for p in order}
+                assert got == {p: float(seq.step_ratio(p)) for p in got}, spec
+        short = MomentSequence.custom(table[:10], rapid_growth_declared=True)
+        assert short.float_step_ratio(9) == float(short.step_ratio(9))
+        for ratio in (short.step_ratio, short.float_step_ratio):
+            with pytest.raises(SequenceError):
+                ratio(10)
+        with pytest.raises(ValueError):
+            short.float_step_ratio(0)
+
+    def test_float_ratios_threads_agree_with_one_thread(self):
+        # the row fills m(0..p) before it takes the lock that value() takes
+        want = [float(MomentSequence.q_factorial(2).step_ratio(p)) for p in range(1, 61)]
+        seq = MomentSequence.q_factorial(2)  # fresh: empty memo
+        barrier = threading.Barrier(6)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append([seq.float_step_ratio(p) for p in range(1, 61)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # daemon threads: a deadlocked worker must not hold up exit
+            threads = [threading.Thread(target=worker, daemon=True) for _ in range(6)]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 6
 
 
 class TestCustom:
