@@ -282,7 +282,7 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
 def verify_decomposition(A, dec, tol=1e-8):
     """Recompute ||A - P J P^{-1}|| and ||P P_inv - I||, exactly if A, P,
     P_inv and every block eigenvalue are exact and in float otherwise; ok iff
-    both <= tol."""
+    both <= tol.  An exact error past the float range reads ``math.inf``."""
     _check_tol("tol", tol)
     if dec.n != A.n:
         raise DimensionMismatch(f"decomposition is {dec.n}x{dec.n}, A is {A.n}x{A.n}")
@@ -291,14 +291,23 @@ def verify_decomposition(A, dec, tol=1e-8):
     if all(infer_backend(x) == EXACT for x in (*mats, *lams)):
         A, P, P_inv = mats
         J = assemble_jordan(dec.blocks, EXACT)
-        inv_err = (P @ P_inv - CMatrix.identity(A.n, EXACT)).row_sum_norm()
-        residual = (A - P @ J @ P_inv).row_sum_norm()
+        inv_err = _exact_norm(P @ P_inv - CMatrix.identity(A.n, EXACT))
+        residual = _exact_norm(A - P @ J @ P_inv)
     else:
         a, p, p_inv = (m.to_float().to_numpy() for m in mats)
         j = assemble_jordan(dec.blocks).to_numpy()
         inv_err = _row_sum_norm(p @ p_inv - np.eye(A.n))
         residual = _row_sum_norm(a - p @ j @ p_inv)
     return {"residual": residual, "ok": residual <= tol and inv_err <= tol}
+
+
+def _exact_norm(m):
+    """The row-sum norm of an exact matrix, or ``math.inf`` when it is past
+    the float range."""
+    try:
+        return m.row_sum_norm()
+    except OverflowError:
+        return math.inf
 
 
 def _row_sum_norm(a):

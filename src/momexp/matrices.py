@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul, sub
+from operator import add, attrgetter, eq, mul, sub
 
 import numpy as np
 
@@ -40,6 +40,7 @@ FLOAT = "float"
 _ZERO = Fraction(0)
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class GaussianRational:
@@ -204,7 +205,8 @@ def _coerce_float(value):
 # An exact matrix is (re + i im) / den: re is an n x n tuple of int rows, im
 # is one too or None for a real matrix (never an all-zero block), den > 0,
 # and gcd(den, every numerator) == 1.  :func:`_reduced` is the one place
-# that enforces this canonical form, for matrices and for krylov's columns.
+# that enforces this canonical form, for matrices and for krylov's one-row
+# blocks.
 
 def _imatmul(a, b):
     cols = tuple(zip(*b))
@@ -266,13 +268,23 @@ def _square(flat, n):
     return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
 
+# A Fraction's two slots, read and written directly by the exact vector
+# helpers below, which skip the properties and argument checks of Fraction.
+_numerator = attrgetter("_numerator")
+_denominator = attrgetter("_denominator")
+
+
 def _common_denominator(scalars):
     """(re, im, den): integer numerators of GaussianRationals over one
-    denominator, the lcm of theirs."""
-    den = math.lcm(*(p.denominator for x in scalars for p in (x.re, x.im)))
+    denominator, the lcm of theirs, as tuples."""
+    re = [x.re for x in scalars]
+    im = [x.im for x in scalars]
+    den = math.lcm(*map(_denominator, re), *map(_denominator, im))
+    if den == 1:
+        return tuple(map(_numerator, re)), tuple(map(_numerator, im)), 1
     return (
-        [x.re.numerator * (den // x.re.denominator) for x in scalars],
-        [x.im.numerator * (den // x.im.denominator) for x in scalars],
+        tuple(f._numerator * (den // f._denominator) for f in re),
+        tuple(f._numerator * (den // f._denominator) for f in im),
         den,
     )
 
@@ -712,48 +724,74 @@ def mat_pow(a, p):
 # -- vectors ----------------------------------------------------------
 # Vectors are plain tuples of scalars from one backend.
 
-def _vec_ints(v):
-    """(re, im, den): an exact vector's integer numerators over one
-    denominator; ``im`` is None when every entry is real."""
-    re, im, den = _common_denominator([require_exact(x, "vector entry") for x in v])
-    return re, im if any(im) else None, den
+def _fraction(n, d):
+    """n / d for ints n and d > 0, equal to ``Fraction(n, d)`` but built
+    without its argument checks: one gcd when d != 1, none when d == 1."""
+    if d != 1:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def _vec_from_ints(re, im, den):
-    # over den = 1, Fraction(r) skips the gcd that Fraction(r, 1) takes
-    frac = Fraction if den == 1 else lambda x: Fraction(x, den)
-    if im is None:
-        return tuple(GaussianRational(frac(r), _ZERO) for r in re)
-    return tuple(GaussianRational(frac(r), frac(i)) for r, i in zip(re, im))
+    """The vector (re + i im) / den for integer numerators re and im (None
+    when real) over den > 0, each entry built once and with no checks."""
+    out = []
+    for k, r in enumerate(re):
+        g = _new(GaussianRational)
+        g.re = _fraction(r, den)
+        g.im = _ZERO if im is None else _fraction(im[k], den)
+        out.append(g)
+    return tuple(out)
+
+
+def _vec_ints(v, n):
+    """(re, im, den): the integer numerators of an exact vector of length n
+    over one denominator, the lcm of its entries'; ``im`` is None when every
+    entry is real.  GaussianRational entries are read as they are; only a
+    vector with another kind of entry goes through :func:`require_exact`."""
+    if len(v) != n:
+        raise DimensionMismatch(f"matrix {n} vs vector {len(v)}")
+    if not all(type(x) is GaussianRational for x in v):
+        v = [require_exact(x, "vector entry") for x in v]
+    re, im, den = _common_denominator(v)
+    return re, im if any(im) else None, den
+
+
+def _transposed(a):
+    """An exact matrix's numerator blocks (re, im) transposed, so that
+    ``_gauss_matmul(vr, vi, *_transposed(a))`` is v a^T: row j is a v_j."""
+    return tuple(zip(*a._re)), None if a._im is None else tuple(zip(*a._im))
+
+
+def _mat_vec_ints(a, cols):
+    """a v for each integer column (re, im, den) of :func:`_vec_ints`, as
+    (re, im, a._den * den), not reduced.  The k columns are the rows of one
+    k x n block V, and V a^T is one :func:`_gauss_matmul`: one integer dot
+    product per entry when a and every v are real, two when one side is,
+    four when both are complex."""
+    vi = None
+    if any(im is not None for _, im, _ in cols):
+        vi = [(0,) * a.n if im is None else im for _, im, _ in cols]
+    re, im = _gauss_matmul([re for re, _, _ in cols], vi, *_transposed(a))
+    return zip(re, repeat(None) if im is None else im, [a._den * d for _, _, d in cols])
 
 
 def mat_vecs(a, vs):
-    """[a v for v in vs] for vectors of a's backend.  On the exact backend
-    the k vectors are the columns of one n x k integer block, column j over
-    its own denominator d_j (a product acts column by column), so one
-    :func:`_gauss_matmul` forms all k products, and column j of it is over
-    ``a._den * d_j``: one integer dot product per entry when a and every v
-    are real, two when one side is, four when both are complex."""
+    """[a v for v in vs] for vectors of a's backend; on the exact backend
+    all k products are one :func:`_gauss_matmul` (:func:`_mat_vec_ints`)."""
     if a.backend != EXACT:
         return [mat_vec(a, v) for v in vs]
-    for v in vs:
-        if len(v) != a.n:
-            raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
-    if not vs:
-        return []
-    cols = [_vec_ints(v) for v in vs]
-    bi = None
-    if any(im is not None for _, im, _ in cols):
-        bi = tuple(zip(*(im or (0,) * a.n for _, im, _ in cols)))
-    re, im = _gauss_matmul(a._re, a._im, tuple(zip(*(re for re, _, _ in cols))), bi)
-    ims = [None] * len(cols) if im is None else zip(*im)
-    return [_vec_from_ints(r, i, a._den * d)
-            for r, i, (_, _, d) in zip(zip(*re), ims, cols)]
+    cols = [_vec_ints(v, a.n) for v in vs]
+    return [_vec_from_ints(*c) for c in _mat_vec_ints(a, cols)]
 
 
 def mat_vec(a, v):
     """a v for a vector v of a's backend; on the exact backend it is
-    :func:`mat_vecs` with k = 1, v one n x 1 integer column."""
+    :func:`mat_vecs` with k = 1."""
     if a.backend == EXACT:
         (out,) = mat_vecs(a, [v])
         return out
@@ -768,11 +806,12 @@ def mat_vec(a, v):
 
 def krylov(a, v, N):
     """[v, a v, ..., a^N v], v itself first.  On the exact backend the
-    powers stay integer numerator columns over one denominator: one
-    common denominator for v, then per step one n x 1 integer product over
-    ``den * a._den``, put in canonical form by :func:`_reduced`, so den is
-    the least common denominator the Fraction entries would have; each
-    vector is built once from them."""
+    powers stay integer numerators over one denominator, as one-row blocks:
+    one common denominator for v, then per step the product v a^T
+    (:func:`_gauss_matmul`) over ``den * a._den``, put in canonical form by
+    :func:`_reduced` unless it is real over 1, so den is the least common
+    denominator the Fraction entries would have; each vector is built once
+    from them."""
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
     out = [v]
@@ -780,12 +819,43 @@ def krylov(a, v, N):
         for _ in range(N):
             out.append(mat_vec(a, out[-1]))
         return out
-    re, im, den = _vec_ints(v)
-    re, im = tuple(zip(re)), im and tuple(zip(im))
+    at = _transposed(a)
+    re, im, den = _vec_ints(v, a.n)
+    re, im = (re,), im and (im,)
     for _ in range(N):
-        re, im, den = _reduced(*_gauss_matmul(a._re, a._im, re, im), den * a._den)
-        out.append(_vec_from_ints([r for r, in re], im and [i for i, in im], den))
+        re, im = _gauss_matmul(re, im, *at)
+        den *= a._den
+        if den != 1 or im is not None:
+            re, im, den = _reduced(re, im, den)
+        out.append(_vec_from_ints(re[0], im and im[0], den))
     return out
+
+
+def _same_vector(x, y):
+    """Whether integer columns (re, im, den) x and y hold one vector: equal
+    numerators over equal denominators, else x_k * den_y == y_k * den_x for
+    every real and imaginary numerator."""
+    (xr, xi, xd), (yr, yi, yd) = x, y
+    if xd == yd and (xi is None) == (yi is None):
+        return xr == yr and xi == yi
+    zeros = (0,) * len(xr)
+    return all(map(eq, map(yd.__mul__, chain(xr, xi or zeros)),
+                   map(xd.__mul__, chain(yr, yi or zeros))))
+
+
+def krylov_mismatches(a, vs):
+    """The pairs (vs[p + 1], a vs[p]) over p whose two vectors differ, so
+    none when vs is ``krylov(a, vs[0], len(vs) - 1)``.  On the exact
+    backend each vector is read into integers once, every a vs[p] comes
+    from one :func:`_mat_vec_ints`, each pair is compared on integers
+    (:func:`_same_vector`), and a vs[p] is built as a vector only for a
+    pair that differs."""
+    if a.backend != EXACT:
+        return [(v, av) for v, av in zip(vs[1:], mat_vecs(a, vs[:-1])) if v != av]
+    cols = [_vec_ints(v, a.n) for v in vs]
+    return [(v, _vec_from_ints(*av))
+            for v, col, av in zip(vs[1:], cols[1:], _mat_vec_ints(a, cols[:-1]))
+            if not _same_vector(col, av)]
 
 
 def vec_sub(u, v):

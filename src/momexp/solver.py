@@ -8,13 +8,15 @@ evaluation closure through :func:`momexp.evaluation.eval_exp`.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DimensionMismatch
 from .evaluation import CONVERGED, TruncationPolicy, eval_exp
 from .matrices import (
     infer_backend,
     krylov,
+    krylov_mismatches,
     mat_vec,
-    mat_vecs,
     vec_norm,
     vec_scale,
     vec_sub,
@@ -66,16 +68,26 @@ def solve(A, v_c, seq, policy=TruncationPolicy()):
 def residual_check(sol, N):
     """Largest coefficient norm of (moment derivative of y) - A y through
     order N: c_{p+1} - A c_p over p <= N, the c_p from ``sol.series(N + 1)``
-    and A c_0 ... A c_N from one block product (:func:`mat_vecs`).  An equal
-    pair adds 0.0 and only a differing one is normed; on the exact backend
-    the pairs are compared exactly, so the result is exactly zero by the
-    shift identity unless a coefficient is wrong."""
+    and A c_0 ... A c_N from one block product
+    (:func:`momexp.matrices.krylov_mismatches`).  An equal pair adds 0.0 and
+    only a differing one is normed; a difference past the float range gives
+    ``math.inf``.
+
+    This is a consistency identity, not a test of the series: since the
+    series is built as c_{p+1} = A c_p, the exact result is zero by
+    construction.  It catches a coefficient changed after the series was
+    built, or a series step that disagrees with the block product; it does
+    not catch a series that is wrong in a way both agree on.  On the float
+    backend both sides are the same float products, so it reads 0.0 there
+    too.
+    """
     _check_order(N)
-    coeffs = sol.series(N + 1).coeffs
     worst = 0.0
-    for c, ac in zip(coeffs[1:], mat_vecs(sol.A, coeffs[:-1])):
-        if c != ac:
+    for c, ac in krylov_mismatches(sol.A, sol.series(N + 1).coeffs):
+        try:
             worst = max(worst, vec_norm(vec_sub(c, ac)))
+        except OverflowError:
+            return math.inf
     return worst
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: synthetic Jordan instances with known structure,
 a plain-Fraction Gauss-Jordan reference for exact elimination, and
-plain-Fraction references for the moment-basis Cauchy product and the
-inverse-series scalars."""
+plain-Fraction references for the moment-basis Cauchy product, the
+inverse-series scalars and the solution series with its residual."""
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -184,6 +185,55 @@ def reference_phi(seq, N):
         phis.append(-sum((row[j] * phis[j] for j in range(p)), Fraction(0)) if p
                     else Fraction(1))
     return phis
+
+
+# -- solution-series references ----------------------------------------------
+# c_p = A^p v and the residual max_p |c_{p+1} - A c_p| on (re, im) Fraction
+# pairs, by schoolbook products on the input entries; no momexp arithmetic.
+
+def scalar_pair(x):
+    """An int, Fraction or GaussianRational as a (re, im) pair of Fractions."""
+    if isinstance(x, GaussianRational):
+        return (Fraction(x.re), Fraction(x.im))
+    return (Fraction(x), Fraction(0))
+
+
+def _mat_vec_pairs(a, c):
+    out = []
+    for row in a:
+        t = (Fraction(0), Fraction(0))
+        for x, y in zip(row, c):
+            u = _mul(x, y)
+            t = (t[0] + u[0], t[1] + u[1])
+        out.append(t)
+    return out
+
+
+def reference_solution_series(rows, v, N):
+    """[c_0, ..., c_N], c_p = A^p v as lists of (re, im) Fraction pairs, for
+    A given by its rows of exact scalars."""
+    a = [[scalar_pair(x) for x in r] for r in rows]
+    out = [[scalar_pair(x) for x in v]]
+    for _ in range(N):
+        out.append(_mat_vec_pairs(a, out[-1]))
+    return out
+
+
+def reference_residual(rows, coeffs):
+    """max over p of max_i |c_{p+1,i} - (A c_p)_i| for vectors of exact
+    scalars, each modulus the hypot of the two parts' floats and
+    ``math.inf`` past the float range; 0.0 when every pair is equal."""
+    a = [[scalar_pair(x) for x in r] for r in rows]
+    c = [[scalar_pair(x) for x in v] for v in coeffs]
+    worst = 0.0
+    for nxt, prev in zip(c[1:], c[:-1]):
+        for x, y in zip(nxt, _mat_vec_pairs(a, prev)):
+            if x != y:
+                try:
+                    worst = max(worst, math.hypot(float(x[0] - y[0]), float(x[1] - y[1])))
+                except OverflowError:
+                    return math.inf
+    return worst
 
 
 @st.composite

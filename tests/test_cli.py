@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from momexp import matrix_from_json, matrix_to_json, CMatrix
+from momexp import matrix_from_json, matrix_to_json, CMatrix, GaussianRational
 from momexp.cli import main
 
 
@@ -152,6 +153,31 @@ class TestSolve:
         assert code == 0
         assert doc["residual"] == 0.0
 
+    def test_residual_check_complex_fractional(self, capsys, tmp_path):
+        # complex fractional entries: the imaginary numerators are compared too
+        A = CMatrix([[GaussianRational(Fraction(1, 2), 1), Fraction(-1, 3)],
+                     [GaussianRational(0, Fraction(2, 5)), 3]])
+        path = write_matrix(tmp_path, "A.json", A)
+        code, doc = run(
+            capsys, "solve", "--matrix", path, "--moment", "qfac:2",
+            "--v0", '[["1","1/2"],["-2/3","0"]]', "--check", "residual", "--order", "30",
+        )
+        assert code == 0
+        assert doc == {"results": [], "residual": 0.0}
+
+    def test_residual_check_past_float_range(self, capsys, tmp_path):
+        # the exact residual needs no float, so a 401-digit entry is fine
+        # unless --z asks for a float value
+        path = write_matrix(tmp_path, "big.json", CMatrix([[10**400, 0], [0, 1]]))
+        argv = ["solve", "--matrix", path, "--moment", "factorial",
+                "--v0", '[["1","0"],["2","0"]]', "--check", "residual", "--order", "30"]
+        code, doc = run(capsys, *argv)
+        assert code == 0
+        assert doc == {"results": [], "residual": 0.0}
+        assert main(argv + ["--z", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: entry (0, 0) of --matrix {path} is past the float range\n"
+
     def test_qres_check(self, capsys, example1):
         code, doc = run(
             capsys, "solve", "--matrix", example1, "--moment", "qfac:2",
@@ -226,6 +252,22 @@ class TestJordan:
         )
         assert code == 0
         assert out == {"residual": 0.0, "ok": True}
+
+    def test_verify_exact_error_past_float_range(self, capsys, tmp_path):
+        # P P_inv - I is exactly diag(10^400 - 1, 0): not ok, reported as a
+        # decomposition that fails rather than as an input past the float range
+        big = CMatrix([[10**400, 0], [0, 1]])
+        A = write_matrix(tmp_path, "A.json", big)
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps({
+            "blocks": [["1", "0", 1], ["1", "0", 1]],
+            "P": matrix_to_json(big),
+            "P_inv": matrix_to_json(CMatrix.identity(2)),
+        }))
+        code = main(["verify-jordan", "--matrix", A, "--decomposition", str(dec_path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and err == ""
+        assert json.loads(out) == {"residual": 0.0, "ok": False}
 
     def test_verify_own_output_for_exact_matrix(self, capsys, tmp_path):
         A = write_matrix(tmp_path, "A.json", CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]]))
@@ -393,7 +435,8 @@ class TestErrors:
             ["eval", "--matrix", "{big}", "--moment", "factorial"],
             ["eval", "--matrix", "{big}", "--moment", "geom:2"],
             ["jordan", "--matrix", "{big}"],
-            ["solve", "--matrix", "{big}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]"],
+            ["solve", "--matrix", "{big}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]",
+             "--z", "0.5"],
             ["eval", "--matrix", "{big}", "--moment", "factorial", "--path", "jordan"],
             ["verify-jordan", "--matrix", "{big}", "--decomposition", "{eye_dec}"],
             ["verify-jordan", "--matrix", "{eye}", "--decomposition", "{big_dec}"],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -222,6 +223,19 @@ class TestVerifyDecomposition:
         dec = JordanDecomposition(P=I, blocks=[(0.5, 2)], P_inv=I, residual=0.0)
         assert not verify_decomposition(A, dec)["ok"]
 
+
+    def test_exact_error_past_float_range_is_infinite(self):
+        # P P_inv - I = diag(10^400 - 1, 0) exactly: no float, so inf and not ok
+        big = CMatrix([[10**400, 0], [0, 1]])
+        I = CMatrix.identity(2)
+        dec = JordanDecomposition(P=big, blocks=[(1, 1), (1, 1)], P_inv=I, residual=0.0)
+        assert verify_decomposition(big, dec) == {"residual": 0.0, "ok": False}
+        # A - P J P_inv = diag(10^400 - 1, 0) with P = P_inv = I
+        dec = JordanDecomposition(P=I, blocks=[(1, 1), (1, 1)], P_inv=I, residual=0.0)
+        assert verify_decomposition(big, dec) == {"residual": math.inf, "ok": False}
+        # an input past the float range with a valid decomposition passes
+        dec = JordanDecomposition(P=I, blocks=[(10**400, 1), (1, 1)], P_inv=I, residual=0.0)
+        assert verify_decomposition(big, dec) == {"residual": 0.0, "ok": True}
 
 class TestAssemble:
     def test_blockdiag_layout(self):

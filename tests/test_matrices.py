@@ -18,7 +18,17 @@ from momexp import (
     matrix_to_json,
 )
 from momexp import matrices
-from momexp.matrices import _gauss_matmul, _is_zero, _reduced, mat_vecs, scalar_from_json
+from momexp.matrices import (
+    _fraction,
+    _gauss_matmul,
+    _is_zero,
+    _reduced,
+    _same_vector,
+    krylov,
+    krylov_mismatches,
+    mat_vecs,
+    scalar_from_json,
+)
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 
@@ -362,6 +372,41 @@ class TestMatVec:
                 ]
                 assert mat_vecs(a, vs[:1]) == [mat_vec(a, vs[0])]
                 assert mat_vecs(a, []) == []
+
+    def test_fraction_constructor_matches_fraction(self):
+        # the unchecked constructor writes Fraction's own slots: the result must
+        # be a Fraction in lowest terms that compares and hashes as one
+        for n in (*range(-30, 31), 10**40 + 7, -(3**90)):
+            for d in (1, 2, 3, 4, 6, 12, 35, 2**70):
+                f, want = _fraction(n, d), Fraction(n, d)
+                assert type(f) is Fraction
+                assert (f.numerator, f.denominator) == (want.numerator, want.denominator)
+                assert f == want and hash(f) == hash(want) and str(f) == str(want)
+
+    def test_krylov_mismatches(self):
+        i = GaussianRational(0, 1)
+        cases = [(EXAMPLE1, (1, 2, 3)),
+                 (CMatrix([[Fraction(1, 2), i], [Fraction(2, 3), 0]]), (Fraction(1, 3), i)),
+                 # A = iI turns a real vector imaginary and back to real
+                 (CMatrix.identity(2).scale(i), (1, Fraction(1, 2))),
+                 (EXAMPLE1.to_float(), (1.0, 0.5j, -2.0))]
+        for a, v in cases:
+            vs = krylov(a, v, 6)
+            assert krylov_mismatches(a, vs) == []
+            bumped = vs[:3] + [tuple(x * 2 for x in vs[3])] + vs[4:]
+            assert krylov_mismatches(a, bumped) == [
+                (bumped[3], mat_vec(a, vs[2])), (vs[4], mat_vec(a, bumped[3]))]
+        with pytest.raises(DimensionMismatch):
+            krylov_mismatches(EXAMPLE1, [(1, 2, 3), (1, 2)])
+
+    def test_same_vector_cross_multiplies(self):
+        # numerators over different denominators, and an all-zero imaginary
+        # block against None
+        assert _same_vector(((1, -2), None, 3), ((2, -4), (0, 0), 6))
+        assert _same_vector(((1, -2), (0, 5), 3), ((1, -2), (0, 5), 3))
+        assert not _same_vector(((1, -2), None, 3), ((1, -2), None, 4))
+        assert not _same_vector(((2, -4), (0, 1), 6), ((1, -2), None, 3))
+        assert not _same_vector(((1, -2), (0, 1), 3), ((1, -2), (1, 0), 3))
 
     def test_block_errors(self):
         with pytest.raises(DimensionMismatch):

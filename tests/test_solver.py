@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,12 @@ from momexp import (
     solve,
     vec_norm,
 )
-from helpers import random_exact_matrix
+from helpers import (
+    random_exact_matrix,
+    reference_residual,
+    reference_solution_series,
+    scalar_pair,
+)
 
 FACTORIAL = MomentSequence.factorial()
 ML2 = MomentSequence.mittag_leffler(2)
@@ -178,12 +185,144 @@ class TestResidualCheck:
         assert residual_check(exact, N) == want
         assert residual_check(floats, N) > 0.0
 
+    def test_imaginary_only_change_shows(self, monkeypatch):
+        # a real series with i/3 added to one entry of its last coefficient
+        # differs from the product in the imaginary numerators alone
+        A = CMatrix([[1, 2], [0, 3]])
+        sol = solve(A, (1, 1), QFAC2)
+        d = GaussianRational(0, Fraction(1, 3))
+        perturb_series(monkeypatch, lambda s: s.coeffs.__setitem__(
+            -1, (s.coeffs[-1][0], s.coeffs[-1][1] + d)))
+        assert residual_check(sol, 6) == abs(d) == 1 / 3
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [0, 3]],
+                                      [[Fraction(1, 2), 1], [0, Fraction(-1, 3)]]],
+                             ids=["integer", "fractional"])
+    def test_denominator_only_change_shows(self, monkeypatch, rows):
+        # the last coefficient keeps its integer numerators but goes from
+        # over d to over d + 1: only the cross-multiplied comparison sees it
+        sol = solve(CMatrix(rows), (1, 2), QFAC2)
+        N = 7
+        last = sol.series(N + 1).coeffs[-1]
+        d = math.lcm(*(x.re.denominator for x in last))
+        nums = [int(x.re * d) for x in last]
+        assert all(x.im == 0 for x in last) and math.gcd(d + 1, *nums) == 1
+        changed = tuple(GaussianRational(Fraction(k, d + 1)) for k in nums)
+        perturb_series(monkeypatch, lambda s: s.coeffs.__setitem__(-1, changed))
+        want = max(abs(float(x.re - y.re)) for x, y in zip(last, changed))
+        assert residual_check(sol, N) == want > 0.0
+
+    def test_difference_past_float_range_is_infinite(self, monkeypatch):
+        sol = solve(CMatrix([[1, 2], [0, 3]]), (1, 1), FACTORIAL)
+        big = GaussianRational(10**400)
+        perturb_series(monkeypatch, lambda s: s.coeffs.__setitem__(
+            1, (s.coeffs[1][0] + big, s.coeffs[1][1])))
+        assert residual_check(sol, 4) == math.inf
+
     def test_random_4x4_exact(self):
         rng = random.Random(73)
         for _ in range(5):
             A = random_exact_matrix(4, rng)
             sol = solve(A, (1, 0, -3, 2), QFAC3)
             assert residual_check(sol, 60) == 0.0
+
+
+def perturb_series(monkeypatch, change):
+    """Make ``IVPSolution.series`` apply ``change`` to each series it builds."""
+    series = IVPSolution.series
+
+    def perturbed(sol, order):
+        s = series(sol, order)
+        change(s)
+        return s
+
+    monkeypatch.setattr(IVPSolution, "series", perturbed)
+
+
+def random_exact_case(rng):
+    """(rows, v, kind): an n x n exact matrix, n = 1..4, that is integer,
+    fractional, complex, nilpotent or idempotent, and a vector of integer,
+    fractional, complex or zero entries."""
+    n = rng.randint(1, 4)
+
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def scalar(kind):
+        if kind == "integer":
+            return rng.randint(-4, 4)
+        if kind == "fractional":
+            return part()
+        return GaussianRational(part(), part())
+
+    kind = rng.choice(("integer", "fractional", "complex", "nilpotent", "idempotent"))
+    entries = rng.choice(("integer", "fractional", "complex"))
+    if kind in ("integer", "fractional", "complex"):
+        rows = [[scalar(kind) for _ in range(n)] for _ in range(n)]
+    elif kind == "nilpotent":
+        # strictly upper triangular up to a permutation of the basis
+        order = rng.sample(range(n), n)
+        rows = [[scalar(entries) if order[i] < order[j] else 0 for j in range(n)]
+                for i in range(n)]
+    else:
+        # the rank-one projector u w^T / (w . u)
+        while True:
+            u = [GaussianRational(0) + scalar(entries) for _ in range(n)]
+            w = [GaussianRational(0) + scalar(entries) for _ in range(n)]
+            d = sum((a * b for a, b in zip(w, u)), GaussianRational(0))
+            if d:
+                break
+        rows = [[a * b / d for b in w] for a in u]
+    vkind = rng.choice(("integer", "fractional", "complex", "zero"))
+    v = tuple(0 if vkind == "zero" else scalar(vkind) for _ in range(n))
+    return rows, v, kind
+
+
+class TestSeriesParity:
+    def test_random_cases_match_fraction_reference(self, monkeypatch):
+        # the series and its residual against plain-Fraction references, with
+        # no coefficient changed and then with one changed after it is built
+        rng = random.Random(1515)
+        change = []
+        perturb_series(monkeypatch, lambda s: [f(s) for f in change])
+
+        def set_entry(p, i, new):
+            def f(s):
+                c = list(s.coeffs[p])
+                c[i] = new(GaussianRational(*scalar_pair(c[i])))
+                s.coeffs[p] = tuple(c)
+            return f
+
+        def part():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+        kinds, shown = Counter(), 0
+        for _ in range(250):
+            rows, v, kind = random_exact_case(rng)
+            kinds[kind] += 1
+            N = rng.randint(0, 25)
+            A = CMatrix(rows)
+            sol = solve(A, v, rng.choice((FACTORIAL, QFAC2)))
+            change.clear()
+            coeffs = sol.series(N).coeffs
+            assert [[scalar_pair(x) for x in c] for c in coeffs] == \
+                reference_solution_series(rows, v, N)
+            assert residual_check(sol, N) == 0.0
+            p, i = rng.randint(0, N + 1), rng.randrange(A.n)
+            a, b = part(), part()
+            new = rng.choice((
+                lambda x: x + a,
+                lambda x: x + GaussianRational(0, a),
+                lambda x: x + GaussianRational(a, b),
+                lambda x: GaussianRational(
+                    Fraction(x.re.numerator, x.re.denominator + 1), x.im),
+            ))
+            change.append(set_entry(p, i, new))
+            want = reference_residual(rows, sol.series(N + 1).coeffs)
+            assert residual_check(sol, N) == want
+            shown += want > 0.0
+        assert min(kinds.values()) >= 30
+        assert shown >= 150
 
 
 class TestFundamentalMatrix:
