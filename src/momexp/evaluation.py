@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import EvaluationError
-from .matrices import EXACT, FLOAT, CMatrix, _block_toeplitz, require_exact
+from .matrices import EXACT, FLOAT, CMatrix, _block_toeplitz, require_exact, vec_norm
 
 CONVERGED = "converged"
 RADIUS_EXCEEDED = "radius_exceeded"
@@ -101,27 +101,34 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
     terms without a zero term it stops with ``max_terms_reached``.
     """
+    return _exp_series(A, z, seq, policy)
+
+
+def _exp_series(A, z, seq, policy, a=None, v=None):
+    """The sum of :func:`eval_exp`, or given numpy arrays a = A and v, of E(Az) v."""
     exact = A.backend == EXACT
     if exact:
         require_exact(seq, "moment sequence")
     z = require_exact(z, "z") if exact else complex(z)
-    eye = CMatrix.identity(A.n, A.backend)
     if seq.kind == "geometric":
         M = A.scale(z / seq.param)
         if _spectral_radius(M) >= 1.0:
             return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
-        return EvalReport((eye - M).inverse(), 0, 0.0, CONVERGED)
-    M = A.scale(z)
+        inv = (CMatrix.identity(A.n, A.backend) - M).inverse()
+        return EvalReport(inv if v is None else inv.rows @ v, 0, 0.0, CONVERGED)
     ratio = seq.step_ratio if exact else seq.float_step_ratio
+    if v is None:
+        M, first = A.scale(z), CMatrix.identity(A.n, A.backend)
+        size = (lambda t: float(not t.is_zero())) if exact else CMatrix.row_sum_norm
+    else:
+        M, first, size = a * z, v, (lambda t: float(any(t))) if exact else vec_norm
 
     def step(term, p):
-        return (term @ M).scale(ratio(p))
+        return (term @ M).scale(ratio(p)) if v is None else (M @ term) * ratio(p)
 
     if exact:
-        return _sum(eye, step, lambda t: float(not t.is_zero()),
-                    min(A.n, policy.max_terms))
-    return _sum(eye, step, CMatrix.row_sum_norm, policy.max_terms, policy,
-                seq.rapid_growth_declared)
+        return _sum(first, step, size, min(A.n, policy.max_terms))
+    return _sum(first, step, size, policy.max_terms, policy, seq.rapid_growth_declared)
 
 
 def delta_E(lam, h, z, seq, policy=TruncationPolicy()):

@@ -388,7 +388,7 @@ class CMatrix:
     def to_numpy(self):
         if self.backend != FLOAT:
             raise BackendMismatch("to_numpy requires the float backend")
-        return np.array([[x for x in r] for r in self.rows], dtype=complex)
+        return np.array(self.rows, dtype=complex)
 
     def to_float(self):
         """Explicit (lossy for exact) conversion to the float backend."""
@@ -867,7 +867,7 @@ def vec_scale(v, s):
 
 
 def vec_norm(v):
-    return max(abs(x) for x in v) if v else 0.0
+    return float(max(map(abs, v), default=0.0))
 
 
 # -- JSON wire format --------------------------------------------------

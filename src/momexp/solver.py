@@ -2,21 +2,25 @@
 
 The general solution is y(z) = E(Az) v_c; we anchor the constant vector at
 the origin, y(0) = v_c, since E(0) = I.  The solution carries both layers:
-the formal series with vector coefficients A^p v_c (moment basis) and a pure
-evaluation closure through :func:`momexp.evaluation.eval_exp`.
+the formal series with vector coefficients A^p v_c (moment basis) and an
+evaluation closure that sums the vector series itself, never forming E(Az).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DimensionMismatch
-from .evaluation import CONVERGED, TruncationPolicy, eval_exp
+from .evaluation import TruncationPolicy, _exp_series, eval_exp
 from .matrices import (
+    EXACT,
     infer_backend,
     krylov,
     krylov_mismatches,
     mat_vec,
+    require_exact,
     vec_norm,
     vec_scale,
     vec_sub,
@@ -27,7 +31,12 @@ from .series import MomentSeries, _check_order
 class IVPSolution:
     """y(z) = E(Az) v_c for one matrix, sequence and initial vector, on the
     backend :func:`momexp.matrices.infer_backend` decides from A and v_c, so
-    an exact A with a float v_c raises BackendMismatch here."""
+    an exact A with a float v_c raises BackendMismatch here.  ``sol(z)`` sums
+    the vector series t_0 = v_c, t_p = (Az t_{p-1}) m(p-1)/m(p) by the rules
+    of :func:`momexp.evaluation.eval_exp`: O(n^2) per term, sized by
+    ``vec_norm``, so ``terms_used`` and ``tail_estimate`` describe it; a
+    geometric m applies its Neumann form to v_c.  An exact sum ends at its
+    first zero term, by term n when v_c is in a nilpotent invariant subspace."""
 
     def __init__(self, A, v_c, seq, policy=TruncationPolicy()):
         if len(v_c) != A.n:
@@ -37,15 +46,18 @@ class IVPSolution:
         self.backend = infer_backend(A, self.v_c)
         self.seq = seq
         self.policy = policy
+        exact = self.backend == EXACT
+        self._a = np.array(A.rows, object if exact else complex)
+        self._v = np.array([*map(require_exact, v_c)] if exact else v_c, self._a.dtype)
 
     def __call__(self, z):
         """Evaluate the solution; raises EvaluationError on non-convergence."""
         return self.evaluate_report(z).require_converged()
 
     def evaluate_report(self, z):
-        rep = eval_exp(self.A, z, self.seq, self.policy)
-        if rep.status == CONVERGED:
-            rep.value = mat_vec(rep.value, self.v_c)
+        rep = _exp_series(self.A, z, self.seq, self.policy, self._a, self._v)
+        if rep.value is not None:
+            rep.value = tuple(rep.value.tolist())
         return rep
 
     def series(self, N):
@@ -119,6 +131,7 @@ def q_derivative_residual(sol, q, zs):
         z = complex(z)
         if z == 0:
             raise ValueError("q-derivative residual is undefined at z = 0")
-        dq = vec_scale(vec_sub(sol(q * z), sol(z)), 1.0 / ((q - 1.0) * z))
-        worst = max(worst, vec_norm(vec_sub(dq, mat_vec(sol.A, sol(z)))))
+        y = sol(z)
+        dq = vec_scale(vec_sub(sol(q * z), y), 1.0 / ((q - 1.0) * z))
+        worst = max(worst, vec_norm(vec_sub(dq, mat_vec(sol.A, y))))
     return worst

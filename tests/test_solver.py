@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from momexp import (
@@ -12,6 +13,7 @@ from momexp import (
     IVPSolution,
     MomentSequence,
     SingularMatrix,
+    TruncationPolicy,
     eval_exp,
     fundamental_matrix,
     mat_vec,
@@ -107,6 +109,126 @@ def entrywise_recurrence(A, v, N):
         coeffs.append(tuple(sum((A.rows[i][k] * c[k] for k in rng), GaussianRational(0))
                             for i in rng))
     return coeffs
+
+
+def matrix_path(A, z, seq, v, policy=TruncationPolicy()):
+    """E(Az) v the way ``evaluate_report`` formed it before it summed the
+    vector series: the whole matrix E(Az), then one product with v."""
+    rep = eval_exp(A, z, seq, policy)
+    if rep.status == "converged":
+        rep.value = mat_vec(rep.value, v)
+    return rep
+
+
+def peak_vector_term(A, z, seq, v, K):
+    """max over p <= K of ||(Az)^p v / m(p)||, the vector series' largest term."""
+    a, t = np.array(A.rows) * z, np.array(v, dtype=complex)
+    peak = vec_norm(t)
+    for p in range(1, K + 1):
+        t = a @ t * seq.float_step_ratio(p)
+        peak = max(peak, vec_norm(t))
+    return peak
+
+
+def random_float_case(rng, n, shape, radius):
+    """(A, v): A normal (unitary eigenvectors) or upper triangular with
+    spectral radius ``radius``, and a complex Gaussian v."""
+    def phases(k):
+        return np.exp(2j * np.pi * rng.uniform(size=k))
+
+    mu = radius * np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 1)]) * phases(n)
+    if shape == "normal":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a = (q * mu) @ q.conj().T
+    else:
+        a = np.diag(mu) + np.triu(rng.normal(size=(n, n)) * phases(n), 1) * radius / n
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return CMatrix.from_numpy(a), tuple(complex(x) for x in v)
+
+
+ONES = MomentSequence.custom(["1"] * 400, rapid_growth_declared=False)
+VECTOR_FAMILIES = {"factorial": FACTORIAL, "ml:2": ML2,
+                   "ml:3": MomentSequence.mittag_leffler(3), "qfac:2": QFAC2,
+                   "geom:2": MomentSequence.geometric(2), "custom": ONES}
+U = 2.0**-53
+
+
+class TestVectorSeries:
+    """``evaluate_report`` sums sum_p (Az)^p v_c / m(p) itself; it must give
+    the status of the matrix path E(Az) v_c and, for a converged float sum,
+    its value up to rounding: 1e-12 relative plus 100 u times the peak term
+    over the result (the cancellation the vector series carries)."""
+
+    @pytest.mark.parametrize("shape", ["normal", "triangular"])
+    @pytest.mark.parametrize("n", [1, 3, 10, 30])
+    @pytest.mark.parametrize("spec", list(VECTOR_FAMILIES))
+    def test_float_matches_matrix_path(self, spec, n, shape):
+        seq = VECTOR_FAMILIES[spec]
+        rng = np.random.default_rng([n, len(spec), shape == "normal"])
+        # |Az| inside the radius of the finite-radius families
+        radius = {"geom:2": 1.2, "custom": 0.6}.get(spec, 2.5)
+        A, v = random_float_case(rng, n, shape, radius)
+        z = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        got, want = solve(A, v, seq).evaluate_report(z), matrix_path(A, z, seq, v)
+        assert got.status == want.status == "converged"
+        assert all(type(x) is complex for x in got.value)
+        res = vec_norm(want.value)
+        peak = peak_vector_term(A, z, seq, v, got.terms_used)
+        err = vec_norm(tuple(a - b for a, b in zip(got.value, want.value)))
+        assert err <= (1e-12 + 100 * U * peak / res) * res
+
+    @pytest.mark.parametrize("rows, v, z, seq, policy, status", [
+        # geometric outside its radius, rho(Az/b) = 1.5
+        ([[3.0, 1.0], [0.0, 1.0]], (1.0, 1.0), 1.0, MomentSequence.geometric(2),
+         TruncationPolicy(), "radius_exceeded"),
+        # a summed series past its radius: five growing terms in a row
+        ([[1.5, 0.2], [0.1, -0.5]], (1.0, -2.0), 1.0, ONES, TruncationPolicy(),
+         "radius_exceeded"),
+        ([[2.0, 1.0], [-1.0, 3.0]], (1.0, 2.0), 1.5, FACTORIAL,
+         TruncationPolicy(max_terms=5), "max_terms_reached"),
+        ([[2.0, 1.0], [-1.0, 3.0]], (1.0, 2.0), 2.0, ML2,
+         TruncationPolicy(max_terms=8), "max_terms_reached"),
+        # rho < 1 but sigma_min <= 1e-12 sigma_max: the sigma rule raises
+        ([[0.5, 1e13], [0.0, 0.5]], (1.0, 1.0), 1.0, MomentSequence.geometric(1),
+         TruncationPolicy(), SingularMatrix),
+    ], ids=["geom-radius", "custom-radius", "factorial-max-terms", "ml2-max-terms",
+            "geom-sigma-rule"])
+    def test_same_failure_as_matrix_path(self, rows, v, z, seq, policy, status):
+        A = CMatrix(rows)
+        sol = solve(A, v, seq, policy)
+        if not isinstance(status, str):
+            for run in (sol.evaluate_report, lambda z: matrix_path(A, z, seq, v, policy)):
+                with pytest.raises(status):
+                    run(z)
+            return
+        assert sol.evaluate_report(z).status == matrix_path(A, z, seq, v, policy).status == status
+
+    @pytest.mark.parametrize("seq", [FACTORIAL, QFAC2, MomentSequence.geometric(3),
+                                     MomentSequence.custom(["1", "2", "5", "7", "9"], True)],
+                             ids=["factorial", "qfac:2", "geom:3", "custom"])
+    def test_exact_nilpotent_equals_matrix_path(self, seq):
+        rng = random.Random(1601)
+        for _ in range(40):
+            rows, v, kind = random_exact_case(rng)
+            while kind != "nilpotent":
+                rows, v, kind = random_exact_case(rng)
+            A = CMatrix(rows)
+            z = rng.choice((0, 1, Fraction(-3, 2), GaussianRational(Fraction(1, 2), 2)))
+            got, want = solve(A, v, seq).evaluate_report(z), matrix_path(A, z, seq, v)
+            assert got.status == want.status == "converged"
+            assert got.value == want.value
+            assert all(type(x) is GaussianRational for x in got.value)
+
+    def test_exact_nilpotent_invariant_subspace_converges(self):
+        # A v = e1 and A^2 v = 0, though A itself is not nilpotent
+        A = CMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        v, z = (0, 1, 0), Fraction(3, 2)
+        for seq in (FACTORIAL, QFAC2):  # m(1) = 1
+            rep = solve(A, v, seq).evaluate_report(z)
+            assert (rep.status, rep.value) == ("converged", (z, 1, 0))
+            assert matrix_path(A, z, seq, v).status == "max_terms_reached"
+        rep = solve(A, v, MomentSequence.custom(["1", "3", "4"], True)).evaluate_report(z)
+        assert (rep.status, rep.value, rep.terms_used) == ("converged", (Fraction(1, 2), 1, 0), 2)
 
 
 class TestExactSeries:
@@ -398,3 +520,17 @@ class TestQDerivativeResidual:
         sol = solve(CMatrix([[1.0]]), (1.0,), QFAC2)
         with pytest.raises(ValueError):
             q_derivative_residual(sol, 2, [0.0])
+
+    def test_two_evaluations_per_point(self, monkeypatch):
+        # y(qz) and y(z), with y(z) reused for A y(z)
+        sol = solve(EXAMPLE2, (1.0, -1.0, 2.0), QFAC2)
+        zs, seen = [0.1, 0.25, 0.5j], []
+        evaluate = IVPSolution.evaluate_report
+
+        def counted(self, z):
+            seen.append(z)
+            return evaluate(self, z)
+
+        monkeypatch.setattr(IVPSolution, "evaluate_report", counted)
+        assert q_derivative_residual(sol, 2, zs) <= 1e-8
+        assert Counter(seen) == Counter([complex(z) for z in zs] + [2 * z for z in zs])
