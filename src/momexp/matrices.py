@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, attrgetter, eq, mul, sub
+from operator import add, attrgetter, mul, sub
 
 import numpy as np
 
@@ -193,6 +193,11 @@ def require_exact(value, what="scalar"):
     raise BackendMismatch(f"the exact backend needs an exact {what}, got {value!r}")
 
 
+def _check_backend(backend):
+    if backend not in (EXACT, FLOAT):
+        raise ValueError(f"unknown backend {backend!r}: use {EXACT!r} or {FLOAT!r}")
+
+
 def _coerce_float(value):
     if isinstance(value, GaussianRational):
         raise BackendMismatch(
@@ -205,12 +210,16 @@ def _coerce_float(value):
 # An exact matrix is (re + i im) / den: re is an n x n tuple of int rows, im
 # is one too or None for a real matrix (never an all-zero block), den > 0,
 # and gcd(den, every numerator) == 1.  :func:`_reduced` is the one place
-# that enforces this canonical form, for matrices and for krylov's one-row
-# blocks.
+# that enforces this canonical form, for matrices and for the one-row blocks
+# of vectors, which :func:`_vec_ints` already returns in it.
 
 def _imatmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
+    """a b^T: entry (i, j) is row i of a dot row j of b."""
+    return tuple(tuple(sum(map(mul, r, c)) for c in b) for r in a)
+
+
+def _transposed(block):
+    return None if block is None else tuple(zip(*block))
 
 
 def _entrywise(op, a, b):
@@ -235,10 +244,11 @@ def _hcat(blocks):
 
 
 def _gauss_matmul(ar, ai, br, bi):
-    """Numerators (re, im) of (ar + i ai) @ (br + i bi), not reduced; the
-    factors may be rectangular, and an imaginary part of None is zero.  It
-    takes 1 integer product when both factors are real (im None), 2 when one
-    is, and 4 when both are complex."""
+    """Numerators (re, im) of (ar + i ai) (br + i bi)^T, not reduced, for
+    blocks given by rows, so ``_gauss_matmul(vr, vi, a._re, a._im)`` is
+    V a^T, row j being a v_j.  An imaginary part of None is zero; it takes
+    1 integer product when both factors are real, 2 when one is, and 4 when
+    both are complex."""
     re = _imatmul(ar, br)
     if ai is None:
         return re, None if bi is None else _imatmul(ar, bi)
@@ -308,6 +318,7 @@ class CMatrix:
             raise DimensionMismatch("matrix must be square and nonempty")
         if backend is None:
             backend = infer_backend(rows)
+        _check_backend(backend)
         if backend == EXACT:
             rows = tuple(tuple(require_exact(x) for x in r) for r in rows)
             re, im, den = _common_denominator([x for r in rows for x in r])
@@ -364,6 +375,7 @@ class CMatrix:
     def identity(cls, n, backend=EXACT):
         if n < 1:
             raise DimensionMismatch("matrix must be square and nonempty")
+        _check_backend(backend)
         if backend == EXACT:
             eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             return cls._from_ints(n, eye, None, 1)
@@ -374,6 +386,7 @@ class CMatrix:
     def zeros(cls, n, backend=EXACT):
         if n < 1:
             raise DimensionMismatch("matrix must be square and nonempty")
+        _check_backend(backend)
         if backend == EXACT:
             return cls._from_ints(n, _zeros(n), None, 1)
         return cls._from_complex([[0j] * n] * n)
@@ -414,7 +427,8 @@ class CMatrix:
         self._check(other)
         n = self.n
         if self.backend == EXACT:
-            re, im = _gauss_matmul(self._re, self._im, other._re, other._im)
+            re, im = _gauss_matmul(self._re, self._im,
+                                   _transposed(other._re), _transposed(other._im))
             return CMatrix._from_ints(n, re, im, self._den * other._den)
         bt = other.rows
         out = []
@@ -453,10 +467,10 @@ class CMatrix:
         if any(a._im is not None for a in lefts):
             ai = _hcat([_iscale(a._imag(), f) for f, a in zip(fs, lefts)])
         if any(b._im is not None for b in rights):
-            bi = tuple(chain.from_iterable(b._imag() for b in rights))
+            bi = _transposed(chain.from_iterable(b._imag() for b in rights))
         re, im = _gauss_matmul(
             _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]), ai,
-            tuple(chain.from_iterable(b._re for b in rights)), bi)
+            _transposed(chain.from_iterable(b._re for b in rights)), bi)
         return CMatrix._from_ints(n, re, im, den)
 
     def _combine(self, other, op):
@@ -749,113 +763,65 @@ def _vec_from_ints(re, im, den):
 
 
 def _vec_ints(v, n):
-    """(re, im, den): the integer numerators of an exact vector of length n
-    over one denominator, the lcm of its entries'; ``im`` is None when every
-    entry is real.  GaussianRational entries are read as they are; only a
-    vector with another kind of entry goes through :func:`require_exact`."""
+    """(re, im, den): an exact vector of length n as a one-row block of
+    integer numerators over the lcm of its entries' denominators, ``im``
+    None if all are real.  That is the canonical form of :func:`_reduced`:
+    each prime of den divides some entry's denominator fully, not its
+    numerator.  Non-GaussianRational entries go through :func:`require_exact`."""
     if len(v) != n:
         raise DimensionMismatch(f"matrix {n} vs vector {len(v)}")
     if not all(type(x) is GaussianRational for x in v):
         v = [require_exact(x, "vector entry") for x in v]
     re, im, den = _common_denominator(v)
-    return re, im if any(im) else None, den
-
-
-def _transposed(a):
-    """An exact matrix's numerator blocks (re, im) transposed, so that
-    ``_gauss_matmul(vr, vi, *_transposed(a))`` is v a^T: row j is a v_j."""
-    return tuple(zip(*a._re)), None if a._im is None else tuple(zip(*a._im))
-
-
-def _mat_vec_ints(a, cols):
-    """a v for each integer column (re, im, den) of :func:`_vec_ints`, as
-    (re, im, a._den * den), not reduced.  The k columns are the rows of one
-    k x n block V, and V a^T is one :func:`_gauss_matmul`: one integer dot
-    product per entry when a and every v are real, two when one side is,
-    four when both are complex."""
-    vi = None
-    if any(im is not None for _, im, _ in cols):
-        vi = [(0,) * a.n if im is None else im for _, im, _ in cols]
-    re, im = _gauss_matmul([re for re, _, _ in cols], vi, *_transposed(a))
-    return zip(re, repeat(None) if im is None else im, [a._den * d for _, _, d in cols])
-
-
-def mat_vecs(a, vs):
-    """[a v for v in vs] for vectors of a's backend; on the exact backend
-    all k products are one :func:`_gauss_matmul` (:func:`_mat_vec_ints`)."""
-    if a.backend != EXACT:
-        return [mat_vec(a, v) for v in vs]
-    cols = [_vec_ints(v, a.n) for v in vs]
-    return [_vec_from_ints(*c) for c in _mat_vec_ints(a, cols)]
+    return (re,), (im,) if any(im) else None, den
 
 
 def mat_vec(a, v):
-    """a v for a vector v of a's backend; on the exact backend it is
-    :func:`mat_vecs` with k = 1."""
-    if a.backend == EXACT:
-        (out,) = mat_vecs(a, [v])
-        return out
-    if len(v) != a.n:
-        raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
-    v = [_coerce_float(x) for x in v]
-    return tuple(
-        sum((row[k] * v[k] for k in range(1, a.n)), row[0] * v[0])
-        for row in a.rows
-    )
+    """a v for a vector v of a's backend: ``krylov(a, v, 1)[1]``."""
+    return krylov(a, v, 1)[1]
 
 
 def krylov(a, v, N):
-    """[v, a v, ..., a^N v], v itself first.  On the exact backend the
-    powers stay integer numerators over one denominator, as one-row blocks:
-    one common denominator for v, then per step the product v a^T
-    (:func:`_gauss_matmul`) over ``den * a._den``, put in canonical form by
-    :func:`_reduced` unless it is real over 1, so den is the least common
-    denominator the Fraction entries would have; each vector is built once
-    from them."""
+    """[v, a v, ..., a^N v], v itself first.  On the exact backend each
+    step is v a^T (:func:`_gauss_matmul`) on the one-row block of
+    :func:`_vec_ints`, over ``den * a._den`` and put in canonical form by
+    :func:`_reduced`, and each vector is built once from it; on the float
+    backend it is one complex dot product per entry."""
     if len(v) != a.n:
         raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
     out = [v]
     if a.backend != EXACT:
+        v = [_coerce_float(x) for x in v]
         for _ in range(N):
-            out.append(mat_vec(a, out[-1]))
+            v = tuple(sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in a.rows)
+            out.append(v)
         return out
-    at = _transposed(a)
     re, im, den = _vec_ints(v, a.n)
-    re, im = (re,), im and (im,)
     for _ in range(N):
-        re, im = _gauss_matmul(re, im, *at)
-        den *= a._den
-        if den != 1 or im is not None:
-            re, im, den = _reduced(re, im, den)
+        re, im, den = _reduced(*_gauss_matmul(re, im, a._re, a._im), den * a._den)
         out.append(_vec_from_ints(re[0], im and im[0], den))
     return out
-
-
-def _same_vector(x, y):
-    """Whether integer columns (re, im, den) x and y hold one vector: equal
-    numerators over equal denominators, else x_k * den_y == y_k * den_x for
-    every real and imaginary numerator."""
-    (xr, xi, xd), (yr, yi, yd) = x, y
-    if xd == yd and (xi is None) == (yi is None):
-        return xr == yr and xi == yi
-    zeros = (0,) * len(xr)
-    return all(map(eq, map(yd.__mul__, chain(xr, xi or zeros)),
-                   map(xd.__mul__, chain(yr, yi or zeros))))
 
 
 def krylov_mismatches(a, vs):
     """The pairs (vs[p + 1], a vs[p]) over p whose two vectors differ, so
     none when vs is ``krylov(a, vs[0], len(vs) - 1)``.  On the exact
-    backend each vector is read into integers once, every a vs[p] comes
-    from one :func:`_mat_vec_ints`, each pair is compared on integers
-    (:func:`_same_vector`), and a vs[p] is built as a vector only for a
-    pair that differs."""
+    backend all a vs[p] are one :func:`_gauss_matmul` of the stacked blocks
+    of :func:`_vec_ints`, a pair differs when its two canonical (re, im,
+    den) triples do, and a vs[p] is built as a vector only then."""
     if a.backend != EXACT:
-        return [(v, av) for v, av in zip(vs[1:], mat_vecs(a, vs[:-1])) if v != av]
+        return [(v, av) for v, u in zip(vs[1:], vs) if v != (av := mat_vec(a, u))]
     cols = [_vec_ints(v, a.n) for v in vs]
-    return [(v, _vec_from_ints(*av))
-            for v, col, av in zip(vs[1:], cols[1:], _mat_vec_ints(a, cols[:-1]))
-            if not _same_vector(col, av)]
+    vi = None
+    if any(im is not None for _, im, _ in cols[:-1]):
+        vi = [(0,) * a.n if im is None else im[0] for _, im, _ in cols[:-1]]
+    re, im = _gauss_matmul([re for (re,), _, _ in cols[:-1]], vi, a._re, a._im)
+    out = []
+    for v, col, (_, _, den), r, i in zip(vs[1:], cols[1:], cols, re, im or repeat(None)):
+        (r,), i, den = av = _reduced((r,), i and (i,), den * a._den)
+        if av != col:
+            out.append((v, _vec_from_ints(r, i and i[0], den)))
+    return out
 
 
 def vec_sub(u, v):

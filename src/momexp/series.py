@@ -75,6 +75,7 @@ def exp_series(A, seq, N):
 def unit_series(seq, N, like):
     """The multiplicative unit: c_0 = I (or 1), all other coefficients zero,
     in the shape and backend of the matrix or scalar ``like``."""
+    _check_order(N)
     if isinstance(like, CMatrix):
         one = CMatrix.identity(like.n, like.backend)
         zero = CMatrix.zeros(like.n, like.backend)

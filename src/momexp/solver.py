@@ -63,7 +63,7 @@ class IVPSolution:
     def series(self, N):
         """Vector-coefficient series: c_p = A^p v_c, p <= N, c_0 = v_c itself,
         from :func:`momexp.matrices.krylov`; on the exact backend the c_p stay
-        integer numerator columns until each is built once."""
+        one-row integer blocks until each is built once."""
         _check_order(N)
         return MomentSeries(self.seq, krylov(self.A, self.v_c, N))
 
@@ -79,11 +79,11 @@ def solve(A, v_c, seq, policy=TruncationPolicy()):
 
 def residual_check(sol, N):
     """Largest coefficient norm of (moment derivative of y) - A y through
-    order N: c_{p+1} - A c_p over p <= N, the c_p from ``sol.series(N + 1)``
-    and A c_0 ... A c_N from one block product
-    (:func:`momexp.matrices.krylov_mismatches`).  An equal pair adds 0.0 and
-    only a differing one is normed; a difference past the float range gives
-    ``math.inf``.
+    order N: c_{p+1} - A c_p over p <= N, the c_p from ``sol.series(N + 1)``.
+    :func:`momexp.matrices.krylov_mismatches` forms A c_0 ... A c_N in one
+    block product and returns only the pairs whose canonical integer forms
+    differ, so an equal pair adds 0.0 and only a differing one is normed; a
+    difference past the float range gives ``math.inf``.
 
     This is a consistency identity, not a test of the series: since the
     series is built as c_{p+1} = A c_p, the exact result is zero by
@@ -126,6 +126,8 @@ def q_derivative_residual(sol, q, zs):
     coefficient shift.  z = 0 is excluded (removable singularity).
     """
     q = float(q)
+    if q == 1:
+        raise ValueError("the q-difference needs q != 1")
     worst = 0.0
     for z in zs:
         z = complex(z)

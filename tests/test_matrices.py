@@ -12,6 +12,7 @@ from momexp import (
     DimensionMismatch,
     GaussianRational,
     SingularMatrix,
+    assemble_jordan,
     mat_pow,
     mat_vec,
     matrix_from_json,
@@ -23,10 +24,8 @@ from momexp.matrices import (
     _gauss_matmul,
     _is_zero,
     _reduced,
-    _same_vector,
     krylov,
     krylov_mismatches,
-    mat_vecs,
     scalar_from_json,
 )
 
@@ -140,15 +139,16 @@ class TestMatMul:
             assert got._key() == want._key()
 
     def test_gauss_matmul_real_rectangular(self):
+        # both factors by rows: entry (i, j) is row i of a dot row j of b
         rng = random.Random(11)
         ar = tuple(tuple(rng.randint(-5, 5) for _ in range(6)) for _ in range(2))
-        br = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(6))
-        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 2,) * 6
+        br = tuple(tuple(rng.randint(-5, 5) for _ in range(6)) for _ in range(3))
+        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 6,) * 3
         re, im = _gauss_matmul(ar, zero_a, br, zero_b)
         assert re == tuple(
-            tuple(sum(ar[i][k] * br[k][j] for k in range(6)) for j in range(2))
+            tuple(sum(ar[i][k] * br[j][k] for k in range(6)) for j in range(3))
             for i in range(2))
-        assert im == ((0, 0), (0, 0))
+        assert im == ((0, 0, 0), (0, 0, 0))
 
     def test_gauss_matmul_one_complex_side(self, monkeypatch):
         rng = random.Random(12)
@@ -156,8 +156,8 @@ class TestMatMul:
         def block(rows, cols):
             return tuple(tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows))
 
-        ar, ai, br, bi = block(2, 6), block(2, 6), block(6, 3), block(6, 3)
-        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 3,) * 6
+        ar, ai, br, bi = block(2, 6), block(2, 6), block(3, 6), block(3, 6)
+        zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 6,) * 3
         products = []
         imatmul = matrices._imatmul
         monkeypatch.setattr(matrices, "_imatmul",
@@ -334,6 +334,15 @@ class TestEmptyShapes:
         with pytest.raises(DimensionMismatch):
             CMatrix.zeros(n, backend)
 
+    @pytest.mark.parametrize("backend", ["bogus", "Exact", "exakt", ""])
+    def test_unknown_backend_rejected(self, backend):
+        for make in (lambda: CMatrix([[1, 2], [3, 4]], backend),
+                     lambda: CMatrix.identity(2, backend),
+                     lambda: CMatrix.zeros(2, backend),
+                     lambda: assemble_jordan([(2, 2)], backend)):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make()
+
 
 class TestMatVec:
     def test_exact_matrix_takes_int_vector(self):
@@ -346,6 +355,7 @@ class TestMatVec:
             mat_vec(EXAMPLE1.to_float(), (GaussianRational(1), 2, 3))
 
     def test_block_is_one_mat_vec_per_column(self):
+        # krylov_mismatches multiplies every vs[p] in one block product
         rng = random.Random(23)
 
         def part():
@@ -359,19 +369,20 @@ class TestMatVec:
             for cplx in (False, True):
                 a = CMatrix([[scalar(cplx) for _ in range(n)] for _ in range(n)])
                 assert a._den != 1
-                # columns over different denominators, real and complex,
+                # vectors over different denominators, real and complex,
                 # plus an int and a zero vector
                 vs = [tuple(scalar(k % 2) for _ in range(n)) for k in range(5)]
                 vs += [tuple(range(1, n + 1)), (0,) * n]
-                block = mat_vecs(a, vs)
-                assert block == [mat_vec(a, v) for v in vs]
-                assert block == [
+                products = [
                     tuple(sum((a.rows[i][k] * v[k] for k in range(n)), GaussianRational(0))
                           for i in range(n))
                     for v in vs
                 ]
-                assert mat_vecs(a, vs[:1]) == [mat_vec(a, vs[0])]
-                assert mat_vecs(a, []) == []
+                assert [mat_vec(a, v) for v in vs] == products
+                assert krylov_mismatches(a, vs) == [
+                    (w, av) for w, av in zip(vs[1:], products) if w != av]
+                assert krylov_mismatches(a, [vs[0], products[0]]) == []
+                assert krylov_mismatches(a, vs[:1]) == krylov_mismatches(a, []) == []
 
     def test_fraction_constructor_matches_fraction(self):
         # the unchecked constructor writes Fraction's own slots: the result must
@@ -399,24 +410,45 @@ class TestMatVec:
         with pytest.raises(DimensionMismatch):
             krylov_mismatches(EXAMPLE1, [(1, 2, 3), (1, 2)])
 
-    def test_same_vector_cross_multiplies(self):
-        # numerators over different denominators, and an all-zero imaginary
-        # block against None
-        assert _same_vector(((1, -2), None, 3), ((2, -4), (0, 0), 6))
-        assert _same_vector(((1, -2), (0, 5), 3), ((1, -2), (0, 5), 3))
-        assert not _same_vector(((1, -2), None, 3), ((1, -2), None, 4))
-        assert not _same_vector(((2, -4), (0, 1), 6), ((1, -2), None, 3))
-        assert not _same_vector(((1, -2), (0, 1), 3), ((1, -2), (1, 0), 3))
+        # pairs that one canonical (re, im, den) comparison must decide
+        third = Fraction(1, 3)
+        d = CMatrix.identity(2).scale(Fraction(2, 3))
+        iI = CMatrix.identity(2).scale(i)
+        same = [
+            # unreduced A c_p = (2, -4)/6 shares the factor 2 with its denominator
+            (d, (Fraction(1, 2), -1), (third, -2 * third)),
+            # A c_p has an all-zero imaginary block, c_{p+1} none
+            (iI, (i * third, -2 * i * third), (-third, 2 * third)),
+        ]
+        differ = [
+            # equal numerators over different denominators
+            (d, (Fraction(1, 2), -1), (Fraction(1, 4), Fraction(-1, 2))),
+            # equal real parts, imaginary parts differ
+            (iI, (-i * third, (1 + 2 * i) * third), ((1 + i) * third, -2 * third)),
+            # equal real parts, one side real
+            (iI, (-i * third, (1 + 2 * i) * third), (third, -2 * third)),
+        ]
+        for a, u, w in same:
+            assert mat_vec(a, u) == w
+            assert krylov_mismatches(a, [u, w]) == []
+        for a, u, w in differ:
+            assert krylov_mismatches(a, [u, w]) == [(w, mat_vec(a, u))]
 
     def test_block_errors(self):
         with pytest.raises(DimensionMismatch):
-            mat_vecs(EXAMPLE1, [(1, 2, 3), (1, 2)])
+            mat_vec(EXAMPLE1, (1, 2))
+        with pytest.raises(DimensionMismatch):
+            mat_vec(EXAMPLE1.to_float(), (1.0, 2.0))
+        with pytest.raises(DimensionMismatch):
+            krylov_mismatches(EXAMPLE1.to_float(), [(1.0, 2.0), (1.0, 2.0, 3.0)])
         with pytest.raises(BackendMismatch):
-            mat_vecs(EXAMPLE1, [(1, 2, 3), (1.0, 2, 3)])
+            krylov_mismatches(EXAMPLE1, [(1, 2, 3), (1.0, 2, 3)])
         with pytest.raises(BackendMismatch):
-            mat_vecs(EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (GaussianRational(1), 2, 3)])
-        vs = [(1.0, 2.0, 3.0), (0.5j, -1.0, 2.0)]
-        assert mat_vecs(EXAMPLE1.to_float(), vs) == [mat_vec(EXAMPLE1.to_float(), v) for v in vs]
+            krylov_mismatches(EXAMPLE1.to_float(), [(GaussianRational(1), 2, 3), (1.0, 2.0, 3.0)])
+        f, vs = EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (0.5j, -1.0, 2.0)]
+        products = [tuple(sum(r[k] * v[k] for k in range(3)) for r in f.rows) for v in vs]
+        assert [mat_vec(f, v) for v in vs] == products
+        assert krylov_mismatches(f, vs) == [(vs[1], products[0])]
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -69,6 +69,18 @@ class TestMomentDerivative:
             moment_derivative(s)
 
 
+@pytest.mark.parametrize("build", [
+    lambda N: exp_series(CMatrix.identity(2), FACTORIAL, N),
+    lambda N: inverse_series(CMatrix.identity(2), FACTORIAL, N),
+    lambda N: phi_coefficients(FACTORIAL, N),
+    lambda N: unit_series(FACTORIAL, N, CMatrix.identity(2)),
+    lambda N: unit_series(FACTORIAL, N, Fraction(1)),
+], ids=["exp_series", "inverse_series", "phi_coefficients", "unit_matrix", "unit_scalar"])
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build(-3)
+
+
 class TestCauchyProduct:
     def test_unit_is_identity(self):
         A = CMatrix([[1, 1], [0, 2]])

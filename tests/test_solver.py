@@ -521,6 +521,11 @@ class TestQDerivativeResidual:
         with pytest.raises(ValueError):
             q_derivative_residual(sol, 2, [0.0])
 
+    def test_q_one_rejected(self):
+        sol = solve(CMatrix([[1.0]]), (1.0,), QFAC2)
+        with pytest.raises(ValueError, match="q != 1"):
+            q_derivative_residual(sol, 1, [0.3])
+
     def test_two_evaluations_per_point(self, monkeypatch):
         # y(qz) and y(z), with y(z) reused for A y(z)
         sol = solve(EXAMPLE2, (1.0, -1.0, 2.0), QFAC2)
