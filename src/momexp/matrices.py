@@ -243,19 +243,18 @@ def _hcat(blocks):
     return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
 
 
-def _gauss_matmul(ar, ai, br, bi):
-    """Numerators (re, im) of (ar + i ai) (br + i bi)^T, not reduced, for
-    blocks given by rows, so ``_gauss_matmul(vr, vi, a._re, a._im)`` is
-    V a^T, row j being a v_j.  An imaginary part of None is zero; it takes
-    1 integer product when both factors are real, 2 when one is, and 4 when
-    both are complex."""
-    re = _imatmul(ar, br)
+def _gauss(prod, ar, ai, br, bi):
+    """Numerators (re, im) of (ar + i ai)(br + i bi), not reduced, under the
+    real product ``prod``: :func:`_imatmul` of blocks by rows (a b^T), or
+    :func:`_iscale` by an integer.  An imaginary part of None is zero, so it
+    takes 1 product when both factors are real, 2 when one is, else 4."""
+    re = prod(ar, br)
     if ai is None:
-        return re, None if bi is None else _imatmul(ar, bi)
+        return re, None if bi is None else prod(ar, bi)
     if bi is None:
-        return re, _imatmul(ai, br)
-    return (_entrywise(sub, re, _imatmul(ai, bi)),
-            _entrywise(add, _imatmul(ar, bi), _imatmul(ai, br)))
+        return re, prod(ai, br)
+    return (_entrywise(sub, re, prod(ai, bi)),
+            _entrywise(add, prod(ar, bi), prod(ai, br)))
 
 
 def _reduced(re, im, den):
@@ -427,8 +426,8 @@ class CMatrix:
         self._check(other)
         n = self.n
         if self.backend == EXACT:
-            re, im = _gauss_matmul(self._re, self._im,
-                                   _transposed(other._re), _transposed(other._im))
+            re, im = _gauss(_imatmul, self._re, self._im,
+                            _transposed(other._re), _transposed(other._im))
             return CMatrix._from_ints(n, re, im, self._den * other._den)
         bt = other.rows
         out = []
@@ -468,8 +467,8 @@ class CMatrix:
             ai = _hcat([_iscale(a._imag(), f) for f, a in zip(fs, lefts)])
         if any(b._im is not None for b in rights):
             bi = _transposed(chain.from_iterable(b._imag() for b in rights))
-        re, im = _gauss_matmul(
-            _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]), ai,
+        re, im = _gauss(
+            _imatmul, _hcat([_iscale(a._re, f) for f, a in zip(fs, lefts)]), ai,
             _transposed(chain.from_iterable(b._re for b in rights)), bi)
         return CMatrix._from_ints(n, re, im, den)
 
@@ -506,14 +505,7 @@ class CMatrix:
         if self.backend == EXACT:
             # s = (sr + i si) / q over the lcm of its two denominators
             (sr,), (si,), q = _common_denominator([require_exact(s)])
-            re = _iscale(self._re, sr)
-            im = None if self._im is None else _iscale(self._im, sr)
-            if si:
-                if im is None:
-                    im = _iscale(self._re, si)
-                else:
-                    re = _entrywise(sub, re, _iscale(self._im, si))
-                    im = _entrywise(add, im, _iscale(self._re, si))
+            re, im = _gauss(_iscale, self._re, self._im, sr, si or None)
             return CMatrix._from_ints(self.n, re, im, self._den * q)
         s = complex(s)
         return CMatrix._from_complex([a * s for a in r] for r in self.rows)
@@ -542,12 +534,9 @@ class CMatrix:
     def row_sum_norm(self):
         """Max row sum of entry moduli; normalized and submultiplicative."""
         if self.backend == EXACT:
-            d = self._den
-            # int / int is correctly rounded, as float(Fraction) is
-            return max(
-                sum(math.hypot(a / d, b / d) for a, b in zip(ra, ia))
-                for ra, ia in zip(self._re, self._imag())
-            )
+            # math.hypot, not abs(complex): libm's hypot can differ in the last bit
+            rows = self.to_float().rows
+            return max(sum(math.hypot(x.real, x.imag) for x in r) for r in rows)
         return max(sum(abs(x) for x in r) for r in self.rows)
 
     # -- elimination --------------------------------------------------
@@ -555,8 +544,8 @@ class CMatrix:
     def _int_rows(self, augment=()):
         """Mutable copies of the numerator rows for :func:`bareiss`, each
         followed by its row of ``augment``; ``im`` is None for a real matrix."""
-        augment = augment or [[]] * self.n
-        re = [list(r) + a for r, a in zip(self._re, augment)]
+        augment = augment or ((),) * self.n
+        re = [list(r + a) for r, a in zip(self._re, augment)]
         if self._im is None:
             return re, None
         return re, [list(r) + [0] * len(a) for r, a in zip(self._im, augment)]
@@ -564,26 +553,16 @@ class CMatrix:
     def inverse(self):
         n = self.n
         if self.backend == EXACT:
-            eye = [[int(i == j) for j in range(n)] for i in range(n)]
-            re, im = self._int_rows(eye)
+            re, im = self._int_rows(CMatrix.identity(n)._re)
             pivots, (dr, di), _ = bareiss(re, im, n)
             if len(pivots) < n:
                 raise SingularMatrix("matrix is singular at the working precision")
             # rows end as [d I | X] with X A_int = d I, and A = A_int / _den,
-            # so A^{-1} = _den X / d
-            xr = [r[n:] for r in re]
-            xi = None if im is None else [r[n:] for r in im]
-            if di:  # X / d = X conj(d) / |d|^2
-                xr, xi = (
-                    [[a * dr + b * di for a, b in zip(ra, ia)] for ra, ia in zip(xr, xi)],
-                    [[b * dr - a * di for a, b in zip(ra, ia)] for ra, ia in zip(xr, xi)],
-                )
-                dr = dr * dr + di * di
-            f = self._den if dr > 0 else -self._den
-            return CMatrix._from_ints(
-                n, tuple(tuple(f * v for v in r) for r in xr),
-                None if xi is None else tuple(tuple(f * v for v in r) for r in xi),
-                abs(dr))
+            # so A^{-1} = _den X / d = _den X conj(d) / |d|^2
+            xr = tuple(tuple(r[n:]) for r in re)
+            xi = None if im is None else tuple(tuple(r[n:]) for r in im)
+            re, im = _gauss(_iscale, xr, xi, self._den * dr, -self._den * di or None)
+            return CMatrix._from_ints(n, re, im, dr * dr + di * di)
         a = self.to_numpy()
         if _float_singular(a):
             raise SingularMatrix("matrix is singular at the working precision")
@@ -722,8 +701,6 @@ def bareiss(re, im, ncols):
 
 def gaussian_quotient(ar, ai, dr, di):
     """The GaussianRational (ar + i ai) / (dr + i di) of Gaussian integers."""
-    if di == 0:
-        return GaussianRational(Fraction(ar, dr), Fraction(ai, dr))
     nq = dr * dr + di * di
     return GaussianRational(
         Fraction(ar * dr + ai * di, nq), Fraction(ai * dr - ar * di, nq))
@@ -776,6 +753,13 @@ def _vec_ints(v, n):
     return (re,), (im,) if any(im) else None, den
 
 
+def _vec_floats(v, n):
+    """A float vector of length n as a tuple of :func:`_coerce_float` entries."""
+    if len(v) != n:
+        raise DimensionMismatch(f"matrix {n} vs vector {len(v)}")
+    return tuple(map(_coerce_float, v))
+
+
 def mat_vec(a, v):
     """a v for a vector v of a's backend: ``krylov(a, v, 1)[1]``."""
     return krylov(a, v, 1)[1]
@@ -783,22 +767,20 @@ def mat_vec(a, v):
 
 def krylov(a, v, N):
     """[v, a v, ..., a^N v], v itself first.  On the exact backend each
-    step is v a^T (:func:`_gauss_matmul`) on the one-row block of
+    step is v a^T (:func:`_gauss`) on the one-row block of
     :func:`_vec_ints`, over ``den * a._den`` and put in canonical form by
     :func:`_reduced`, and each vector is built once from it; on the float
-    backend it is one complex dot product per entry."""
-    if len(v) != a.n:
-        raise DimensionMismatch(f"matrix {a.n} vs vector {len(v)}")
+    backend it is one complex dot product per entry on :func:`_vec_floats`."""
     out = [v]
     if a.backend != EXACT:
-        v = [_coerce_float(x) for x in v]
+        v = _vec_floats(v, a.n)
         for _ in range(N):
             v = tuple(sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in a.rows)
             out.append(v)
         return out
     re, im, den = _vec_ints(v, a.n)
     for _ in range(N):
-        re, im, den = _reduced(*_gauss_matmul(re, im, a._re, a._im), den * a._den)
+        re, im, den = _reduced(*_gauss(_imatmul, re, im, a._re, a._im), den * a._den)
         out.append(_vec_from_ints(re[0], im and im[0], den))
     return out
 
@@ -806,16 +788,19 @@ def krylov(a, v, N):
 def krylov_mismatches(a, vs):
     """The pairs (vs[p + 1], a vs[p]) over p whose two vectors differ, so
     none when vs is ``krylov(a, vs[0], len(vs) - 1)``.  On the exact
-    backend all a vs[p] are one :func:`_gauss_matmul` of the stacked blocks
+    backend all a vs[p] are one :func:`_gauss` of the stacked blocks
     of :func:`_vec_ints`, a pair differs when its two canonical (re, im,
-    den) triples do, and a vs[p] is built as a vector only then."""
+    den) triples do, and a vs[p] is built as a vector only then.  On the
+    float backend every vector is read by :func:`_vec_floats`."""
     if a.backend != EXACT:
-        return [(v, av) for v, u in zip(vs[1:], vs) if v != (av := mat_vec(a, u))]
+        cols = [_vec_floats(v, a.n) for v in vs]
+        return [(v, av) for v, u, w in zip(vs[1:], cols, cols[1:])
+                if w != (av := mat_vec(a, u))]
     cols = [_vec_ints(v, a.n) for v in vs]
     vi = None
     if any(im is not None for _, im, _ in cols[:-1]):
         vi = [(0,) * a.n if im is None else im[0] for _, im, _ in cols[:-1]]
-    re, im = _gauss_matmul([re for (re,), _, _ in cols[:-1]], vi, a._re, a._im)
+    re, im = _gauss(_imatmul, [re for (re,), _, _ in cols[:-1]], vi, a._re, a._im)
     out = []
     for v, col, (_, _, den), r, i in zip(vs[1:], cols[1:], cols, re, im or repeat(None)):
         (r,), i, den = av = _reduced((r,), i and (i,), den * a._den)

@@ -123,6 +123,24 @@ class TestEval:
         got = matrix_from_json(doc["value"])
         assert (got - matrix_from_json(series["value"])).row_sum_norm() <= 1e-12
 
+    @pytest.mark.parametrize("argv, status", [
+        (["--moment", "geom:2"], "radius_exceeded"),
+        (["--moment", "factorial", "--z", "3", "--max-terms", "6"], "max_terms_reached"),
+    ], ids=["radius_exceeded", "max_terms_reached"])
+    def test_both_paths_when_one_does_not_converge(self, capsys, tmp_path, argv, status):
+        path = write_matrix(tmp_path, "A.json", CMatrix([[3.0, 1], [0, -1]]))
+        code, doc = run(capsys, "eval", "--matrix", path, *argv, "--path", "both")
+        assert code == 3  # and stdout is one JSON document
+        assert doc["status"] == status and doc["discrepancy"] is None
+        if status == "radius_exceeded":
+            assert doc["value"] is None
+
+    def test_divergent_sum_exit_3(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "A.json", CMatrix([[300.0, 0], [0, 1]]))
+        code, doc = run(capsys, "eval", "--matrix", path, "--moment", "factorial")
+        assert code == 3
+        assert doc["status"] == "aborted_divergent" and doc["value"] is None
+
     def test_deterministic_output(self, capsys, example1):
         argv = ["eval", "--matrix", example1, "--moment", "factorial"]
         main(argv)

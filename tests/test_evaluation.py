@@ -121,6 +121,16 @@ class TestEvalExp:
         assert rep.tail_estimate == 0.0
         assert rep.value == CMatrix([[1.0, 1, 3.5], [0, 1, 3], [0, 0, 1]])
 
+    def test_divergent_sum_aborts(self):
+        # the terms pass the divergence guard before they start to shrink
+        rep = scalar_exp(600, 1.0, FACTORIAL)
+        assert (rep.status, rep.terms_used) == ("aborted_divergent", 78)
+        assert rep.value is None and rep.tail_estimate == math.inf
+        rep = eval_exp(CMatrix([[300.0, 0], [0, 1]]), 1.0, FACTORIAL)
+        assert rep.status == "aborted_divergent" and rep.value is None
+        with pytest.raises(EvaluationError):
+            rep.require_converged()
+
     def test_exact_matrix_with_float_sequence_rejected(self):
         with pytest.raises(BackendMismatch):
             eval_exp(CMatrix.identity(2), 1, ML2)
@@ -202,6 +212,20 @@ class TestDeltaE:
         assert rep.status == "converged" and rep.terms_used == 1
         assert want > 1e-200 and rep.value.imag == 0.0
         assert math.isclose(rep.value.real, want, rel_tol=1e-10)
+
+    def test_zero_z_past_moment_range(self):
+        # 200! is past the float range, and z^h / m(h) at z = 0 is 0
+        rep = delta_E(0.5, 200, 0.0, FACTORIAL)
+        assert rep.status == "converged" and rep.value == 0
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (-2, 1), (0, 7)])
+    def test_complex_quotient_past_moment_range(self, a, b):
+        # with lam = 0 the value is its first term z^200 / 200!, which takes
+        # the phase of z^200 from (z / |z|)^200
+        rep = delta_E(0, 200, complex(a, b), FACTORIAL)
+        want = complex(GaussianRational(a, b) ** 200 / math.factorial(200))
+        assert rep.status == "converged" and rep.terms_used == 1
+        assert abs(rep.value - want) <= 1e-12 * abs(want)
 
     def test_against_direct_sum(self):
         for seq in (FACTORIAL, ML2, QFAC2):

@@ -18,11 +18,12 @@ from momexp import (
     matrix_from_json,
     matrix_to_json,
 )
-from momexp import matrices
 from momexp.matrices import (
     _fraction,
-    _gauss_matmul,
+    _gauss,
+    _imatmul,
     _is_zero,
+    _iscale,
     _reduced,
     krylov,
     krylov_mismatches,
@@ -144,13 +145,18 @@ class TestMatMul:
         ar = tuple(tuple(rng.randint(-5, 5) for _ in range(6)) for _ in range(2))
         br = tuple(tuple(rng.randint(-5, 5) for _ in range(6)) for _ in range(3))
         zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 6,) * 3
-        re, im = _gauss_matmul(ar, zero_a, br, zero_b)
+        re, im = _gauss(_imatmul, ar, zero_a, br, zero_b)
         assert re == tuple(
             tuple(sum(ar[i][k] * br[j][k] for k in range(6)) for j in range(3))
             for i in range(2))
         assert im == ((0, 0, 0), (0, 0, 0))
 
-    def test_gauss_matmul_one_complex_side(self, monkeypatch):
+    @staticmethod
+    def _counting(prod):
+        products = []
+        return products, lambda a, b: products.append(1) or prod(a, b)
+
+    def test_gauss_matmul_one_complex_side(self):
         rng = random.Random(12)
 
         def block(rows, cols):
@@ -158,21 +164,36 @@ class TestMatMul:
 
         ar, ai, br, bi = block(2, 6), block(2, 6), block(3, 6), block(3, 6)
         zero_a, zero_b = ((0,) * 6,) * 2, ((0,) * 6,) * 3
-        products = []
-        imatmul = matrices._imatmul
-        monkeypatch.setattr(matrices, "_imatmul",
-                            lambda a, b: products.append(1) or imatmul(a, b))
+        products, counting = self._counting(_imatmul)
         # a real side (im None) gives what four products give on its zero block
         for left, right, count in (((ai, ai), (None, zero_b), 2),
                                    ((None, zero_a), (bi, bi), 2),
-                                   ((None, zero_a), (None, zero_b), 1)):
+                                   ((None, zero_a), (None, zero_b), 1),
+                                   ((ai, ai), (bi, bi), 4)):
             products.clear()
-            got = _gauss_matmul(ar, left[0], br, right[0])
+            got = _gauss(counting, ar, left[0], br, right[0])
             assert len(products) == count
-            re, im = _gauss_matmul(ar, left[1], br, right[1])
+            re, im = _gauss(_imatmul, ar, left[1], br, right[1])
             assert got == (re, None if _is_zero(im) else im)
-        re, im = _gauss_matmul(ar, ai, br, None)
-        assert re == imatmul(ar, br) and im == imatmul(ai, br)
+        re, im = _gauss(_imatmul, ar, ai, br, None)
+        assert re == _imatmul(ar, br) and im == _imatmul(ai, br)
+
+    def test_gauss_scales_by_a_gaussian_integer(self):
+        # under _iscale the right factor is one integer scalar sr + i si
+        rng = random.Random(13)
+        ar = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        ai = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        zero = ((0,) * 3,) * 3
+        products, counting = self._counting(_iscale)
+        for left, sr, si, count in ((None, 3, None, 1), (None, 0, -2, 2), (ai, 5, None, 2),
+                                    (ai, -4, 7, 4), (ai, 1, None, 2)):
+            products.clear()
+            re, im = _gauss(counting, ar, left, sr, si)
+            assert len(products) == count
+            want = [[complex(x, y) * complex(sr, si or 0) for x, y in zip(*rows)]
+                    for rows in zip(ar, left or zero)]
+            assert [[complex(x, y) for x, y in zip(*rows)] for rows in zip(re, im or zero)] == want
+            assert (im is None) == (left is None and si is None)
 
     def test_weighted_products_rejects_bad_input(self):
         I = CMatrix.identity(2)
@@ -445,6 +466,11 @@ class TestMatVec:
             krylov_mismatches(EXAMPLE1, [(1, 2, 3), (1.0, 2, 3)])
         with pytest.raises(BackendMismatch):
             krylov_mismatches(EXAMPLE1.to_float(), [(GaussianRational(1), 2, 3), (1.0, 2.0, 3.0)])
+        # the last vector is read as every other: by length and by backend
+        with pytest.raises(DimensionMismatch):
+            krylov_mismatches(EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (1.0, 2.0)])
+        with pytest.raises(BackendMismatch):
+            krylov_mismatches(EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (GaussianRational(4), 5, 3)])
         f, vs = EXAMPLE1.to_float(), [(1.0, 2.0, 3.0), (0.5j, -1.0, 2.0)]
         products = [tuple(sum(r[k] * v[k] for k in range(3)) for r in f.rows) for v in vs]
         assert [mat_vec(f, v) for v in vs] == products
