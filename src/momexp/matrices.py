@@ -138,7 +138,7 @@ class GaussianRational:
         return self.re != 0 or self.im != 0
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        return abs(complex(self))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -534,9 +534,7 @@ class CMatrix:
     def row_sum_norm(self):
         """Max row sum of entry moduli; normalized and submultiplicative."""
         if self.backend == EXACT:
-            # math.hypot, not abs(complex): libm's hypot can differ in the last bit
-            rows = self.to_float().rows
-            return max(sum(math.hypot(x.real, x.imag) for x in r) for r in rows)
+            return self.to_float().row_sum_norm()
         return max(sum(abs(x) for x in r) for r in self.rows)
 
     # -- elimination --------------------------------------------------
@@ -849,7 +847,13 @@ def scalar_from_json(pair):
             raise ValueError(f"zero denominator in scalar entry {pair!r}") from exc
     if not all(isinstance(x, (int, float)) for x in pair):
         raise ValueError(f"scalar parts must be numbers or 'p/q' strings, got {pair!r}")
-    return complex(float(re), float(im))
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:  # an integer past the float range
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"scalar parts must be finite floats, got {pair!r}")
+    return z
 
 
 def matrix_to_json(m):

@@ -11,8 +11,9 @@ Built-in kinds:
 * ``custom``             finite table of positive rationals
 
 ``rapid_growth_declared`` asserts liminf m(p)^{1/p} = +infinity, which makes
-the associated exponential series entire.  It is set automatically for the
-built-in kinds and must be passed explicitly for custom tables.
+the associated exponential series entire.  Each built-in kind fixes it (and
+exactness) and raises SequenceError if it is passed; a custom table must
+declare it.  ``specifier()`` reads back through ``parse_specifier``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import SequenceError
@@ -32,42 +34,52 @@ def _as_fraction(x, what):
         raise SequenceError(f"{what} must be rational, got {x!r}") from exc
 
 
+# kind: (specifier prefix, exact, rapid growth); a custom table's growth is
+# declared by its caller
+_KINDS = {
+    "factorial": ("factorial", True, True),
+    "q_factorial": ("qfac", True, True),
+    "geometric": ("geom", True, False),
+    "mittag_leffler": ("ml", False, True),
+    "custom": ("custom", True, None),
+}
+
+
 class MomentSequence:
     """Memoized positive sequence m(p) with m(0) = 1.
 
     Besides the values, an object memoizes the ratio rows of
     :meth:`ratio_row` and one row of float step ratios
-    (:meth:`float_step_ratio`), all filled under one lock.
+    (:meth:`float_step_ratio`), all filled by :meth:`_fill` under one lock.
     """
 
     def __init__(self, kind, param=None, values=None, rapid_growth_declared=None):
+        if kind not in _KINDS:
+            raise SequenceError(f"unknown sequence kind {kind!r}")
+        _, self.exact, rapid = _KINDS[kind]
+        if rapid is None and rapid_growth_declared is None:
+            raise SequenceError("custom sequences must declare rapid growth explicitly")
+        if rapid is not None and rapid_growth_declared is not None:
+            raise SequenceError(f"the growth of a {kind} sequence is fixed by its kind")
+        self.rapid_growth_declared = rapid_growth_declared if rapid is None else rapid
         self.kind = kind
         self.param = param
         self._table = ()
         self._lock = threading.Lock()
         self._rows = []  # ratio rows, see ratio_row
         self._float_ratios = [math.nan]  # see float_step_ratio; entry 0 unused
-        if kind == "factorial":
-            self.exact = True
-            default_rapid = True
-        elif kind == "q_factorial":
+        if kind == "q_factorial":
             self.param = _as_fraction(param, "q")
             if self.param <= 1:
                 raise SequenceError("q_factorial requires q > 1")
-            self.exact = True
-            default_rapid = True
         elif kind == "geometric":
             self.param = _as_fraction(param, "b")
             if self.param <= 0:
                 raise SequenceError("geometric requires b > 0")
-            self.exact = True
-            default_rapid = False
         elif kind == "mittag_leffler":
             self.param = float(param)
             if not (math.isfinite(self.param) and self.param > 0):
                 raise SequenceError("mittag_leffler requires a finite k > 0")
-            self.exact = False
-            default_rapid = True
         elif kind == "custom":
             if not values:
                 raise SequenceError("custom sequence needs a nonempty table")
@@ -76,17 +88,6 @@ class MomentSequence:
                 raise SequenceError("m(0) must equal 1")
             if any(v <= 0 for v in self._table):
                 raise SequenceError("moment values must be positive")
-            self.exact = True
-            if rapid_growth_declared is None:
-                raise SequenceError(
-                    "custom sequences must declare rapid growth explicitly"
-                )
-            default_rapid = rapid_growth_declared
-        else:
-            raise SequenceError(f"unknown sequence kind {kind!r}")
-        self.rapid_growth_declared = (
-            default_rapid if rapid_growth_declared is None else rapid_growth_declared
-        )
         self._cache = [Fraction(1) if self.exact else 1.0]
 
     # -- constructors ---------------------------------------------------
@@ -138,29 +139,36 @@ class MomentSequence:
             )
         return self._table[p]
 
+    def _fill(self, memo, p, entry):
+        """memo[p], appending entry(q) for q = len(memo)..p under the lock."""
+        with self._lock:
+            while len(memo) <= p:
+                memo.append(entry(len(memo)))
+        return memo[p]
+
     def value(self, p):
         if p < 0:
             raise ValueError("p must be nonnegative")
         if p < len(self._cache):
             return self._cache[p]
-        with self._lock:
-            while len(self._cache) <= p:
-                self._cache.append(self._compute(len(self._cache)))
-        return self._cache[p]
+        return self._fill(self._cache, p, self._compute)
 
     def ratio_row(self, p):
         """(m(p) / (m(n) m(p-n)))_{n<=p}, the weights of coefficient p of a
         moment-basis product, in the sequence's own number type (Fraction,
-        or float for mittag_leffler).  Rows are memoized on the object."""
+        or float for mittag_leffler).  Rows are memoized on the object; a
+        row whose m(p) is past the float range is formed from log_value."""
         if p < len(self._rows):
             return self._rows[p]
         self.value(p)  # fills m(0..p) first; value takes the lock itself
+        return self._fill(self._rows, p, self._ratio_row)
+
+    def _ratio_row(self, q):
         m = self._cache
-        with self._lock:
-            while len(self._rows) <= p:
-                q = len(self._rows)
-                self._rows.append(tuple(m[q] / (m[n] * m[q - n]) for n in range(q + 1)))
-        return self._rows[p]
+        if not self.exact and m[q] == math.inf:
+            lg = [self.log_value(n) for n in range(q + 1)]
+            return tuple(math.exp(lg[q] - (lg[n] + lg[q - n])) for n in range(q + 1))
+        return tuple(m[q] / (m[n] * m[q - n]) for n in range(q + 1))
 
     def step_ratio(self, p):
         """m(p-1)/m(p), computed stably (log-gamma for mittag_leffler)."""
@@ -180,15 +188,11 @@ class MomentSequence:
             return row[p]
         if p < 1:
             raise ValueError("p must be >= 1")
-        if self.exact:
-            self.value(p)  # fills m(0..p) first; value takes the lock itself
+        if not self.exact:  # step_ratio of mittag_leffler reads no moment value
+            return self._fill(row, p, self.step_ratio)
+        self.value(p)  # fills m(0..p) first; value takes the lock itself
         m = self._cache
-        with self._lock:
-            while len(row) <= p:
-                q = len(row)
-                # step_ratio of mittag_leffler reads no moment value
-                row.append(float(m[q - 1] / m[q]) if self.exact else self.step_ratio(q))
-        return row[p]
+        return self._fill(row, p, lambda q: float(m[q - 1] / m[q]))
 
     def log_value(self, p):
         if self.kind == "mittag_leffler":
@@ -197,15 +201,13 @@ class MomentSequence:
         return math.log(v.numerator) - math.log(v.denominator)
 
     def specifier(self):
-        if self.kind == "factorial":
-            return "factorial"
-        if self.kind == "mittag_leffler":
-            return f"ml:{self.param:g}"
-        if self.kind == "q_factorial":
-            return f"qfac:{self.param}"
-        if self.kind == "geometric":
-            return f"geom:{self.param}"
-        return "custom"
+        """The string :func:`parse_specifier` reads back as this sequence
+        ('custom' names no file); ``ml:k`` prints k with ``:g`` when that
+        reads back as k, else in full."""
+        prefix, k = _KINDS[self.kind][0], self.param
+        if self.kind == "mittag_leffler" and float(f"{k:g}") == k:
+            k = f"{k:g}"
+        return prefix if self.kind in ("factorial", "custom") else f"{prefix}:{k}"
 
     def _key(self):
         return self.kind, self.param, self._table
@@ -225,20 +227,16 @@ class MomentSequence:
 
 # -- growth probe -------------------------------------------------------
 
+@dataclass(frozen=True)
 class GrowthReport:
     """Result of sampling m(p)^{1/p}: smallest root, trend, radius verdict."""
 
-    def __init__(self, min_root, trend, finite_radius_suspected):
-        self.min_root = min_root
-        self.trend = trend
-        self.finite_radius_suspected = finite_radius_suspected
+    min_root: float
+    trend: str
+    finite_radius_suspected: bool
 
     def to_json(self):
-        return {
-            "min_root": self.min_root,
-            "trend": self.trend,
-            "finite_radius_suspected": self.finite_radius_suspected,
-        }
+        return asdict(self)
 
 
 def growth_probe(seq, P):
@@ -255,28 +253,21 @@ def growth_probe(seq, P):
     base = roots[-1 - window]
     rel_increase = (roots[-1] - base) / base if base > 0 else 0.0
     plateau = rel_increase < 0.01
-    return GrowthReport(
-        min_root=min(roots),
-        trend="plateau" if plateau else "increasing",
-        finite_radius_suspected=plateau,
-    )
+    return GrowthReport(min_root=min(roots), trend="plateau" if plateau else "increasing",
+                        finite_radius_suspected=plateau)
 
 
 # -- CLI specifier strings ----------------------------------------------
 
 def parse_specifier(spec):
     """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>'."""
-    if spec == "factorial":
-        return MomentSequence.factorial()
-    if spec.startswith("ml:"):
-        return MomentSequence.mittag_leffler(float(spec[3:]))
-    if spec.startswith("qfac:"):
-        return MomentSequence.q_factorial(spec[5:])
-    if spec.startswith("geom:"):
-        return MomentSequence.geometric(spec[5:])
-    if spec.startswith("custom:"):
-        return load_custom(spec[7:])
-    raise SequenceError(f"unknown moment sequence specifier {spec!r}")
+    prefix, colon, arg = spec.partition(":")
+    kind = next((k for k, row in _KINDS.items() if row[0] == prefix), None)
+    if kind is None or bool(colon) == (kind == "factorial"):
+        raise SequenceError(f"unknown moment sequence specifier {spec!r}")
+    if kind == "custom":
+        return load_custom(arg)
+    return MomentSequence(kind, arg) if colon else MomentSequence(kind)
 
 
 def load_custom(path):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,17 @@ class TestSeries:
         assert code == 0
         assert len(out["coeffs"]) == 4
 
+    def test_ml_specifier_round_trips(self, capsys, tmp_path):
+        # a sequence written into series JSON reads back as the same sequence
+        A = write_matrix(tmp_path, "A.json", CMatrix([[0.5, 0.25], [0.0, -1.0]]))
+        code, doc = run(capsys, "series", "--op", "inverse", "--matrix", A,
+                        "--moment", "ml:1.2345678", "--order", "4")
+        assert code == 0 and doc["sequence"] == "ml:1.2345678"
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps(doc))
+        code, out = run(capsys, "series", "--op", "derive", "--series", str(s_path))
+        assert code == 0 and out["sequence"] == "ml:1.2345678"
+
     def test_product(self, capsys, tmp_path):
         A = CMatrix([[1, 1], [0, 1]])
         doc = {
@@ -399,6 +411,14 @@ class TestErrors:
             ["series", "--op", "product", "--series", "{exact_ml}",
              "--series2", "{exact_ml}"],
             ["eval", "--matrix", "{bool_entry}", "--moment", "factorial"],
+            ["eval", "--matrix", "{nan_entry}", "--moment", "factorial"],
+            ["jordan", "--matrix", "{infinity_entry}"],
+            ["solve", "--matrix", "{e400_entry}", "--moment", "factorial", "--v0", "[[1,0]]",
+             "--z", "0.5"],
+            ["eval", "--matrix", "{digits401_entry}", "--moment", "factorial"],
+            ["solve", "--matrix", "{ex1}", "--moment", "factorial",
+             "--v0", "[[NaN,0],[0,0],[1,0]]", "--z", "0.5"],
+            ["verify-jordan", "--matrix", "{one}", "--decomposition", "{nan_dec}"],
         ],
         ids=[
             "inverse-without-matrix", "phi-without-moment", "derive-without-series",
@@ -412,7 +432,8 @@ class TestErrors:
             "infinite-tol", "nan-tol", "jordan-nan-tol", "jordan-infinite-tol",
             "jordan-nan-eig-tol", "jordan-negative-eig-tol", "verify-infinite-tol",
             "exact-inverse-float-sequence", "exact-product-float-sequence",
-            "bool-entry",
+            "bool-entry", "nan-entry", "infinity-entry", "1e400-entry", "401-digit-entry",
+            "nan-v0", "nan-decomposition",
         ],
     )
     def test_input_error_exit_2(self, capsys, tmp_path, example1, identity2_exact,
@@ -434,11 +455,18 @@ class TestErrors:
             "eye_dec": {"blocks": [[1, 0, 1]] * 3, "P": eye, "P_inv": eye},
             "exact_ml": {"sequence": "ml:2",
                          "coeffs": [matrix_to_json(CMatrix.identity(2))] * 3},
+            # json writes these as NaN and Infinity; 1e400 is written as text
+            "nan_entry": {"entries": [[[math.nan, 0.0]]]},
+            "infinity_entry": {"entries": [[[0.0, math.inf]]]},
+            "e400_entry": '{"entries": [[[1e400, 0]]]}',
+            "digits401_entry": {"entries": [[[10**400, 0.0]]]},
+            "nan_dec": {"blocks": [[1, 0, 1]], "P": {"entries": [[[math.nan, 0.0]]]},
+                        "P_inv": one},
         }
         files = {"ex1": example1, "exact": identity2_exact}
         for name, doc in docs.items():
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             files[name] = str(path)
         code = main([a.format(**files) for a in argv])
         out, err = capsys.readouterr()

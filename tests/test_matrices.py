@@ -241,6 +241,22 @@ class TestRowSumNorm:
             b = CMatrix([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(3)])
             assert (a @ b).row_sum_norm() <= a.row_sum_norm() * b.row_sum_norm() + 1e-12
 
+    def test_exact_matches_float(self):
+        # one modulus for both backends: an exact norm is its float copy's
+        a = CMatrix([[GaussianRational(Fraction(-3, 5), 1)]])
+        norm = a.to_float().row_sum_norm()
+        assert norm.hex() == "0x1.2a8b73e294fb4p+0"
+        assert a.row_sum_norm().hex() == norm.hex()
+        rng = random.Random(19)
+
+        def part():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = CMatrix([[GaussianRational(part(), part()) for _ in range(n)] for _ in range(n)])
+            assert a.row_sum_norm().hex() == a.to_float().row_sum_norm().hex()
+
 
 class TestInverse:
     def test_identity(self):

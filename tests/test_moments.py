@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from momexp import MomentSequence, SequenceError, growth_probe
+from momexp import MomentSequence, SequenceError, growth_probe, phi_coefficients
 from momexp.moments import load_custom, parse_specifier
 
 SPECS_WITH_FLOAT_RATIOS = ("factorial", "qfac:2", "qfac:3/2", "geom:5/3", "ml:2",
@@ -111,6 +111,21 @@ class TestValues:
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * 6
 
+    def test_ml_ratio_rows_past_gamma_range(self):
+        seq = MomentSequence.mittag_leffler(2)
+        assert seq.value(341) < math.inf == seq.value(342)
+        for q in (342, 350, 400):
+            row = seq.ratio_row(q)
+            assert len(row) == q + 1 and all(map(math.isfinite, row))
+            assert row == row[::-1] and row[0] == row[-1] == 1.0
+        # the log-gamma form agrees with the direct quotient where both exist
+        lg = [seq.log_value(n) for n in range(301)]
+        for n, direct in enumerate(seq.ratio_row(300)):
+            logged = math.exp(lg[300] - (lg[n] + lg[300 - n]))
+            assert math.isclose(logged, direct, rel_tol=1e-12)
+        phis = phi_coefficients(MomentSequence.mittag_leffler(2), 400)
+        assert not any(map(math.isnan, phis))
+
 
 class TestCustom:
     def test_m0_must_be_one(self):
@@ -152,6 +167,13 @@ class TestRapidGrowthDefaults:
         assert MomentSequence.q_factorial(2).rapid_growth_declared
         assert not MomentSequence.geometric(2).rapid_growth_declared
 
+    @pytest.mark.parametrize("kind,param", [("factorial", None), ("q_factorial", 2),
+                                            ("geometric", 2), ("mittag_leffler", 2)])
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_builtin_kind_fixes_growth(self, kind, param, declared):
+        with pytest.raises(SequenceError):
+            MomentSequence(kind, param, rapid_growth_declared=declared)
+
 
 class TestGrowthProbe:
     def test_factorial_unbounded(self):
@@ -166,6 +188,14 @@ class TestGrowthProbe:
         # oracle: [p]_2!^{1/p} keeps growing like 2^{(p-1)/2}
         report = growth_probe(MomentSequence.q_factorial(2), 32)
         assert not report.finite_radius_suspected
+
+    def test_to_json(self):
+        report = growth_probe(MomentSequence.geometric(2), 64)
+        assert report.to_json() == {"min_root": report.min_root, "trend": "plateau",
+                                    "finite_radius_suspected": True}
+        assert list(report.to_json()) == ["min_root", "trend", "finite_radius_suspected"]
+        assert growth_probe(MomentSequence.factorial(), 8).to_json() == {
+            "min_root": 1.0, "trend": "increasing", "finite_radius_suspected": False}
 
     def test_min_terms(self):
         with pytest.raises(ValueError):
@@ -188,3 +218,27 @@ class TestSpecifiers:
     def test_unknown(self):
         with pytest.raises(SequenceError):
             parse_specifier("gevrey:2")
+
+    @pytest.mark.parametrize("spec", ["factorial:", "factorial:2", "ml", "qfac", "custom"])
+    def test_colon_only_after_a_parametrized_kind(self, spec):
+        with pytest.raises(SequenceError):
+            parse_specifier(spec)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [MomentSequence.factorial(), MomentSequence.q_factorial(2),
+         MomentSequence.q_factorial(Fraction(3, 2)), MomentSequence.geometric(2),
+         MomentSequence.geometric(Fraction(5, 3)), MomentSequence.mittag_leffler(2),
+         MomentSequence.mittag_leffler(0.5), MomentSequence.mittag_leffler(1.2345678),
+         MomentSequence.mittag_leffler(1e-07), MomentSequence.mittag_leffler(3.0000001),
+         MomentSequence.mittag_leffler(1e6), MomentSequence.mittag_leffler(0.1 + 0.2)],
+        ids=repr,
+    )
+    def test_round_trip(self, seq):
+        assert parse_specifier(seq.specifier()) == seq
+
+    @pytest.mark.parametrize(
+        "spec", ["factorial", "ml:2", "ml:0.5", "ml:1e-07", "ml:1e+06", "ml:1.2345678",
+                 "qfac:2", "qfac:3/2", "geom:5/3", "geom:2"])
+    def test_printed_forms(self, spec):
+        assert parse_specifier(spec).specifier() == spec
