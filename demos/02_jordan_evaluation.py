@@ -43,7 +43,8 @@ def main():
     # the eigenvalues are known exactly.
     B = CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]])  # integer entries -> exact
     exact = jordan_decompose(B, eigenvalues_hint=[(1, 2), (2, 1)])
-    print(f"\nexact decomposition of an integer matrix: residual = {exact.residual}")
+    residual = verify_decomposition(B, exact)["residual"]
+    print(f"\nexact decomposition of an integer matrix: residual = {residual}")
     print("  blocks:", [(str(lam), size) for lam, size in exact.blocks])
 
 

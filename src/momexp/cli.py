@@ -212,7 +212,7 @@ def _cmd_jordan(args):
             "blocks": [[lam.real, lam.imag, size] for lam, size in dec.blocks],
             "P": matrix_to_json(dec.P),
             "P_inv": matrix_to_json(dec.P_inv),
-            "residual": dec.residual,
+            "residual": verify_decomposition(A, dec, tol=args.tol)["residual"],
         }
     )
     return EXIT_OK
@@ -231,7 +231,6 @@ def _cmd_verify_jordan(args):
         P=matrix_from_json(obj["P"]),
         blocks=blocks,
         P_inv=matrix_from_json(obj["P_inv"]),
-        residual=0.0,
     )
     args.inputs += [(f"--decomposition {args.decomposition}", m) for m in (dec.P, dec.P_inv)]
     result = verify_decomposition(A, dec, tol=args.tol)

@@ -11,10 +11,11 @@ elimination for exact) and a basis that takes a vector only if it is
 independent (Gram-Schmidt for float, an integer rank test for exact).  Float
 eigenvalues come from the QR iteration, clustered by a dedicated tolerance;
 exact ones are supplied by the caller (root finding itself is float-only).
-An exact chain matrix P is inverted with :meth:`CMatrix.inverse`.  A float P
-is checked, inverted and multiplied on its numpy array, under the float
-backend's relative singularity rule plus an absolute floor |det P| >= 1e-12;
-a P failing either fails the decomposition.  J is laid out by the same
+A decomposition is the chain matrix P, its blocks and P^{-1}, which
+:meth:`CMatrix.inverse` gives on both backends (for a float P under the
+backend's relative singularity rule, plus an absolute floor |det P| >= 1e-12);
+a P it rejects fails the decomposition.  Its residual ||A - P J P^{-1}|| is
+computed only by :func:`verify_decomposition`.  J is laid out by the same
 block-Toeplitz builder as E(Jz) in :mod:`momexp.evaluation`.
 
 Jordan structure is discontinuous, so all rank decisions carry explicit
@@ -38,7 +39,6 @@ from .matrices import (
     GaussianRational,
     _block_toeplitz,
     _common_denominator,
-    _float_singular,
     bareiss,
     gaussian_quotient,
     infer_backend,
@@ -55,7 +55,6 @@ class JordanDecomposition:
     P: CMatrix
     blocks: List[Tuple[complex, int]]
     P_inv: CMatrix
-    residual: float
 
     @property
     def n(self):
@@ -259,24 +258,17 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
         for chain in _chains(m, lam, mult, kernel, span):
             blocks.append((lam, len(chain)))
             cols.extend(chain)
-    if exact:
-        P = CMatrix([[v[i] for v in cols] for i in range(n)], EXACT)
-        try:
-            P_inv = P.inverse()
-        except SingularMatrix as exc:
-            raise ChainConstructionFailed(_SINGULAR_P) from exc
-        residual = (A - P @ assemble_jordan(blocks, EXACT) @ P_inv).row_sum_norm()
-    else:
-        p = np.column_stack(cols)
+    P = CMatrix([[v[i] for v in cols] for i in range(n)], A.backend)
+    try:
         # beside the relative sigma rule, a float P needs |det P| >= 1e-12, an
         # absolute floor that rejects some well-conditioned P of large n (see
         # ROADMAP)
-        if _float_singular(p) or abs(np.linalg.det(p)) < 1e-12:
-            raise ChainConstructionFailed(_SINGULAR_P)
-        p_inv = np.linalg.inv(p)
-        residual = _row_sum_norm(a - p @ assemble_jordan(blocks).to_numpy() @ p_inv)
-        P, P_inv = CMatrix.from_numpy(p), CMatrix.from_numpy(p_inv)
-    return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv, residual=residual)
+        if not exact and abs(P.det()) < 1e-12:
+            raise SingularMatrix(_SINGULAR_P)
+        P_inv = P.inverse()
+    except SingularMatrix as exc:
+        raise ChainConstructionFailed(_SINGULAR_P) from exc
+    return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv)
 
 
 def verify_decomposition(A, dec, tol=1e-8):

@@ -61,10 +61,13 @@ class MomentSequence:
             raise SequenceError("custom sequences must declare rapid growth explicitly")
         if rapid is not None and rapid_growth_declared is not None:
             raise SequenceError(f"the growth of a {kind} sequence is fixed by its kind")
+        if param is not None and kind in ("factorial", "custom"):
+            raise SequenceError(f"a {kind} sequence takes no parameter")
         self.rapid_growth_declared = rapid_growth_declared if rapid is None else rapid
         self.kind = kind
         self.param = param
         self._table = ()
+        self._path = None  # the file load_custom read the table from
         self._lock = threading.Lock()
         self._rows = []  # ratio rows, see ratio_row
         self._float_ratios = [math.nan]  # see float_step_ratio; entry 0 unused
@@ -201,15 +204,18 @@ class MomentSequence:
         return math.log(v.numerator) - math.log(v.denominator)
 
     def specifier(self):
-        """The string :func:`parse_specifier` reads back as this sequence
-        ('custom' names no file); ``ml:k`` prints k with ``:g`` when that
-        reads back as k, else in full."""
-        prefix, k = _KINDS[self.kind][0], self.param
+        """The string :func:`parse_specifier` reads back as this sequence:
+        a table read by :func:`load_custom` prints ``custom:<path>``, one
+        built in memory ``custom``, which names no file; ``ml:k`` prints k
+        with ``:g`` when that reads back as k, else in full."""
+        prefix = _KINDS[self.kind][0]
+        k = self.param if self._path is None else self._path
         if self.kind == "mittag_leffler" and float(f"{k:g}") == k:
             k = f"{k:g}"
-        return prefix if self.kind in ("factorial", "custom") else f"{prefix}:{k}"
+        return prefix if k is None else f"{prefix}:{k}"
 
     def _key(self):
+        # a custom table's file is not part of its value
         return self.kind, self.param, self._table
 
     def __eq__(self, other):
@@ -272,9 +278,11 @@ def parse_specifier(spec):
 
 def load_custom(path):
     """Load a custom sequence from a JSON list of 'p/q' strings; rapid growth
-    is not declared for it."""
+    is not declared for it.  The sequence keeps ``path`` for its specifier."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise SequenceError("custom sequence file must hold a JSON list")
-    return MomentSequence.custom(data, rapid_growth_declared=False)
+    seq = MomentSequence.custom(data, rapid_growth_declared=False)
+    seq._path = path
+    return seq

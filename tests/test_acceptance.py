@@ -33,6 +33,7 @@ from momexp import (
     recover_exponential,
     residual_check,
     solve,
+    verify_decomposition,
 )
 from helpers import random_exact_matrix, recovered_multiset, synthetic_jordan_instance
 
@@ -216,5 +217,5 @@ def test_criterion_11_jordan_recovery():
         A, expected = synthetic_jordan_instance(rng)
         dec = jordan_decompose(A)
         ok = ok and recovered_multiset(dec) == expected
-        ok = ok and dec.residual <= 1e-8
+        ok = ok and verify_decomposition(A, dec)["residual"] <= 1e-8
     _report(11, "canonical form recovered on synthetic inputs", ok)

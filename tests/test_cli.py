@@ -234,6 +234,24 @@ class TestJordan:
         assert code == 0
         assert out["ok"]
 
+    def test_residual_is_the_one_verify_jordan_reads(self, capsys, tmp_path):
+        A = write_matrix(tmp_path, "A.json", CMatrix([[0.0, 1, 1], [-1, 2, 1], [1, -1, 1]]))
+        code, doc = run(capsys, "jordan", "--matrix", A)
+        assert code == 0 and doc["P"] != matrix_to_json(CMatrix.identity(3, "float"))
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(doc))
+        code, out = run(
+            capsys, "verify-jordan", "--matrix", A, "--decomposition", str(dec_path)
+        )
+        assert code == 0 and out == {"residual": doc["residual"], "ok": True}
+
+    def test_stalled_staircase_exit_3(self, capsys, tmp_path):
+        A = write_matrix(tmp_path, "A.json", CMatrix([[1.0, 0.0], [0.0, 1.005]]))
+        code = main(["jordan", "--matrix", A])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: kernel staircase stalled") and err.count("\n") == 1
+
     def test_verify_exact_witness(self, capsys, tmp_path):
         A = write_matrix(tmp_path, "A.json", CMatrix([[1, 0, 1], [1, 2, 0], [0, 0, 1]]))
         P = CMatrix([[1, -1, 0], [-1, 0, 1], [0, 1, 0]])
@@ -331,6 +349,23 @@ class TestSeries:
         s_path.write_text(json.dumps(doc))
         code, out = run(capsys, "series", "--op", "derive", "--series", str(s_path))
         assert code == 0 and out["sequence"] == "ml:1.2345678"
+
+    def test_custom_specifier_round_trips(self, capsys, tmp_path):
+        # series JSON names the table's file, so derive and product read it back
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps(["1", "2", "6", "24", "120"]))
+        spec = f"custom:{table}"
+        A = write_matrix(tmp_path, "A.json", CMatrix([[1, 1], [0, 1]]))
+        code, doc = run(capsys, "series", "--op", "inverse", "--matrix", A,
+                        "--moment", spec, "--order", "4")
+        assert code == 0 and doc["sequence"] == spec
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps(doc))
+        code, out = run(capsys, "series", "--op", "derive", "--series", str(s_path))
+        assert code == 0 and out == {"sequence": spec, "coeffs": doc["coeffs"][1:]}
+        code, out = run(capsys, "series", "--op", "product", "--series", str(s_path),
+                        "--series2", str(s_path))
+        assert code == 0 and out["sequence"] == spec and len(out["coeffs"]) == 5
 
     def test_product(self, capsys, tmp_path):
         A = CMatrix([[1, 1], [0, 1]])

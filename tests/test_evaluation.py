@@ -292,7 +292,6 @@ class TestEvalViaJordan:
             P=CMatrix.identity(3, "float"),
             blocks=[(complex(l), 1) for l in lams],
             P_inv=CMatrix.identity(3, "float"),
-            residual=0.0,
         )
         rep = eval_via_jordan(dec, 0.7, ML2)
         for i, l in enumerate(lams):
@@ -301,7 +300,7 @@ class TestEvalViaJordan:
     def test_blocks_laid_out_on_the_diagonal(self):
         blocks = [(0.5, 2), (-1.0 + 0.5j, 1), (0.3, 3)]
         eye = CMatrix.identity(6, "float")
-        dec = JordanDecomposition(P=eye, blocks=blocks, P_inv=eye, residual=0.0)
+        dec = JordanDecomposition(P=eye, blocks=blocks, P_inv=eye)
         expected = [[0j] * 6 for _ in range(6)]
         off = 0
         for lam, size in blocks:
@@ -321,8 +320,7 @@ class TestEvalViaJordan:
         assert (first.status, first.terms_used) == ("radius_exceeded", 7)
         assert (second.status, second.terms_used) == ("max_terms_reached", 13)
         eye = CMatrix.identity(2, "float")
-        dec = JordanDecomposition(P=eye, blocks=[(2.0, 1), (0.9, 1)], P_inv=eye,
-                                  residual=0.0)
+        dec = JordanDecomposition(P=eye, blocks=[(2.0, 1), (0.9, 1)], P_inv=eye)
         rep = eval_via_jordan(dec, 1.0, ones, pol)
         assert (rep.value, rep.status, rep.terms_used) == (None, "radius_exceeded", 7)
 

@@ -10,6 +10,7 @@ from momexp import (
     BackendMismatch,
     CMatrix,
     ChainConstructionFailed,
+    DimensionMismatch,
     GaussianRational,
     eigenvalues,
     jordan_decompose,
@@ -59,20 +60,22 @@ class TestEigenvalues:
 
 class TestJordanDecompose:
     def test_example1(self):
-        dec = jordan_decompose(EXAMPLE1.to_float())
+        A = EXAMPLE1.to_float()
+        dec = jordan_decompose(A)
         assert recovered_multiset(dec) == J1_BLOCKS
-        assert dec.residual <= 1e-8
+        assert verify_decomposition(A, dec)["residual"] <= 1e-8
 
     def test_example2(self):
-        dec = jordan_decompose(EXAMPLE2.to_float())
+        A = EXAMPLE2.to_float()
+        dec = jordan_decompose(A)
         assert recovered_multiset(dec) == J2_BLOCKS
-        assert dec.residual <= 1e-8
+        assert verify_decomposition(A, dec)["residual"] <= 1e-8
 
     def test_already_diagonal(self):
         d = CMatrix([[2.0, 0, 0], [0, 5, 0], [0, 0, 7]])
         dec = jordan_decompose(d)
         assert sorted(size for _, size in dec.blocks) == [1, 1, 1]
-        assert dec.residual <= 1e-12
+        assert verify_decomposition(d, dec)["residual"] <= 1e-12
 
     def test_random_recovery(self):
         rng = random.Random(77)
@@ -80,18 +83,18 @@ class TestJordanDecompose:
             A, expected = synthetic_jordan_instance(rng)
             dec = jordan_decompose(A)
             assert recovered_multiset(dec) == expected
-            assert dec.residual <= 1e-8
+            assert verify_decomposition(A, dec)["residual"] <= 1e-8
 
     def test_float_residuals_match_cmatrix_formula(self):
-        # the float tail runs on numpy arrays; it agrees with the CMatrix
-        # products at rounding level
+        # verify_decomposition's float branch runs on numpy arrays; it agrees
+        # with the CMatrix products at rounding level
         rng = random.Random(2024)
         for _ in range(40):
             A, _ = synthetic_jordan_instance(rng)
             dec = jordan_decompose(A)
             want = (A - dec.P @ assemble_jordan(dec.blocks) @ dec.P_inv).row_sum_norm()
-            for got in (dec.residual, verify_decomposition(A, dec)["residual"]):
-                assert abs(got - want) <= 1e-13 * A.row_sum_norm()
+            got = verify_decomposition(A, dec)["residual"]
+            assert abs(got - want) <= 1e-13 * A.row_sum_norm()
 
     def test_singular_float_P_fails(self):
         # sigma rule: eigenvectors e1 and (1, 1e-13) are nearly parallel
@@ -137,7 +140,7 @@ class TestJordanDecompose:
 
     def test_exact_with_hint(self):
         dec = jordan_decompose(EXAMPLE1, eigenvalues_hint=[(1, 2), (2, 1)])
-        assert dec.residual == 0.0
+        assert verify_decomposition(EXAMPLE1, dec)["residual"] == 0.0
         assert sorted((complex(l).real, s) for l, s in dec.blocks) == [
             (1.0, 2),
             (2.0, 1),
@@ -146,6 +149,18 @@ class TestJordanDecompose:
     def test_exact_needs_exact_hint(self):
         with pytest.raises(BackendMismatch, match="eigenvalue"):
             jordan_decompose(EXAMPLE1, eigenvalues_hint=[(1.0, 2), (2, 1)])
+
+    @pytest.mark.parametrize("A,hint", [
+        (EXAMPLE1.to_float(), [(1.0, 2)]),
+        (EXAMPLE1, [(1, 2), (2, 2)]),
+    ], ids=["float", "exact"])
+    def test_multiplicities_must_sum_to_n(self, A, hint):
+        with pytest.raises(ChainConstructionFailed, match="do not sum to n=3"):
+            jordan_decompose(A, eigenvalues_hint=hint)
+
+    def test_float_size_limit(self):
+        with pytest.raises(DimensionMismatch, match="n <= 64"):
+            jordan_decompose(CMatrix.identity(65, "float"))
 
     def test_exact_wrong_hint_fails(self):
         for A, hint in [
@@ -174,16 +189,19 @@ class TestExactBackend:
         A = P1 @ assemble_jordan(J1_BLOCKS, "exact") @ P1.inverse()
         with lazy_rows_reads() as reads:
             dec = jordan_decompose(A, eigenvalues_hint=[(1, 2), (2, 1)])
-            ok = verify_decomposition(A, dec)["ok"]
+            check = verify_decomposition(A, dec)
         assert reads == []
-        assert dec.blocks == J1_BLOCKS and dec.residual == 0.0 and ok
+        assert dec.blocks == J1_BLOCKS and check == {"residual": 0.0, "ok": True}
 
 
 class TestVerifyDecomposition:
     def _known_dec(self, P, blocks):
-        return JordanDecomposition(
-            P=P, blocks=blocks, P_inv=P.inverse(), residual=0.0
-        )
+        return JordanDecomposition(P=P, blocks=blocks, P_inv=P.inverse())
+
+    def test_size_mismatch(self):
+        dec = self._known_dec(P1, J1_BLOCKS)
+        with pytest.raises(DimensionMismatch, match="decomposition is 3x3, A is 2x2"):
+            verify_decomposition(CMatrix.identity(2), dec)
 
     def test_example1_witness_exact(self):
         out = verify_decomposition(EXAMPLE1, self._known_dec(P1, J1_BLOCKS))
@@ -203,7 +221,6 @@ class TestVerifyDecomposition:
             P=bad,
             blocks=[(1.0, 2), (2.0, 1)],
             P_inv=bad.inverse(),
-            residual=0.0,
         )
         out = verify_decomposition(EXAMPLE1.to_float(), dec)
         assert not out["ok"]
@@ -218,9 +235,9 @@ class TestVerifyDecomposition:
         I = CMatrix.identity(2)
         A = CMatrix([[0, 1], [0, 0]])
         for lam in (0.0, 0j):
-            dec = JordanDecomposition(P=I, blocks=[(lam, 2)], P_inv=I, residual=0.0)
+            dec = JordanDecomposition(P=I, blocks=[(lam, 2)], P_inv=I)
             assert verify_decomposition(A, dec) == {"residual": 0.0, "ok": True}
-        dec = JordanDecomposition(P=I, blocks=[(0.5, 2)], P_inv=I, residual=0.0)
+        dec = JordanDecomposition(P=I, blocks=[(0.5, 2)], P_inv=I)
         assert not verify_decomposition(A, dec)["ok"]
 
 
@@ -228,13 +245,13 @@ class TestVerifyDecomposition:
         # P P_inv - I = diag(10^400 - 1, 0) exactly: no float, so inf and not ok
         big = CMatrix([[10**400, 0], [0, 1]])
         I = CMatrix.identity(2)
-        dec = JordanDecomposition(P=big, blocks=[(1, 1), (1, 1)], P_inv=I, residual=0.0)
+        dec = JordanDecomposition(P=big, blocks=[(1, 1), (1, 1)], P_inv=I)
         assert verify_decomposition(big, dec) == {"residual": 0.0, "ok": False}
         # A - P J P_inv = diag(10^400 - 1, 0) with P = P_inv = I
-        dec = JordanDecomposition(P=I, blocks=[(1, 1), (1, 1)], P_inv=I, residual=0.0)
+        dec = JordanDecomposition(P=I, blocks=[(1, 1), (1, 1)], P_inv=I)
         assert verify_decomposition(big, dec) == {"residual": math.inf, "ok": False}
         # an input past the float range with a valid decomposition passes
-        dec = JordanDecomposition(P=I, blocks=[(10**400, 1), (1, 1)], P_inv=I, residual=0.0)
+        dec = JordanDecomposition(P=I, blocks=[(10**400, 1), (1, 1)], P_inv=I)
         assert verify_decomposition(big, dec) == {"residual": 0.0, "ok": True}
 
 class TestAssemble:

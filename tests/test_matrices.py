@@ -56,6 +56,23 @@ class TestGaussianRational:
         assert i**2 == GaussianRational(-1)
         assert i**0 == GaussianRational(1)
 
+    def test_reflected_subtraction(self):
+        g = GaussianRational(Fraction(1, 2), 1)
+        assert 1 - g == GaussianRational(Fraction(1, 2), -1)
+        assert Fraction(1, 3) - g == GaussianRational(Fraction(-1, 6), -1)
+        with pytest.raises(TypeError):
+            0.5 - g
+
+    @pytest.mark.parametrize("value,text", [
+        (GaussianRational(5), "5"),
+        (GaussianRational(0, Fraction(2, 3)), "2/3i"),
+        (GaussianRational(0, -1), "-1i"),
+        (GaussianRational(Fraction(1, 2), 3), "1/2+3i"),
+        (GaussianRational(1, Fraction(-2, 5)), "1-2/5i"),
+    ])
+    def test_str(self, value, text):
+        assert str(value) == text
+
     def test_real_values_hash_as_their_numbers(self):
         assert len({GaussianRational(1), 1}) == 1
         assert len({GaussianRational(Fraction(1, 2)), Fraction(1, 2)}) == 1
@@ -79,6 +96,36 @@ class TestConstruction:
         a = CMatrix([[1, 0], [0, 1]])
         with pytest.raises(BackendMismatch):
             a @ a.to_float()
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matmul_operand_checks(self, backend):
+        a = CMatrix.identity(2, backend)
+        with pytest.raises(TypeError, match="expected CMatrix"):
+            a @ [[1, 0], [0, 1]]
+        with pytest.raises(DimensionMismatch):
+            a @ CMatrix.identity(3, backend)
+
+    def test_numpy_conversion_errors(self):
+        for arr in (np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0))):
+            with pytest.raises(DimensionMismatch):
+                CMatrix.from_numpy(arr)
+        with pytest.raises(BackendMismatch, match="float backend"):
+            CMatrix.identity(2).to_numpy()
+
+    def test_float_negation_keeps_signed_zeros(self):
+        m = CMatrix([[0.0, -0.0], [1.0, complex(-2.0, 0.0)]])
+        neg = [[(x.real, x.imag) for x in r] for r in (-m).rows]
+        assert [[tuple(map(str, x)) for x in r] for r in neg] == [
+            [("-0.0", "-0.0"), ("0.0", "-0.0")], [("-1.0", "-0.0"), ("2.0", "-0.0")]]
+        # x * (-1+0j) turns the imaginary -0.0 of -x into +0.0
+        scaled = m.scale(-1).rows
+        assert str(scaled[0][0].imag) == "0.0" and repr((-m).rows) != repr(scaled)
+
+    def test_float_is_zero(self):
+        assert CMatrix.zeros(2, "float").is_zero()
+        assert CMatrix([[0.0, -0.0], [complex(0.0, -0.0), 0.0]]).is_zero()
+        assert not CMatrix([[0.0, 0.0], [1e-300j, 0.0]]).is_zero()
+        assert not CMatrix.identity(2, "float").is_zero()
 
 
 class TestMatMul:
@@ -208,6 +255,11 @@ class TestMatMul:
 class TestMatPow:
     def test_zeroth_power(self):
         assert mat_pow(EXAMPLE1, 0) == CMatrix.identity(3)
+
+    @pytest.mark.parametrize("p", [-1, 1.5])
+    def test_exponent_must_be_a_nonnegative_integer(self, p):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            EXAMPLE1.pow(p)
 
     def test_example1_formula_p5(self):
         assert mat_pow(EXAMPLE1, 5) == CMatrix([[1, 0, 5], [31, 32, 26], [0, 0, 1]])

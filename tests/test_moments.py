@@ -153,6 +153,32 @@ class TestCustom:
         assert seq.value(2) == Fraction(15, 4)
 
 
+class TestInvalidSequences:
+    @pytest.mark.parametrize("build", [
+        lambda: MomentSequence("gevrey", 2),
+        lambda: MomentSequence.q_factorial(1),
+        lambda: MomentSequence.q_factorial(Fraction(1, 2)),
+        lambda: MomentSequence.geometric(0),
+        lambda: MomentSequence.geometric(-2),
+        lambda: MomentSequence.custom([], rapid_growth_declared=True),
+        lambda: MomentSequence("factorial", 5),
+        lambda: MomentSequence("custom", 5, values=["1", "2"], rapid_growth_declared=True),
+    ], ids=["unknown-kind", "q-one", "q-below-one", "b-zero", "b-negative",
+            "empty-custom-table", "factorial-parameter", "custom-parameter"])
+    def test_rejected(self, build):
+        with pytest.raises(SequenceError):
+            build()
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.value(-1),
+        lambda s: s.step_ratio(0),
+        lambda s: s.float_step_ratio(0),
+    ], ids=["value", "step_ratio", "float_step_ratio"])
+    def test_index_out_of_range(self, call):
+        with pytest.raises(ValueError):
+            call(MomentSequence.factorial())
+
+
 class TestMittagLefflerParameter:
     @pytest.mark.parametrize("k", [0, -1, math.nan, math.inf])
     def test_rejects_nonpositive_and_nonfinite(self, k):
@@ -236,6 +262,17 @@ class TestSpecifiers:
     )
     def test_round_trip(self, seq):
         assert parse_specifier(seq.specifier()) == seq
+
+    def test_custom_round_trips_through_its_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(["1", "2", "6"]))
+        seq = load_custom(path)
+        assert seq.specifier() == f"custom:{path}"
+        assert parse_specifier(seq.specifier()) == seq
+        # equality is by table values; a table built in memory names no file
+        in_memory = MomentSequence.custom(["1", "2", "6"], rapid_growth_declared=False)
+        assert in_memory == seq and hash(in_memory) == hash(seq)
+        assert in_memory.specifier() == "custom"
 
     @pytest.mark.parametrize(
         "spec", ["factorial", "ml:2", "ml:0.5", "ml:1e-07", "ml:1e+06", "ml:1.2345678",

@@ -69,6 +69,22 @@ class TestMomentDerivative:
             moment_derivative(s)
 
 
+class TestConstruction:
+    def test_no_coefficients(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            MomentSeries(FACTORIAL, [])
+
+    @pytest.mark.parametrize("coeffs", [
+        [CMatrix.identity(2), Fraction(1)],
+        [CMatrix.identity(2), CMatrix.identity(3)],
+        [(1, 2), (1, 2, 3)],
+        [(1, 2), 1],
+    ], ids=["matrix-scalar", "matrix-sizes", "vector-lengths", "vector-scalar"])
+    def test_mixed_shapes(self, coeffs):
+        with pytest.raises(DimensionMismatch, match="one shape"):
+            MomentSeries(FACTORIAL, coeffs)
+
+
 @pytest.mark.parametrize("build", [
     lambda N: exp_series(CMatrix.identity(2), FACTORIAL, N),
     lambda N: inverse_series(CMatrix.identity(2), FACTORIAL, N),
@@ -88,6 +104,21 @@ class TestCauchyProduct:
         u = unit_series(QFAC2, 6, CMatrix.identity(2))
         assert cauchy_product(s, u).coeffs == s.coeffs
         assert cauchy_product(u, s).coeffs == s.coeffs
+
+    @pytest.mark.parametrize("seq,like,coeffs", [
+        (FACTORIAL, Fraction(5, 3), [Fraction(p + 1, 3) for p in range(5)]),
+        (ML2, 2.5, [0.5 * p - 1j for p in range(5)]),
+    ], ids=["exact", "float"])
+    def test_scalar_unit_is_identity(self, seq, like, coeffs):
+        u = unit_series(seq, 4, like)
+        assert u.coeffs == [1, 0, 0, 0, 0] and u.backend == MomentSeries(seq, coeffs).backend
+        s = MomentSeries(seq, coeffs)
+        assert cauchy_product(s, u).coeffs == coeffs
+        assert cauchy_product(u, s).coeffs == coeffs
+
+    def test_vector_has_no_unit(self):
+        with pytest.raises(DimensionMismatch, match="no multiplicative unit"):
+            unit_series(FACTORIAL, 3, (1, 2))
 
     def test_commuting_arguments_commute(self):
         # A and A^2 commute; E(A)E(B) = E(B)E(A) coefficient-exact
