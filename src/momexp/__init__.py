@@ -31,6 +31,7 @@ from .evaluation import (
     norm_bound_check,
     scalar_exp,
 )
+from .exact import GaussianRational
 from .jordan import (
     JordanDecomposition,
     assemble_jordan,
@@ -40,7 +41,6 @@ from .jordan import (
 )
 from .matrices import (
     CMatrix,
-    GaussianRational,
     mat_pow,
     mat_vec,
     matrix_from_json,

@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -32,6 +33,7 @@ from .evaluation import (
 from .jordan import JordanDecomposition, jordan_decompose, verify_decomposition
 from .matrices import (
     EXACT,
+    CMatrix,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
@@ -77,14 +79,19 @@ def _read_matrix(args):
 
 
 def _past_float_range(inputs):
-    """Name the first entry of an input matrix that has no float, or None."""
-    for source, m in inputs:
-        for i, row in enumerate(m.rows):
-            for j, x in enumerate(row):
-                try:
-                    complex(x)
-                except OverflowError:
-                    return f"entry ({i}, {j}) of {source} is past the float range"
+    """Name the first entry of an input matrix or vector that has no float,
+    or None."""
+    for source, value in inputs:
+        if isinstance(value, CMatrix):
+            entries = (((i, j), x) for i, row in enumerate(value.rows)
+                       for j, x in enumerate(row))
+        else:
+            entries = enumerate(value)
+        for index, x in entries:
+            try:
+                complex(x)
+            except OverflowError:
+                return f"entry {index} of {source} is past the float range"
     return None
 
 
@@ -99,10 +106,13 @@ def _series_to_json(s):
     }
 
 
-def _series_from_json(obj):
+def _series_from_json(path):
+    """The series in the JSON file ``path``; a relative ``custom:<path>`` in
+    it names a table beside that file."""
+    obj = _load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise ValueError("series JSON must be an object with a 'coeffs' list")
-    seq = parse_specifier(obj["sequence"])
+    seq = parse_specifier(obj["sequence"], os.path.dirname(path))
     coeffs = [matrix_from_json(c) for c in obj["coeffs"]]
     return MomentSeries(seq, coeffs)
 
@@ -172,6 +182,7 @@ def _cmd_solve(args):
     A = _read_matrix(args)
     seq = parse_specifier(args.moment)
     v0 = vector_from_json(json.loads(args.v0))
+    args.inputs.append(("--v0", v0))
     policy = _policy(args)
     # an exact matrix goes to floats only for --z or --check qres, so one
     # past the float range still has its exact residual
@@ -251,11 +262,11 @@ def _cmd_series(args):
     if missing:
         raise ValueError(f"--op {args.op} needs {' and '.join(missing)}")
     if args.op == "derive":
-        out = moment_derivative(_series_from_json(_load_json(args.series)))
+        out = moment_derivative(_series_from_json(args.series))
         _emit(_series_to_json(out))
     elif args.op == "product":
-        s1 = _series_from_json(_load_json(args.series))
-        s2 = _series_from_json(_load_json(args.series2))
+        s1 = _series_from_json(args.series)
+        s2 = _series_from_json(args.series2)
         _emit(_series_to_json(cauchy_product(s1, s2)))
     elif args.op == "inverse":
         A = _read_matrix(args)
@@ -344,7 +355,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
-    args.inputs = []  # (option and file, matrix) pairs, see _read_matrix
+    args.inputs = []  # (option and file, matrix or vector) pairs
     try:
         return args.func(args)
     except (SingularMatrix, EvaluationError, ChainConstructionFailed) as exc:

@@ -6,9 +6,10 @@ grown top-down with the convention
 
     (A - lam I) v^j = v^{j-1},   v^0 = 0.
 
-A backend supplies only kernel bases (SVD for float, fraction-free
-elimination for exact) and a basis that takes a vector only if it is
-independent (Gram-Schmidt for float, an integer rank test for exact).  Float
+A backend supplies only kernel bases and a basis that takes a vector only if
+it is independent: SVD and Gram-Schmidt on numpy for float, and for exact a
+fraction-free elimination and an integer rank test, both from
+:mod:`momexp.exact`, the one module that reads the elimination's rows.  Float
 eigenvalues come from the QR iteration, clustered by a dedicated tolerance;
 exact ones are supplied by the caller (root finding itself is float-only).
 A decomposition is the chain matrix P, its blocks and P^{-1}, which
@@ -32,15 +33,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ChainConstructionFailed, DimensionMismatch, SingularMatrix
+from .exact import _ExactSpan, _nullspace_exact
 from .matrices import (
     EXACT,
     FLOAT,
     CMatrix,
-    GaussianRational,
     _block_toeplitz,
-    _common_denominator,
-    bareiss,
-    gaussian_quotient,
     infer_backend,
     mat_vec,
     require_exact,
@@ -132,39 +130,6 @@ class _Onb:
             return None
         self.cols.append(w / nrm)
         return self.cols[-1]
-
-
-def _nullspace_exact(m):
-    """Basis vectors (tuples) of ker(m) for an exact CMatrix: one per free
-    column of its reduced row echelon form, read off the integer numerators."""
-    n = m.n
-    re, im = m._int_rows()
-    pivots, (dr, di), _ = bareiss(re, im, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [GaussianRational(0)] * n
-        v[fc] = GaussianRational(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = gaussian_quotient(-re[r][fc], -im[r][fc] if im else 0, dr, di)
-        basis.append(tuple(v))
-    return basis
-
-
-class _ExactSpan:
-    """Exact span; add(v) keeps v itself, so chains stay rational.  Each
-    vector is kept as its Gaussian-integer numerators for the rank test."""
-
-    def __init__(self, vectors):
-        self.ints = [_common_denominator(v)[:2] for v in vectors]
-
-    def add(self, v):
-        ints = self.ints + [_common_denominator(v)[:2]]
-        re = [list(a) for a, _ in ints]
-        im = [list(b) for _, b in ints] if any(any(b) for _, b in ints) else None
-        if len(bareiss(re, im, len(v))[0]) < len(ints):
-            return None
-        self.ints = ints
-        return v
 
 
 def _chains(m, lam, mult, kernel, span):

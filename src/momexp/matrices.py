@@ -2,11 +2,10 @@
 
 Two scalar backends coexist:
 
-* exact  -- Gaussian rationals (pairs of ``fractions.Fraction``), so that
-  coefficient identities can be tested with no tolerance at all; an exact
-  matrix computes on integer numerators over one common denominator, a real
-  one on its real numerators alone, and its inverse and determinant come
-  from one fraction-free elimination (:func:`bareiss`);
+* exact  -- Gaussian rationals, so that coefficient identities can be tested
+  with no tolerance at all; the scalar, the integer-block format an exact
+  matrix computes on and the fraction-free elimination behind its inverse
+  and determinant live in :mod:`momexp.exact`;
 * float  -- IEEE-754 binary64 complex numbers (Python ``complex``); the
   inverse and determinant come from numpy (LAPACK), and a float matrix is
   singular when sigma_min <= 1e-12 sigma_max.
@@ -19,7 +18,8 @@ other inputs through :func:`require_exact`, which names the one that is not
 exact.  On the float backend, scalar arguments (``z``, a scale factor, an
 eigenvalue) are converted with ``complex()``, but matrix and vector entries
 must not be GaussianRational; an exact matrix converts only through the
-lossy :meth:`CMatrix.to_float`.
+lossy :meth:`CMatrix.to_float`.  Besides :class:`CMatrix` on both backends,
+this module holds the vector API and the JSON wire format.
 """
 
 from __future__ import annotations
@@ -27,132 +27,36 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, attrgetter, mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
 from .errors import BackendMismatch, DimensionMismatch, SingularMatrix
+from .exact import (
+    GaussianRational,
+    _common_denominator,
+    _det,
+    _entrywise,
+    _eye,
+    _gauss,
+    _hcat,
+    _imatmul,
+    _inverse,
+    _is_zero,
+    _iscale,
+    _reduced,
+    _square,
+    _transposed,
+    _vec_from_ints,
+    _zeros,
+    gaussian_quotient,
+)
 from .moments import MomentSequence
 
 EXACT = "exact"
 FLOAT = "float"
 
-_ZERO = Fraction(0)
-
 _set = object.__setattr__
-_new = object.__new__
-
-
-class GaussianRational:
-    """Complex number with arbitrary-precision rational real/imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, p):
-        if not isinstance(p, int) or p < 0:
-            return NotImplemented
-        out = GaussianRational(1)
-        base = self
-        while p:
-            if p & 1:
-                out = out * base
-            base = base * base
-            p >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # a real value hashes as its Fraction, so it agrees with int and Fraction
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __abs__(self):
-        return abs(complex(self))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 def _kinds(values, out):
@@ -206,105 +110,14 @@ def _coerce_float(value):
     return complex(value)
 
 
-# -- integer kernels of the exact backend --------------------------------
-# An exact matrix is (re + i im) / den: re is an n x n tuple of int rows, im
-# is one too or None for a real matrix (never an all-zero block), den > 0,
-# and gcd(den, every numerator) == 1.  :func:`_reduced` is the one place
-# that enforces this canonical form, for matrices and for the one-row blocks
-# of vectors, which :func:`_vec_ints` already returns in it.
-
-def _imatmul(a, b):
-    """a b^T: entry (i, j) is row i of a dot row j of b."""
-    return tuple(tuple(sum(map(mul, r, c)) for c in b) for r in a)
-
-
-def _transposed(block):
-    return None if block is None else tuple(zip(*block))
-
-
-def _entrywise(op, a, b):
-    return tuple(tuple(map(op, x, y)) for x, y in zip(a, b))
-
-
-def _iscale(a, f):
-    return a if f == 1 else tuple(tuple(map(f.__mul__, r)) for r in a)
-
-
-def _is_zero(a):
-    return not any(map(any, a))
-
-
-def _zeros(n):
-    return ((0,) * n,) * n
-
-
-def _hcat(blocks):
-    """Blocks of equal height side by side: row i joins row i of each."""
-    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
-
-
-def _gauss(prod, ar, ai, br, bi):
-    """Numerators (re, im) of (ar + i ai)(br + i bi), not reduced, under the
-    real product ``prod``: :func:`_imatmul` of blocks by rows (a b^T), or
-    :func:`_iscale` by an integer.  An imaginary part of None is zero, so it
-    takes 1 product when both factors are real, 2 when one is, else 4."""
-    re = prod(ar, br)
-    if ai is None:
-        return re, None if bi is None else prod(ar, bi)
-    if bi is None:
-        return re, prod(ai, br)
-    return (_entrywise(sub, re, prod(ai, bi)),
-            _entrywise(add, prod(ar, bi), prod(ai, br)))
-
-
-def _reduced(re, im, den):
-    """(re, im, den) in canonical form, for integer blocks of any shape: an
-    all-zero ``im`` becomes None, and numerators and den are divided by
-    their gcd when den != 1."""
-    if im is not None and _is_zero(im):
-        im = None
-    if den != 1:
-        g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
-        if g != 1:
-            re = tuple(tuple(v // g for v in r) for r in re)
-            if im is not None:
-                im = tuple(tuple(v // g for v in r) for r in im)
-            den //= g
-    return re, im, den
-
-
-def _square(flat, n):
-    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
-
-
-# A Fraction's two slots, read and written directly by the exact vector
-# helpers below, which skip the properties and argument checks of Fraction.
-_numerator = attrgetter("_numerator")
-_denominator = attrgetter("_denominator")
-
-
-def _common_denominator(scalars):
-    """(re, im, den): integer numerators of GaussianRationals over one
-    denominator, the lcm of theirs, as tuples."""
-    re = [x.re for x in scalars]
-    im = [x.im for x in scalars]
-    den = math.lcm(*map(_denominator, re), *map(_denominator, im))
-    if den == 1:
-        return tuple(map(_numerator, re)), tuple(map(_numerator, im)), 1
-    return (
-        tuple(f._numerator * (den // f._denominator) for f in re),
-        tuple(f._numerator * (den // f._denominator) for f in im),
-        den,
-    )
-
-
 class CMatrix:
     """Immutable dense n x n complex matrix over one scalar backend.
 
     A float matrix holds its entries in ``rows``.  An exact matrix holds
-    integer numerators ``_re``, ``_im`` over one reduced ``_den``; a real
-    exact matrix stores no imaginary numerators (``_im`` is None), so its
-    kernels skip every imaginary product.  Its ``rows`` of GaussianRationals
+    integer numerators ``_re``, ``_im`` over one reduced ``_den``, the
+    integer blocks of :mod:`momexp.exact`; a real exact matrix stores no
+    imaginary numerators (``_im`` is None), so its kernels skip every
+    imaginary product.  Its ``rows`` of GaussianRationals
     are kept when it is built from them and otherwise built on first read.
     """
 
@@ -376,8 +189,7 @@ class CMatrix:
             raise DimensionMismatch("matrix must be square and nonempty")
         _check_backend(backend)
         if backend == EXACT:
-            eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            return cls._from_ints(n, eye, None, 1)
+            return cls._from_ints(n, _eye(n), None, 1)
         return cls._from_complex(
             [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)])
 
@@ -539,40 +351,17 @@ class CMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def _int_rows(self, augment=()):
-        """Mutable copies of the numerator rows for :func:`bareiss`, each
-        followed by its row of ``augment``; ``im`` is None for a real matrix."""
-        augment = augment or ((),) * self.n
-        re = [list(r + a) for r, a in zip(self._re, augment)]
-        if self._im is None:
-            return re, None
-        return re, [list(r) + [0] * len(a) for r, a in zip(self._im, augment)]
-
     def inverse(self):
-        n = self.n
         if self.backend == EXACT:
-            re, im = self._int_rows(CMatrix.identity(n)._re)
-            pivots, (dr, di), _ = bareiss(re, im, n)
-            if len(pivots) < n:
-                raise SingularMatrix("matrix is singular at the working precision")
-            # rows end as [d I | X] with X A_int = d I, and A = A_int / _den,
-            # so A^{-1} = _den X / d = _den X conj(d) / |d|^2
-            xr = tuple(tuple(r[n:]) for r in re)
-            xi = None if im is None else tuple(tuple(r[n:]) for r in im)
-            re, im = _gauss(_iscale, xr, xi, self._den * dr, -self._den * di or None)
-            return CMatrix._from_ints(n, re, im, dr * dr + di * di)
+            return CMatrix._from_ints(self.n, *_inverse(self._re, self._im, self._den))
         a = self.to_numpy()
         if _float_singular(a):
             raise SingularMatrix("matrix is singular at the working precision")
         return CMatrix.from_numpy(np.linalg.inv(a))
 
     def det(self):
-        n = self.n
         if self.backend == EXACT:
-            pivots, (dr, di), swaps = bareiss(*self._int_rows(), n)
-            if len(pivots) < n:
-                return GaussianRational(0)
-            return gaussian_quotient(dr, di, (-1) ** swaps * self._den ** n, 0)
+            return _det(self._re, self._im, self._den)
         a = self.to_numpy()
         return 0j if _float_singular(a) else complex(np.linalg.det(a))
 
@@ -626,84 +415,6 @@ def _float_singular(a):
     return s[-1] <= 1e-12 * s[0]
 
 
-def bareiss(re, im, ncols):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the Gaussian-integer
-    rows ``re + i im`` in place on the first ``ncols`` columns; further
-    columns are an augment carried along.  ``im`` is None for real rows,
-    which then skip all imaginary work.
-
-    The pivot is the first nonzero entry of its column at or below the
-    current row; columns without one are skipped.  Each step replaces every
-    other row by (p * row - f * pivot row) / p_prev, where p is the pivot,
-    f the row's entry in the pivot column and p_prev the previous pivot; the
-    division is exact, so all entries stay integers.  Pivot rows end on top,
-    and outside the pivot columns (which are not kept) pivot row r holds
-    d times row r of the reduced row echelon form, d being the last pivot.
-    Returns (pivot columns, d as (re, im), number of row swaps); for a square
-    matrix of full rank, d is its determinant times (-1)^swaps.
-    """
-    nrows = len(re)
-    pivots = []
-    swaps = 0
-    qr, qi = 1, 0  # previous pivot
-    lo = None  # first pivot-less column: updates start there or at c
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        k = next((i for i in range(r, nrows) if re[i][c] or im and im[i][c]), None)
-        if k is None:
-            lo = c if lo is None else lo
-            continue
-        if k != r:
-            swaps += 1
-            re[r], re[k] = re[k], re[r]
-            if im:
-                im[r], im[k] = im[k], im[r]
-        start = c if lo is None else lo
-        yr = re[r][start:]
-        pr = yr[c - start]
-        if im is None:
-            for i, row in enumerate(re):
-                if i == r:
-                    continue
-                f = row[c]
-                tail = row[start:]
-                if f:
-                    row[start:] = [(pr * x - f * y) // qr for x, y in zip(tail, yr)]
-                else:
-                    row[start:] = [pr * x // qr for x in tail]
-            qr = pr
-        else:
-            yi = im[r][start:]
-            pi = yi[c - start]
-            nq = qr * qr + qi * qi
-            for i in range(nrows):
-                if i == r:
-                    continue
-                fr, fi = re[i][c], im[i][c]
-                out_r, out_i = [], []
-                for xr, xi, ar, ai in zip(re[i][start:], im[i][start:], yr, yi):
-                    # (p x - f y) conj(q) / |q|^2
-                    nr = pr * xr - pi * xi - fr * ar + fi * ai
-                    ni = pr * xi + pi * xr - fr * ai - fi * ar
-                    out_r.append((nr * qr + ni * qi) // nq)
-                    out_i.append((ni * qr - nr * qi) // nq)
-                re[i][start:] = out_r
-                im[i][start:] = out_i
-            qr, qi = pr, pi
-        pivots.append(c)
-        r += 1
-    return pivots, (qr, qi), swaps
-
-
-def gaussian_quotient(ar, ai, dr, di):
-    """The GaussianRational (ar + i ai) / (dr + i di) of Gaussian integers."""
-    nq = dr * dr + di * di
-    return GaussianRational(
-        Fraction(ar * dr + ai * di, nq), Fraction(ai * dr - ar * di, nq))
-
-
 # module-level power; bench/workloads.py calls it as mx.mat_pow
 
 def mat_pow(a, p):
@@ -712,30 +423,6 @@ def mat_pow(a, p):
 
 # -- vectors ----------------------------------------------------------
 # Vectors are plain tuples of scalars from one backend.
-
-def _fraction(n, d):
-    """n / d for ints n and d > 0, equal to ``Fraction(n, d)`` but built
-    without its argument checks: one gcd when d != 1, none when d == 1."""
-    if d != 1:
-        g = math.gcd(n, d)
-        n, d = n // g, d // g
-    f = _new(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
-
-
-def _vec_from_ints(re, im, den):
-    """The vector (re + i im) / den for integer numerators re and im (None
-    when real) over den > 0, each entry built once and with no checks."""
-    out = []
-    for k, r in enumerate(re):
-        g = _new(GaussianRational)
-        g.re = _fraction(r, den)
-        g.im = _ZERO if im is None else _fraction(im[k], den)
-        out.append(g)
-    return tuple(out)
-
 
 def _vec_ints(v, n):
     """(re, im, den): an exact vector of length n as a one-row block of

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -67,7 +68,7 @@ class MomentSequence:
         self.kind = kind
         self.param = param
         self._table = ()
-        self._path = None  # the file load_custom read the table from
+        self._path = None  # the table's file, as its specifier wrote it
         self._lock = threading.Lock()
         self._rows = []  # ratio rows, see ratio_row
         self._float_ratios = [math.nan]  # see float_step_ratio; entry 0 unused
@@ -265,14 +266,18 @@ def growth_probe(seq, P):
 
 # -- CLI specifier strings ----------------------------------------------
 
-def parse_specifier(spec):
-    """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>'."""
+def parse_specifier(spec, base=""):
+    """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>'.  A
+    relative custom path is read from the directory ``base`` and kept as
+    written, so the sequence's specifier is ``spec`` itself."""
     prefix, colon, arg = spec.partition(":")
     kind = next((k for k, row in _KINDS.items() if row[0] == prefix), None)
     if kind is None or bool(colon) == (kind == "factorial"):
         raise SequenceError(f"unknown moment sequence specifier {spec!r}")
     if kind == "custom":
-        return load_custom(arg)
+        seq = load_custom(os.path.join(base, arg))
+        seq._path = arg
+        return seq
     return MomentSequence(kind, arg) if colon else MomentSequence(kind)
 
 

@@ -36,7 +36,11 @@ class IVPSolution:
     of :func:`momexp.evaluation.eval_exp`: O(n^2) per term, sized by
     ``vec_norm``, so ``terms_used`` and ``tail_estimate`` describe it; a
     geometric m applies its Neumann form to v_c.  An exact sum ends at its
-    first zero term, by term n when v_c is in a nilpotent invariant subspace."""
+    first zero term, by term n when v_c is in a nilpotent invariant subspace.
+    It runs on numpy object arrays of GaussianRational, not on the integer
+    kernel of :func:`momexp.matrices.krylov`: the sum adds terms with ``+``,
+    which concatenates tuples, so that route would need a vector add of its
+    own, and no workload evaluates an exact solution."""
 
     def __init__(self, A, v_c, seq, policy=TruncationPolicy()):
         if len(v_c) != A.n:
@@ -79,7 +83,8 @@ def solve(A, v_c, seq, policy=TruncationPolicy()):
 
 def residual_check(sol, N):
     """Largest coefficient norm of (moment derivative of y) - A y through
-    order N: c_{p+1} - A c_p over p <= N, the c_p from ``sol.series(N + 1)``.
+    order N: c_{p+1} - A c_p over p <= N, the c_p = A^p v_c that
+    ``sol.series(N + 1)`` holds, taken from :func:`momexp.matrices.krylov`.
     :func:`momexp.matrices.krylov_mismatches` forms A c_0 ... A c_N in one
     block product and returns only the pairs whose canonical integer forms
     differ, so an equal pair adds 0.0 and only a differing one is normed; a
@@ -95,7 +100,7 @@ def residual_check(sol, N):
     """
     _check_order(N)
     worst = 0.0
-    for c, ac in krylov_mismatches(sol.A, sol.series(N + 1).coeffs):
+    for c, ac in krylov_mismatches(sol.A, krylov(sol.A, sol.v_c, N + 1)):
         try:
             worst = max(worst, vec_norm(vec_sub(c, ac)))
         except OverflowError:

@@ -197,6 +197,16 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: entry (0, 0) of --matrix {path} is past the float range\n"
 
+    def test_v0_entry_past_float_range(self, capsys, tmp_path):
+        # a 401-digit --v0 entry has no float either, and the line names it
+        path = write_matrix(tmp_path, "D2.json", CMatrix([[1.0, 0], [0, -2.0]]))
+        v0 = json.dumps([["1", "0"], [str(10**400), "0"]])
+        code = main(["solve", "--matrix", path, "--moment", "factorial",
+                     "--v0", v0, "--z", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "error: entry 1 of --v0 is past the float range\n"
+
     def test_qres_check(self, capsys, example1):
         code, doc = run(
             capsys, "solve", "--matrix", example1, "--moment", "qfac:2",
@@ -366,6 +376,26 @@ class TestSeries:
         code, out = run(capsys, "series", "--op", "product", "--series", str(s_path),
                         "--series2", str(s_path))
         assert code == 0 and out["sequence"] == spec and len(out["coeffs"]) == 5
+
+    def test_relative_custom_path_reads_beside_the_series(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # a relative table path written in ci/ reads back from its parent:
+        # it names a file beside the series JSON, and prints as written
+        ci = tmp_path / "ci"
+        ci.mkdir()
+        (ci / "T.json").write_text(json.dumps(["1", "2", "6", "24", "120"]))
+        write_matrix(ci, "A.json", CMatrix([[1, 1], [0, 1]]))
+        monkeypatch.chdir(ci)
+        code, doc = run(capsys, "series", "--op", "inverse", "--matrix", "A.json",
+                        "--moment", "custom:T.json", "--order", "4")
+        assert code == 0 and doc["sequence"] == "custom:T.json"
+        (ci / "ST.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "series", "--op", "derive", "--series", "ci/ST.json")
+        assert code == 0 and out == {"sequence": "custom:T.json", "coeffs": doc["coeffs"][1:]}
+        code, out = run(capsys, "series", "--op", "product", "--series", "ci/ST.json",
+                        "--series2", "ci/ST.json")
+        assert code == 0 and out["sequence"] == "custom:T.json"
 
     def test_product(self, capsys, tmp_path):
         A = CMatrix([[1, 1], [0, 1]])

@@ -16,7 +16,8 @@ from momexp import (
     jordan_decompose,
     verify_decomposition,
 )
-from momexp.jordan import JordanDecomposition, _ExactSpan, _nullspace_exact, assemble_jordan
+from momexp.exact import _ExactSpan, _nullspace_exact
+from momexp.jordan import JordanDecomposition, assemble_jordan
 from momexp.matrices import _float_singular
 
 from helpers import (

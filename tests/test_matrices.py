@@ -18,17 +18,8 @@ from momexp import (
     matrix_from_json,
     matrix_to_json,
 )
-from momexp.matrices import (
-    _fraction,
-    _gauss,
-    _imatmul,
-    _is_zero,
-    _iscale,
-    _reduced,
-    krylov,
-    krylov_mismatches,
-    scalar_from_json,
-)
+from momexp.exact import _fraction, _gauss, _imatmul, _is_zero, _iscale, _reduced
+from momexp.matrices import krylov, krylov_mismatches, scalar_from_json
 
 from helpers import elimination_matrices, lazy_rows_reads, reference_det, reference_inverse
 

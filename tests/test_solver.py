@@ -2,10 +2,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import momexp.solver as solver
 from momexp import (
     BackendMismatch,
     CMatrix,
@@ -290,16 +292,16 @@ class TestResidualCheck:
         N = 12
         d_exact = (GaussianRational(0), GaussianRational(Fraction(1, 3), -2), GaussianRational(0))
         d_float = (0.0, 1e-3, 0.0)
-        series = IVPSolution.series
+        krylov = solver.krylov
 
-        def perturbed(sol, order):
-            s = series(sol, order)
-            delta = d_exact if sol.backend == "exact" else d_float
+        def perturbed(A, v, order):
+            coeffs = krylov(A, v, order)
+            delta = d_exact if A.backend == "exact" else d_float
             p = order if where == "last" else order // 2
-            s.coeffs[p] = tuple(a + b for a, b in zip(s.coeffs[p], delta))
-            return s
+            coeffs[p] = tuple(a + b for a, b in zip(coeffs[p], delta))
+            return coeffs
 
-        monkeypatch.setattr(IVPSolution, "series", perturbed)
+        monkeypatch.setattr(solver, "krylov", perturbed)
         want = vec_norm(d_exact)
         if where == "middle":
             # c_p + d also shifts A c_p by A d in the next residual
@@ -350,15 +352,16 @@ class TestResidualCheck:
 
 
 def perturb_series(monkeypatch, change):
-    """Make ``IVPSolution.series`` apply ``change`` to each series it builds."""
-    series = IVPSolution.series
+    """Make ``change`` edit the ``coeffs`` of each solution series that
+    ``residual_check`` and ``IVPSolution.series`` take from ``krylov``."""
+    krylov = solver.krylov
 
-    def perturbed(sol, order):
-        s = series(sol, order)
+    def perturbed(A, v, order):
+        s = SimpleNamespace(coeffs=krylov(A, v, order))
         change(s)
-        return s
+        return s.coeffs
 
-    monkeypatch.setattr(IVPSolution, "series", perturbed)
+    monkeypatch.setattr(solver, "krylov", perturbed)
 
 
 def random_exact_case(rng):
