@@ -7,6 +7,8 @@ the Mittag-Leffler function, the q-factorials the q-exponential, and b^p a
 finite-radius counterexample sequence.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
     BackendMismatch,
     ChainConstructionFailed,
@@ -68,4 +70,6 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules are attributes, not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -110,8 +110,8 @@ def _series_from_json(path):
     """The series in the JSON file ``path``; a relative ``custom:<path>`` in
     it names a table beside that file."""
     obj = _load_json(path)
-    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
-        raise ValueError("series JSON must be an object with a 'coeffs' list")
+    if not (isinstance(obj, dict) and "sequence" in obj and isinstance(obj.get("coeffs"), list)):
+        raise ValueError("series JSON must be an object with a 'sequence' and a 'coeffs' list")
     seq = parse_specifier(obj["sequence"], os.path.dirname(path))
     coeffs = [matrix_from_json(c) for c in obj["coeffs"]]
     return MomentSeries(seq, coeffs)
@@ -237,6 +237,8 @@ def _cmd_verify_jordan(args):
         isinstance(e, list) and len(e) == 3 and type(e[2]) is int for e in entries
     ):
         raise ValueError("decomposition JSON needs 'blocks': [[re, im, size], ...]")
+    if missing := [k for k in ("P", "P_inv") if k not in obj]:
+        raise ValueError(f"decomposition JSON needs {' and '.join(map(repr, missing))}")
     blocks = [(scalar_from_json(e[:2]), e[2]) for e in entries]
     dec = JordanDecomposition(
         P=matrix_from_json(obj["P"]),
@@ -364,7 +366,7 @@ def main(argv=None):
     except OverflowError as exc:
         print(f"error: {_past_float_range(args.inputs) or exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MomexpError, ValueError, KeyError, OSError) as exc:
+    except (MomexpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

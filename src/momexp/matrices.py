@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -455,13 +455,14 @@ def krylov(a, v, N):
     step is v a^T (:func:`_gauss`) on the one-row block of
     :func:`_vec_ints`, over ``den * a._den`` and put in canonical form by
     :func:`_reduced`, and each vector is built once from it; on the float
-    backend it is one complex dot product per entry on :func:`_vec_floats`."""
+    backend each step is the numpy product ``a.to_numpy() @ v`` on the
+    array of :func:`_vec_floats`, returned as a tuple of ``complex``."""
     out = [v]
     if a.backend != EXACT:
-        v = _vec_floats(v, a.n)
+        m, v = a.to_numpy(), np.array(_vec_floats(v, a.n))
         for _ in range(N):
-            v = tuple(sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in a.rows)
-            out.append(v)
+            v = m @ v
+            out.append(tuple(v.tolist()))
         return out
     re, im, den = _vec_ints(v, a.n)
     for _ in range(N):
@@ -496,10 +497,6 @@ def krylov_mismatches(a, vs):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(v, s):
-    return tuple(a * s for a in v)
 
 
 def vec_norm(v):

@@ -270,6 +270,8 @@ def parse_specifier(spec, base=""):
     """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>'.  A
     relative custom path is read from the directory ``base`` and kept as
     written, so the sequence's specifier is ``spec`` itself."""
+    if not isinstance(spec, str):
+        raise SequenceError(f"moment sequence specifier must be a string, got {spec!r}")
     prefix, colon, arg = spec.partition(":")
     kind = next((k for k, row in _KINDS.items() if row[0] == prefix), None)
     if kind is None or bool(colon) == (kind == "factorial"):

@@ -19,10 +19,8 @@ from .matrices import (
     infer_backend,
     krylov,
     krylov_mismatches,
-    mat_vec,
     require_exact,
     vec_norm,
-    vec_scale,
     vec_sub,
 )
 from .series import MomentSeries, _check_order
@@ -128,7 +126,9 @@ def q_derivative_residual(sol, q, zs):
     D_q f(z) = (f(qz) - f(z)) / ((q - 1) z).
 
     An independent analytic check: uses two closure evaluations, never the
-    coefficient shift.  z = 0 is excluded (removable singularity).
+    coefficient shift.  It computes on the solution's own numpy arrays, as
+    ``sol(z)`` does: y(z) and y(qz) as complex arrays and A y(z) as
+    ``sol._a @ y``.  z = 0 is excluded (removable singularity).
     """
     q = float(q)
     if q == 1:
@@ -138,7 +138,7 @@ def q_derivative_residual(sol, q, zs):
         z = complex(z)
         if z == 0:
             raise ValueError("q-derivative residual is undefined at z = 0")
-        y = sol(z)
-        dq = vec_scale(vec_sub(sol(q * z), y), 1.0 / ((q - 1.0) * z))
-        worst = max(worst, vec_norm(vec_sub(dq, mat_vec(sol.A, y))))
+        y = np.array(sol(z))
+        dq = (np.array(sol(q * z)) - y) * (1.0 / ((q - 1.0) * z))
+        worst = max(worst, vec_norm(dq - sol._a @ y))
     return worst

@@ -541,6 +541,29 @@ class TestErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize(
+        "verb, doc, named",
+        [
+            ("series", {"sequence": 5, "coeffs": []}, "specifier must be a string, got 5"),
+            ("series", {"coeffs": []}, "with a 'sequence'"),
+            ("verify-jordan", {"blocks": [[1, 0, 1]], "P_inv": None}, "needs 'P'"),
+            ("verify-jordan", {"blocks": [[1, 0, 1]], "P": None}, "needs 'P_inv'"),
+        ],
+        ids=["non-string-sequence", "no-sequence", "no-P", "no-P_inv"],
+    )
+    def test_malformed_document_names_the_field(self, capsys, tmp_path, verb, doc, named):
+        # an input error with exit 2 that says what is wrong, not a traceback
+        # or a bare key name
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        one = write_matrix(tmp_path, "one.json", CMatrix.identity(1, "float"))
+        argv = (["series", "--op", "derive", "--series", str(path)] if verb == "series"
+                else ["verify-jordan", "--matrix", one, "--decomposition", str(path)])
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "--matrix", "{big}", "--moment", "factorial"],

@@ -464,6 +464,20 @@ class TestMatVec:
                 assert krylov_mismatches(a, [vs[0], products[0]]) == []
                 assert krylov_mismatches(a, vs[:1]) == krylov_mismatches(a, []) == []
 
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_float_krylov_is_the_numpy_product(self, n):
+        # every float step is ``A.to_numpy() @ <previous step>``, bit for bit
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            z = rng.standard_normal((2, n + 1, n))
+            a = CMatrix((z[0, :n] + 1j * z[1, :n]).tolist())
+            v = tuple((z[0, n] + 1j * z[1, n]).tolist())
+            m, vs = a.to_numpy(), krylov(a, v, 8)
+            assert vs[0] is v and len(vs) == 9
+            for prev, step in zip(vs, vs[1:]):
+                assert type(step) is tuple and all(type(x) is complex for x in step)
+                assert np.array(step).tobytes() == (m @ np.array(prev)).tobytes()
+
     def test_fraction_constructor_matches_fraction(self):
         # the unchecked constructor writes Fraction's own slots: the result must
         # be a Fraction in lowest terms that compares and hashes as one

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import momexp.matrices as matrices
 import momexp.solver as solver
 from momexp import (
     BackendMismatch,
@@ -542,3 +543,14 @@ class TestQDerivativeResidual:
         monkeypatch.setattr(IVPSolution, "evaluate_report", counted)
         assert q_derivative_residual(sol, 2, zs) <= 1e-8
         assert Counter(seen) == Counter([complex(z) for z in zs] + [2 * z for z in zs])
+
+    def test_no_krylov_product(self, monkeypatch):
+        # A y(z) is the solution's own numpy product, not mat_vec or krylov
+        sol = solve(EXAMPLE2, (1.0, -1.0, 2.0), QFAC2)
+
+        def refuse(*args):
+            raise AssertionError("q_derivative_residual used the Krylov product")
+
+        for module, name in ((matrices, "mat_vec"), (matrices, "krylov"), (solver, "krylov")):
+            monkeypatch.setattr(module, name, refuse)
+        assert q_derivative_residual(sol, 2, [0.1, 0.25, 0.5j]) <= 1e-8
