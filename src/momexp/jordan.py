@@ -12,12 +12,17 @@ fraction-free elimination and an integer rank test, both from
 :mod:`momexp.exact`, the one module that reads the elimination's rows.  Float
 eigenvalues come from the QR iteration, clustered by a dedicated tolerance;
 exact ones are supplied by the caller (root finding itself is float-only).
-A decomposition is the chain matrix P, its blocks and P^{-1}, which
-:meth:`CMatrix.inverse` gives on both backends (for a float P under the
-backend's relative singularity rule, plus an absolute floor |det P| >= 1e-12);
-a P it rejects fails the decomposition.  Its residual ||A - P J P^{-1}|| is
-computed only by :func:`verify_decomposition`.  J is laid out by the same
-block-Toeplitz builder as E(Jz) in :mod:`momexp.evaluation`.
+Without a hint, a float decomposition takes values and vectors from one
+``np.linalg.eig``: a simple eigenvalue's unit eigenvector is its column of
+P, and only a cluster of multiplicity >= 2 runs the staircase, so distinct
+eigenvalues cost O(n^3).  A decomposition is the chain matrix P, its blocks
+and P^{-1}.  An exact P is inverted by :meth:`CMatrix.inverse`; a float P is
+judged by one SVD, under the backend's relative singularity rule and an
+absolute floor |det P| >= 1e-12 read from the same singular values, and
+inverted by ``np.linalg.inv``.  A P either rejects fails the decomposition.
+Its residual ||A - P J P^{-1}|| is computed only by
+:func:`verify_decomposition`.  J is laid out by the same block-Toeplitz
+builder as E(Jz) in :mod:`momexp.evaluation`.
 
 Jordan structure is discontinuous, so all rank decisions carry explicit
 thresholds; inconsistent decisions raise :class:`ChainConstructionFailed`.
@@ -39,6 +44,7 @@ from .matrices import (
     FLOAT,
     CMatrix,
     _block_toeplitz,
+    _sigma_singular,
     infer_backend,
     mat_vec,
     require_exact,
@@ -85,18 +91,26 @@ def eigenvalues(A, tol=1e-2):
     of the much larger spread that characteristic-polynomial roots exhibit.
     """
     _check_tol("tol", tol)
-    a = A.to_float().to_numpy()
-    roots = np.linalg.eigvals(a)
-    clusters = []  # list of lists of roots
-    for r in sorted(roots, key=lambda x: (x.real, x.imag)):
+    roots = np.linalg.eigvals(A.to_float().to_numpy())
+    return [(lam, len(members)) for lam, members in _clusters(roots, tol)]
+
+
+def _clusters(roots, tol):
+    """[(mean, indices into roots)] sorted by mean: taken in (real, imag)
+    order, each root joins the first cluster whose running mean lies within
+    tol * max(1, |mean|) of it."""
+    clusters = []  # [running sum, member indices]
+    for i in sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag)):
+        r = roots[i]
         for cl in clusters:
-            mean = sum(cl) / len(cl)
+            mean = cl[0] / len(cl[1])
             if abs(r - mean) <= tol * max(1.0, abs(mean)):
-                cl.append(r)
+                cl[0] += r
+                cl[1].append(i)
                 break
         else:
-            clusters.append([r])
-    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+            clusters.append([r, [i]])
+    out = [(total / len(members), members) for total, members in clusters]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -188,14 +202,20 @@ def _chains(m, lam, mult, kernel, span):
 def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
     """Compute A = P J P^{-1}.
 
-    Float backend: eigenvalues found numerically (or taken from
-    ``eigenvalues_hint`` as [(lam, mult), ...]).  Exact backend: the hint is
-    mandatory and everything runs over Gaussian rationals.
+    Float backend: eigenvalues and eigenvectors from one ``np.linalg.eig``,
+    clustered as by :func:`eigenvalues`; a simple eigenvalue takes its unit
+    eigenvector as its column of P, and only a cluster of multiplicity >= 2
+    runs the kernel staircase.  With ``eigenvalues_hint`` as
+    [(lam, mult), ...] every cluster runs the staircase.  P is judged by one
+    SVD (the sigma rule and |det P| >= 1e-12) and inverted by
+    ``np.linalg.inv``.  Exact backend: the hint is mandatory and everything
+    runs over Gaussian rationals.
     """
     _check_tol("tol", tol)
     _check_tol("eig_tol", eig_tol)
     n = A.n
     exact = A.backend == EXACT
+    vectors = {}  # position in eigs -> unit eigenvector of a simple eigenvalue
     if exact:
         if eigenvalues_hint is None:
             raise ValueError(
@@ -203,15 +223,20 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
                 "float-only); or convert with to_float()"
             )
         eigs = [(require_exact(lam, "eigenvalue"), m) for lam, m in eigenvalues_hint]
-        shifted = (A - CMatrix.identity(n, EXACT).scale(lam) for lam, _ in eigs)
         kernel, span = _nullspace_exact, _ExactSpan
     else:
         if n > 64:
             raise DimensionMismatch("Jordan computation is limited to n <= 64")
         a = A.to_numpy()
-        eigs = eigenvalues_hint or eigenvalues(A, eig_tol)
-        eigs = [(complex(lam), m) for lam, m in eigs]
-        shifted = (a - lam * np.eye(n) for lam, _ in eigs)
+        if eigenvalues_hint:
+            eigs = [(complex(lam), m) for lam, m in eigenvalues_hint]
+        else:
+            roots, vecs = np.linalg.eig(a)
+            eigs = []
+            for lam, members in _clusters(roots, eig_tol):
+                if len(members) == 1:
+                    vectors[len(eigs)] = vecs[:, members[0]]
+                eigs.append((complex(lam), len(members)))
         kernel, span = partial(_nullspace_float, tol=tol), partial(_Onb, 1e-8)
     if sum(m for _, m in eigs) != n:
         raise ChainConstructionFailed(
@@ -219,21 +244,31 @@ def jordan_decompose(A, tol=1e-8, eig_tol=1e-2, eigenvalues_hint=None):
         )
     blocks = []
     cols = []
-    for (lam, mult), m in zip(eigs, shifted):
-        for chain in _chains(m, lam, mult, kernel, span):
+    for k, (lam, mult) in enumerate(eigs):
+        if k in vectors:
+            chains = [[vectors[k]]]
+        else:
+            m = A - CMatrix.identity(n, EXACT).scale(lam) if exact else a - lam * np.eye(n)
+            chains = _chains(m, lam, mult, kernel, span)
+        for chain in chains:
             blocks.append((lam, len(chain)))
             cols.extend(chain)
-    P = CMatrix([[v[i] for v in cols] for i in range(n)], A.backend)
-    try:
-        # beside the relative sigma rule, a float P needs |det P| >= 1e-12, an
-        # absolute floor that rejects some well-conditioned P of large n (see
-        # ROADMAP)
-        if not exact and abs(P.det()) < 1e-12:
-            raise SingularMatrix(_SINGULAR_P)
-        P_inv = P.inverse()
-    except SingularMatrix as exc:
-        raise ChainConstructionFailed(_SINGULAR_P) from exc
-    return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv)
+    if exact:
+        P = CMatrix([[v[i] for v in cols] for i in range(n)], EXACT)
+        try:
+            P_inv = P.inverse()
+        except SingularMatrix as exc:
+            raise ChainConstructionFailed(_SINGULAR_P) from exc
+        return JordanDecomposition(P=P, blocks=blocks, P_inv=P_inv)
+    p = np.column_stack(cols)
+    s = np.linalg.svd(p, compute_uv=False)
+    # beside the relative sigma rule, a float P needs |det P| = prod(s) >= 1e-12,
+    # an absolute floor that rejects some well-conditioned P of large n (see
+    # ROADMAP)
+    if _sigma_singular(s) or np.prod(s) < 1e-12:
+        raise ChainConstructionFailed(_SINGULAR_P)
+    return JordanDecomposition(
+        P=CMatrix.from_numpy(p), blocks=blocks, P_inv=CMatrix.from_numpy(np.linalg.inv(p)))
 
 
 def verify_decomposition(A, dec, tol=1e-8):

@@ -411,7 +411,12 @@ def _block_toeplitz(blocks, backend):
 def _float_singular(a):
     """The one singularity rule of the float backend, relative to the
     matrix's scale: sigma_min <= 1e-12 sigma_max."""
-    s = np.linalg.svd(a, compute_uv=False)
+    return _sigma_singular(np.linalg.svd(a, compute_uv=False))
+
+
+def _sigma_singular(s):
+    """:func:`_float_singular` read from a matrix's singular values s,
+    largest first."""
     return s[-1] <= 1e-12 * s[0]
 
 
@@ -477,11 +482,15 @@ def krylov_mismatches(a, vs):
     backend all a vs[p] are one :func:`_gauss` of the stacked blocks
     of :func:`_vec_ints`, a pair differs when its two canonical (re, im,
     den) triples do, and a vs[p] is built as a vector only then.  On the
-    float backend every vector is read by :func:`_vec_floats`."""
+    float backend every vector is read by :func:`_vec_floats`, a is
+    converted once, and each a vs[p] is one numpy product, the one a
+    :func:`krylov` step makes (a single product over the stacked columns
+    could round differently, and an unperturbed series must show none)."""
     if a.backend != EXACT:
+        m = a.to_numpy()
         cols = [_vec_floats(v, a.n) for v in vs]
         return [(v, av) for v, u, w in zip(vs[1:], cols, cols[1:])
-                if w != (av := mat_vec(a, u))]
+                if w != (av := tuple((m @ np.array(u)).tolist()))]
     cols = [_vec_ints(v, a.n) for v in vs]
     vi = None
     if any(im is not None for _, im, _ in cols[:-1]):

@@ -172,6 +172,88 @@ class TestJordanDecompose:
                 jordan_decompose(A, eigenvalues_hint=hint)
 
 
+def distinct_eigenvalue_matrix(n, seed):
+    """A seeded diagonalizable complex n x n matrix P diag(lam) P^{-1} whose
+    eigenvalues k (1 + 0.3i), k = 1..n, no clustering tolerance merges."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    lam = np.arange(1, n + 1) * (1 + 0.3j)
+    return CMatrix.from_numpy(p @ np.diag(lam) @ np.linalg.inv(p))
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    return calls
+
+
+class TestEigPath:
+    """A float decomposition without a hint takes simple eigenvalues and
+    their vectors from one ``np.linalg.eig``."""
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_distinct_eigenvalues_take_one_svd(self, monkeypatch, n):
+        A = distinct_eigenvalue_matrix(n, n)
+        calls = count_svds(monkeypatch)
+        dec = jordan_decompose(A)
+        # the staircase took one SVD per cluster and P two more: n + 2
+        assert len(calls) == 1
+        assert [size for _, size in dec.blocks] == [1] * n
+        assert verify_decomposition(A, dec, tol=1e-8 * A.row_sum_norm())["ok"]
+
+    def test_hint_still_runs_the_staircase(self, monkeypatch):
+        n = 16
+        A = distinct_eigenvalue_matrix(n, n)
+        hint = [(k * (1 + 0.3j), 1) for k in range(1, n + 1)]
+        calls = count_svds(monkeypatch)
+        dec = jordan_decompose(A, eigenvalues_hint=hint)
+        # one kernel SVD per hinted cluster, and one for P
+        assert len(calls) == n + 1
+        assert dec.blocks == [(complex(lam), 1) for lam, _ in hint]
+
+    def test_simple_columns_are_unit_eigenvectors(self):
+        rng = random.Random(5)
+        cases = [distinct_eigenvalue_matrix(n, n) for n in (16, 40)]
+        cases += [synthetic_jordan_instance(rng)[0] for _ in range(20)]
+        for A in cases:
+            dec = jordan_decompose(A)
+            a, p = A.to_numpy(), dec.P.to_numpy()
+            bound = 1e-10 * A.row_sum_norm()
+            col = 0
+            for lam, size in dec.blocks:
+                if size == 1:
+                    v = p[:, col]
+                    assert abs(np.linalg.norm(v) - 1) <= 1e-13
+                    assert np.abs(a @ v - lam * v).max() <= bound
+                col += size
+
+    def test_eigenvalues_and_blocks_share_one_clustering(self):
+        # clusters of 1 and 1 + 1e-9: merged, and the staircase completes
+        def near_double(lam):
+            p = np.array([[2.0, 1, 0], [1, 1, 1], [0, 1, 3]])
+            return CMatrix.from_numpy(p @ np.diag(lam) @ np.linalg.inv(p))
+
+        rng = random.Random(11)
+        cases = [distinct_eigenvalue_matrix(16, 3), near_double([1.0, 1.0 + 1e-9, 4.0])]
+        cases += [synthetic_jordan_instance(rng)[0] for _ in range(20)]
+        for A in cases:
+            merged = {}
+            for lam, size in jordan_decompose(A).blocks:
+                merged[lam] = merged.get(lam, 0) + size
+            eigs = eigenvalues(A)
+            assert [m for _, m in eigs] == list(merged.values())
+            for (lam, _), got in zip(eigs, merged):
+                assert abs(lam - got) <= 1e-9 * max(1.0, abs(lam))
+
+    def test_near_confluent_still_fails(self):
+        p = np.array([[2.0, 1, 0], [1, 1, 1], [0, 1, 3]])
+        triple = p @ np.diag([1.0, 1.004, 1.008]) @ np.linalg.inv(p)
+        for a in (np.diag([1.0, 1.005]), triple):
+            with pytest.raises(ChainConstructionFailed, match="stalled"):
+                jordan_decompose(CMatrix.from_numpy(a))
+
+
 class TestExactBackend:
     """Exact kernels and rank tests against a plain-Fraction Gauss-Jordan."""
 

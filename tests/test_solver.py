@@ -344,6 +344,28 @@ class TestResidualCheck:
             1, (s.coeffs[1][0] + big, s.coeffs[1][1])))
         assert residual_check(sol, 4) == math.inf
 
+    def test_float_converts_A_once_per_product(self, monkeypatch):
+        # krylov converts A once for the series and krylov_mismatches once
+        # for the check, at any order (each column was one conversion)
+        rng = np.random.default_rng(30)
+        n, N = 30, 40
+        z = rng.standard_normal((2, n + 1, n)) / n
+        A = CMatrix((z[0, :n] + 1j * z[1, :n]).tolist())
+        v = tuple((z[0, n] + 1j * z[1, n]).tolist())
+        sol = solve(A, v, FACTORIAL)
+        calls = []
+        to_numpy = CMatrix.to_numpy
+        monkeypatch.setattr(CMatrix, "to_numpy", lambda m: calls.append(m) or to_numpy(m))
+        assert residual_check(sol, N) == 0.0
+        assert len(calls) == 2
+        vs = matrices.krylov(A, v, N + 1)
+        p = N // 2
+        vs[p] = tuple(x * (1 + 1e-3) for x in vs[p])
+        calls.clear()
+        got = matrices.krylov_mismatches(A, vs)
+        assert len(calls) == 1
+        assert got == [(vs[p], mat_vec(A, vs[p - 1])), (vs[p + 1], mat_vec(A, vs[p]))]
+
     def test_random_4x4_exact(self):
         rng = random.Random(73)
         for _ in range(5):
