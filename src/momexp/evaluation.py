@@ -10,6 +10,11 @@ a finite radius of convergence; five consecutive term ratios >= 1 are
 reported as `radius_exceeded` instead of a value.  The matrix series of a
 geometric sequence m(p) = b^p is not summed at all: on either backend it is
 the Neumann closed form (I - Az/b)^{-1}, which exists iff rho(Az/b) < 1.
+Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
+product by I.  On the float backend a real Az (every imaginary part zero) is
+summed in real arithmetic, on Python floats, and its sum is made complex
+once at the end: every nonzero real part is the one the complex sum gives,
+and every imaginary part is +0.0, as in that sum.
 """
 
 from __future__ import annotations
@@ -96,10 +101,12 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
 
     The exact backend needs an exact matrix, z and sequence.  A geometric
     sequence takes the Neumann closed form, with ``terms_used`` 0.  Any
-    other is summed as T_p = T_{p-1} (Az) m(p-1)/m(p): under the policy on
-    the float backend; exactly on the exact backend, where the sum is finite
-    iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
-    terms without a zero term it stops with ``max_terms_reached``.
+    other is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from T_1 = Az m(0)/m(1)
+    with no product: under the policy on the float backend, in real
+    arithmetic when Az is real (the value still holds complex entries);
+    exactly on the exact backend, where the sum is finite iff Az is
+    nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n terms
+    without a zero term it stops with ``max_terms_reached``.
     """
     return _exp_series(A, z, seq, policy)
 
@@ -117,18 +124,27 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
         inv = (CMatrix.identity(A.n, A.backend) - M).inverse()
         return EvalReport(inv if v is None else inv.rows @ v, 0, 0.0, CONVERGED)
     ratio = seq.step_ratio if exact else seq.float_step_ratio
+    real = False
     if v is None:
         M, first = A.scale(z), CMatrix.identity(A.n, A.backend)
         size = (lambda t: float(not t.is_zero())) if exact else CMatrix.row_sum_norm
+        if not exact and all(x.imag == 0 for r in M.rows for x in r):
+            real, M, first = True, M._real_parts(), first._real_parts()
+
+        def step(term, p):  # T_1 is M r(1) itself: the term before it is I
+            return (M if p == 1 else term @ M).scale(ratio(p))
     else:
         M, first, size = a * z, v, (lambda t: float(any(t))) if exact else vec_norm
 
-    def step(term, p):
-        return (term @ M).scale(ratio(p)) if v is None else (M @ term) * ratio(p)
+        def step(term, p):
+            return (M @ term) * ratio(p)
 
     if exact:
         return _sum(first, step, size, min(A.n, policy.max_terms))
-    return _sum(first, step, size, policy.max_terms, policy, seq.rapid_growth_declared)
+    rep = _sum(first, step, size, policy.max_terms, policy, seq.rapid_growth_declared)
+    if real and rep.value is not None:
+        rep.value = rep.value._complexified()
+    return rep
 
 
 def delta_E(lam, h, z, seq, policy=TruncationPolicy()):

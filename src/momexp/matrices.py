@@ -113,7 +113,9 @@ def _coerce_float(value):
 class CMatrix:
     """Immutable dense n x n complex matrix over one scalar backend.
 
-    A float matrix holds its entries in ``rows``.  An exact matrix holds
+    A float matrix holds its entries in ``rows``, as Python ``complex``; only
+    :meth:`_real_parts` makes one that holds Python ``float``, for a sum whose
+    every term is real.  An exact matrix holds
     integer numerators ``_re``, ``_im`` over one reduced ``_den``, the
     integer blocks of :mod:`momexp.exact`; a real exact matrix stores no
     imaginary numerators (``_im`` is None), so its kernels skip every
@@ -149,7 +151,8 @@ class CMatrix:
 
     @classmethod
     def _from_complex(cls, rows):
-        """A float matrix on rows of Python complex that the class computed
+        """A float matrix on rows of Python complex (or, for a real matrix
+        of :meth:`_real_parts`, of Python float) that the class computed
         itself; unlike ``__init__`` it checks and coerces no entry."""
         rows = tuple(map(tuple, rows))
         m = object.__new__(cls)
@@ -213,6 +216,17 @@ class CMatrix:
         if self.backend != FLOAT:
             raise BackendMismatch("to_numpy requires the float backend")
         return np.array(self.rows, dtype=complex)
+
+    def _real_parts(self):
+        """The real parts of a float matrix as Python floats: ``@``, ``+``,
+        ``-``, ``row_sum_norm`` and ``scale`` by a real factor keep them
+        float, and if no imaginary part was nonzero, give every nonzero real
+        part as the complex arithmetic does."""
+        return CMatrix._from_complex([x.real for x in r] for r in self.rows)
+
+    def _complexified(self):
+        """This float matrix with every entry made a Python complex."""
+        return CMatrix._from_complex(map(complex, r) for r in self.rows)
 
     def to_float(self):
         """Explicit (lossy for exact) conversion to the float backend."""
@@ -320,6 +334,8 @@ class CMatrix:
             re, im = _gauss(_iscale, self._re, self._im, sr, si or None)
             return CMatrix._from_ints(self.n, re, im, self._den * q)
         s = complex(s)
+        if not s.imag and type(self.rows[0][0]) is float:
+            s = s.real  # a real matrix of _real_parts stays real
         return CMatrix._from_complex([a * s for a in r] for r in self.rows)
 
     def pow(self, p):

@@ -149,6 +149,125 @@ class TestEvalExp:
         assert rep.tail_estimate <= pol.tol
 
 
+def complex_series(A, z, seq, policy=TruncationPolicy()):
+    """The float matrix series in complex arithmetic, as a reference:
+    T_0 = I, T_p = (T_{p-1} @ Az) m(p-1)/m(p) with the first product I @ Az
+    made too, each entry of a product summed left to right from its first
+    product, and eval_exp's stopping rule.  (value rows, terms_used,
+    tail_estimate, status)."""
+    n, z = A.n, complex(z)
+    M = [[x * z for x in r] for r in A.rows]
+    cols = list(zip(*M))
+    term = total = [[complex(i == j) for j in range(n)] for i in range(n)]
+    prev = small = 0
+    for k in range(1, policy.max_terms + 1):
+        r = complex(seq.float_step_ratio(k))
+        rows = []
+        for row in term:
+            out = []
+            for col in cols:
+                s = row[0] * col[0]
+                for a, b in zip(row[1:], col[1:]):
+                    s = s + a * b
+                out.append(s * r)
+            rows.append(out)
+        term = rows
+        norm = max(sum(abs(x) for x in row) for row in term)
+        if norm == 0:
+            return total, k, 0.0, "converged"
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
+        ratio = norm / prev if prev else 0.0
+        prev = norm
+        small = small + 1 if norm < policy.tol else 0
+        if small >= 5 and ratio < 1.0:
+            return total, k + 1, norm * ratio / (1.0 - ratio), "converged"
+    return total, policy.max_terms + 1, math.inf, "max_terms_reached"
+
+
+def real_gaussian(n, seed):
+    """A seeded real n x n matrix with N(0, 1) entries, a tenth of them
+    zero and a few -0.0, so that signed zeros meet the sum."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a[rng.random((n, n)) < 0.1] = 0.0
+    a[0, -1] = -0.0
+    return CMatrix(a.tolist())
+
+
+class TestRealSeries:
+    """A real Az is summed on floats: the value must be the complex sum's,
+    bit for bit, held as complex entries with imaginary parts +0.0."""
+
+    @staticmethod
+    def run(monkeypatch, A, z, seq):
+        kinds = set()
+        matmul = CMatrix.__matmul__
+
+        def spy(a, b):
+            kinds.add(type(a.rows[0][0]))
+            return matmul(a, b)
+
+        monkeypatch.setattr(CMatrix, "__matmul__", spy)
+        rep = eval_exp(A, z, seq)
+        monkeypatch.undo()
+        return rep, kinds
+
+    @pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2], ids=["factorial", "ml2", "qfac2"])
+    @pytest.mark.parametrize("n", [3, 12, 64])
+    def test_real_sum_is_the_complex_sum(self, monkeypatch, n, seq):
+        A = real_gaussian(n, n)
+        z = (-1.0 if n == 12 else 1.0) / A.row_sum_norm()
+        rep, kinds = self.run(monkeypatch, A, z, seq)
+        rows, terms, tail, status = complex_series(A, z, seq)
+        assert kinds == {float}
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "converged"
+        for got, want in zip(rep.value.rows, rows):
+            assert all(type(x) is complex for x in got)
+            assert [x.real.hex() for x in got] == [x.real.hex() for x in want]
+            assert all(x.imag.hex() == (0.0).hex() for x in got)
+
+    @pytest.mark.parametrize("which", ["complex A", "complex z", "tiny imaginary entry"])
+    def test_complex_inputs_take_the_complex_sum(self, monkeypatch, which):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 6))
+        z = 0.2
+        if which == "complex A":
+            a = a + 1j * rng.standard_normal((6, 6))
+        elif which == "complex z":
+            z = complex(0.15, -0.1)
+        else:
+            a = a.astype(complex)
+            a[2, 3] += 1e-300j
+        A = CMatrix(a.tolist())
+        rep, kinds = self.run(monkeypatch, A, z, ML2)
+        rows, terms, tail, status = complex_series(A, z, ML2)
+        assert kinds == {complex}
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        hexes = [[(x.real.hex(), x.imag.hex()) for x in r] for r in rows]
+        assert [[(x.real.hex(), x.imag.hex()) for x in r] for r in rep.value.rows] == hexes
+        if which == "tiny imaginary entry":
+            assert any(x.imag for r in rep.value.rows for x in r)
+
+    @pytest.mark.parametrize("A, z, seq, stop", [
+        # settled after five small terms: T_1 is Az r(1) itself, and each of
+        # T_2..T_k is one product, so k - 1 = terms_used - 2 products
+        (EXAMPLE1, 0.5, FACTORIAL, 2),
+        (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML2, 2),
+        # a zero term T_k ends the sum with terms_used = k: k - 1 products
+        (CMatrix([[0.0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1.0, FACTORIAL, 1),
+        (CMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1, FACTORIAL, 1),
+        (CMatrix([[0, GaussianRational(1, 1)], [0, 0]]), 1, FACTORIAL, 1),
+    ])
+    def test_first_term_makes_no_product(self, monkeypatch, A, z, seq, stop):
+        calls = []
+        matmul = CMatrix.__matmul__
+        monkeypatch.setattr(CMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        rep = eval_exp(A, z, seq)
+        assert rep.status == "converged"
+        assert len(calls) == rep.terms_used - stop
+
+
 class TestDeltaE:
     def test_h0_matches_matrix_eval(self):
         for lam, z in [(1.3, 0.7), (-0.4 + 0.2j, 1.1)]:

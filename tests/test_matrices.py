@@ -112,6 +112,25 @@ class TestConstruction:
         scaled = m.scale(-1).rows
         assert str(scaled[0][0].imag) == "0.0" and repr((-m).rows) != repr(scaled)
 
+    def test_real_factor_scales_as_its_complex(self):
+        # complex entries meet a real factor as complex(factor), so signed
+        # zeros and infinities come out as before; only the float entries of
+        # _real_parts are scaled in float arithmetic
+        inf = float("inf")
+        m = CMatrix([[complex(-0.0, 0.0), complex(1.5, -0.0)],
+                     [complex(inf, 0.0), complex(-2.0, 3.0)]])
+        hexes = lambda a: [[(x.real.hex(), x.imag.hex()) for x in r] for r in a.rows]
+        for f in (-1.0, 0.0, -0.0, 2.5, 3, inf):
+            assert hexes(m.scale(f)) == hexes(m.scale(complex(f)))
+            assert all(type(x) is complex for r in m.scale(f).rows for x in r)
+        r = CMatrix([[0.0, -1.5], [2.0, -0.0]])._real_parts()
+        for f in (-1.0, 2.5, 3):
+            got = r.scale(f)
+            assert all(type(x) is float for row in got.rows for x in row)
+            assert [[x.hex() for x in row] for row in got.rows] == [
+                [(x * f).hex() for x in row] for row in r.rows]
+        assert all(type(x) is complex for row in r._complexified().rows for x in row)
+
     def test_float_is_zero(self):
         assert CMatrix.zeros(2, "float").is_zero()
         assert CMatrix([[0.0, -0.0], [complex(0.0, -0.0), 0.0]]).is_zero()
