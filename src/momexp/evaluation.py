@@ -11,7 +11,10 @@ reported as `radius_exceeded` instead of a value.  The matrix series of a
 geometric sequence m(p) = b^p is not summed at all: on either backend it is
 the Neumann closed form (I - Az/b)^{-1}, which exists iff rho(Az/b) < 1.
 Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
-product by I.  On the float backend a real Az (every imaginary part zero) is
+product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
+product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
+is stored instead of building the product and then a scaled copy of it.
+On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
 and every imaginary part is +0.0, as in that sum.
@@ -26,7 +29,8 @@ from typing import Any
 import numpy as np
 
 from .errors import EvaluationError
-from .matrices import EXACT, FLOAT, CMatrix, _block_toeplitz, require_exact, vec_norm
+from .jordan import _block_toeplitz
+from .matrices import EXACT, FLOAT, CMatrix, require_exact, vec_norm
 
 CONVERGED = "converged"
 RADIUS_EXCEEDED = "radius_exceeded"
@@ -102,7 +106,8 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     The exact backend needs an exact matrix, z and sequence.  A geometric
     sequence takes the Neumann closed form, with ``terms_used`` 0.  Any
     other is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from T_1 = Az m(0)/m(1)
-    with no product: under the policy on the float backend, in real
+    with no product, each later term one product pass that scales each entry
+    as it is stored: under the policy on the float backend, in real
     arithmetic when Az is real (the value still holds complex entries);
     exactly on the exact backend, where the sum is finite iff Az is
     nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n terms
@@ -132,7 +137,7 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
             real, M, first = True, M._real_parts(), first._real_parts()
 
         def step(term, p):  # T_1 is M r(1) itself: the term before it is I
-            return (M if p == 1 else term @ M).scale(ratio(p))
+            return M.scale(ratio(p)) if p == 1 else term._scaled_product(M, ratio(p))
     else:
         M, first, size = a * z, v, (lambda t: float(any(t))) if exact else vec_norm
 

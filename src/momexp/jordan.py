@@ -38,12 +38,11 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ChainConstructionFailed, DimensionMismatch, SingularMatrix
-from .exact import _ExactSpan, _nullspace_exact
+from .exact import GaussianRational, _ExactSpan, _nullspace_exact
 from .matrices import (
     EXACT,
     FLOAT,
     CMatrix,
-    _block_toeplitz,
     _sigma_singular,
     infer_backend,
     mat_vec,
@@ -72,6 +71,24 @@ def assemble_jordan(blocks, backend=FLOAT):
     else:
         blocks = [(complex(lam), size) for lam, size in blocks]
     return _block_toeplitz([(size, (lam, 1)) for lam, size in blocks], backend)
+
+
+def _block_toeplitz(blocks, backend):
+    """Block-diagonal matrix of upper-triangular Toeplitz blocks, each given
+    as (size, first row c): entry (r, r + h) of a block is c_h, and zero
+    where c is shorter than the block."""
+    if any(size < 1 for size, _ in blocks):
+        raise ValueError("block size must be positive")
+    n = sum(size for size, _ in blocks)
+    zero = GaussianRational(0) if backend == EXACT else 0j
+    rows = [[zero] * n for _ in range(n)]
+    off = 0
+    for size, first in blocks:
+        first = list(first[:size]) + [zero] * (size - len(first))
+        for r in range(size):
+            rows[off + r][off + r:off + size] = first[:size - r]
+        off += size
+    return CMatrix(rows, backend)
 
 
 def _check_tol(name, tol):

@@ -18,8 +18,10 @@ other inputs through :func:`require_exact`, which names the one that is not
 exact.  On the float backend, scalar arguments (``z``, a scale factor, an
 eigenvalue) are converted with ``complex()``, but matrix and vector entries
 must not be GaussianRational; an exact matrix converts only through the
-lossy :meth:`CMatrix.to_float`.  Besides :class:`CMatrix` on both backends,
-this module holds the vector API and the JSON wire format.
+lossy :meth:`CMatrix.to_float`.  Every float matrix product runs one loop,
+:meth:`CMatrix._scaled_product`, and ``@`` is its unscaled case.  Besides
+:class:`CMatrix` on both backends, this module holds the vector API and the
+JSON wire format.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ class CMatrix:
     imaginary numerators (``_im`` is None), so its kernels skip every
     imaginary product.  Its ``rows`` of GaussianRationals
     are kept when it is built from them and otherwise built on first read.
+    A float product ``(a @ b).scale(s)`` of the series is one pass,
+    ``a._scaled_product(b, s)``: each entry is scaled as it is stored.
     """
 
     __slots__ = ("n", "rows", "backend", "_re", "_im", "_den")
@@ -156,8 +160,9 @@ class CMatrix:
         itself; unlike ``__init__`` it checks and coerces no entry."""
         rows = tuple(map(tuple, rows))
         m = object.__new__(cls)
-        for name, value in (("n", len(rows)), ("backend", FLOAT), ("rows", rows)):
-            _set(m, name, value)
+        _set(m, "n", len(rows))
+        _set(m, "backend", FLOAT)
+        _set(m, "rows", rows)
         return m
 
     def _set_ints(self, n, re, im, den):
@@ -249,22 +254,37 @@ class CMatrix:
             raise BackendMismatch(f"{self.backend} vs {other.backend}")
 
     def __matmul__(self, other):
+        if self.backend == FLOAT:
+            return self._scaled_product(other, None)
         self._check(other)
-        n = self.n
+        re, im = _gauss(_imatmul, self._re, self._im,
+                        _transposed(other._re), _transposed(other._im))
+        return CMatrix._from_ints(self.n, re, im, self._den * other._den)
+
+    def _scaled_product(self, other, s):
+        """``(self @ other).scale(s)``, bit for bit.  On the float backend
+        this is the one product loop, and ``@`` is its ``s = None`` case:
+        each entry is summed left to right from its first product and
+        multiplied by ``s`` as it is stored, so the unscaled product is never
+        built.  ``s`` is coerced as :meth:`scale` coerces it, made real only
+        when both factors hold Python floats."""
         if self.backend == EXACT:
-            re, im = _gauss(_imatmul, self._re, self._im,
-                            _transposed(other._re), _transposed(other._im))
-            return CMatrix._from_ints(n, re, im, self._den * other._den)
-        bt = other.rows
+            return (self @ other).scale(s)
+        self._check(other)
+        b = other.rows
+        if s is not None:
+            s = complex(s)
+            if not s.imag and type(self.rows[0][0]) is type(b[0][0]) is float:
+                s = s.real
+        cols, ks = range(self.n), range(1, self.n)
         out = []
-        for i in range(n):
-            ai = self.rows[i]
+        for ai in self.rows:
             row = []
-            for j in range(n):
-                s = ai[0] * bt[0][j]
-                for k in range(1, n):
-                    s = s + ai[k] * bt[k][j]
-                row.append(s)
+            for j in cols:
+                t = ai[0] * b[0][j]
+                for k in ks:
+                    t = t + ai[k] * b[k][j]
+                row.append(t if s is None else t * s)
             out.append(row)
         return CMatrix._from_complex(out)
 
@@ -341,14 +361,17 @@ class CMatrix:
     def pow(self, p):
         if not isinstance(p, int) or p < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = CMatrix.identity(self.n, self.backend)
-        base = self
-        while p:
+        if p == 0:
+            return CMatrix.identity(self.n, self.backend)
+        # popcount(p) + bit_length(p) - 2 products: none by I, none past the top bit
+        out, base = None, self
+        while True:
             if p & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             p >>= 1
-        return out
+            if not p:
+                return out
+            base = base @ base
 
     def trace(self):
         if self.backend == EXACT:
@@ -363,7 +386,7 @@ class CMatrix:
         """Max row sum of entry moduli; normalized and submultiplicative."""
         if self.backend == EXACT:
             return self.to_float().row_sum_norm()
-        return max(sum(abs(x) for x in r) for r in self.rows)
+        return max(sum(map(abs, r)) for r in self.rows)
 
     # -- elimination --------------------------------------------------
 
@@ -404,24 +427,6 @@ class CMatrix:
 
     def __repr__(self):
         return f"CMatrix({[list(r) for r in self.rows]!r}, backend={self.backend!r})"
-
-
-def _block_toeplitz(blocks, backend):
-    """Block-diagonal matrix of upper-triangular Toeplitz blocks, each given
-    as (size, first row c): entry (r, r + h) of a block is c_h, and zero
-    where c is shorter than the block."""
-    if any(size < 1 for size, _ in blocks):
-        raise ValueError("block size must be positive")
-    n = sum(size for size, _ in blocks)
-    zero = GaussianRational(0) if backend == EXACT else 0j
-    rows = [[zero] * n for _ in range(n)]
-    off = 0
-    for size, first in blocks:
-        first = list(first[:size]) + [zero] * (size - len(first))
-        for r in range(size):
-            rows[off + r][off + r:off + size] = first[:size - r]
-        off += size
-    return CMatrix(rows, backend)
 
 
 def _float_singular(a):

@@ -121,7 +121,7 @@ def cauchy_product(s1, s2):
         acc = None
         for n in range(p + 1):
             a, b, r = c1[n], c2[p - n], row[n]
-            term = (a @ b).scale(r) if matrix else a * b * r
+            term = a._scaled_product(b, r) if matrix else a * b * r
             acc = term if acc is None else acc + term
         out.append(acc)
     return MomentSeries(seq, out)

@@ -201,13 +201,13 @@ class TestRealSeries:
     @staticmethod
     def run(monkeypatch, A, z, seq):
         kinds = set()
-        matmul = CMatrix.__matmul__
+        product = CMatrix._scaled_product
 
-        def spy(a, b):
+        def spy(a, b, s):
             kinds.add(type(a.rows[0][0]))
-            return matmul(a, b)
+            return product(a, b, s)
 
-        monkeypatch.setattr(CMatrix, "__matmul__", spy)
+        monkeypatch.setattr(CMatrix, "_scaled_product", spy)
         rep = eval_exp(A, z, seq)
         monkeypatch.undo()
         return rep, kinds
@@ -261,8 +261,9 @@ class TestRealSeries:
     ])
     def test_first_term_makes_no_product(self, monkeypatch, A, z, seq, stop):
         calls = []
-        matmul = CMatrix.__matmul__
-        monkeypatch.setattr(CMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        product = CMatrix._scaled_product
+        monkeypatch.setattr(CMatrix, "_scaled_product",
+                            lambda a, b, s: calls.append(1) or product(a, b, s))
         rep = eval_exp(A, z, seq)
         assert rep.status == "converged"
         assert len(calls) == rep.terms_used - stop

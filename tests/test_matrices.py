@@ -284,6 +284,23 @@ class TestMatPow:
         a = rand_exact(3, random.Random(seed), -3, 3)
         assert mat_pow(a, p + q) == mat_pow(a, p) @ mat_pow(a, q)
 
+    @pytest.mark.parametrize("p", [*range(10), 25, 45])
+    def test_power_makes_only_the_products_it_needs(self, monkeypatch, p):
+        # square-and-multiply from the matrix itself: no product by I and
+        # no squaring past the top bit of p
+        want = CMatrix.identity(3)
+        for _ in range(p):
+            want = want @ EXAMPLE1
+        calls = []
+        matmul = CMatrix.__matmul__
+        monkeypatch.setattr(CMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        for m in (EXAMPLE1, EXAMPLE1.to_float()):
+            calls.clear()
+            got = m.pow(p)
+            assert len(calls) == (bin(p).count("1") + p.bit_length() - 2 if p else 0)
+        monkeypatch.undo()
+        assert EXAMPLE1.pow(p) == want and got == want.to_float()
+
 
 class TestRowSumNorm:
     def test_identity_normalized(self):
@@ -318,6 +335,75 @@ class TestRowSumNorm:
             n = rng.randint(1, 4)
             a = CMatrix([[GaussianRational(part(), part()) for _ in range(n)] for _ in range(n)])
             assert a.row_sum_norm().hex() == a.to_float().row_sum_norm().hex()
+
+    @pytest.mark.parametrize("rows", [
+        [[float("nan"), 1.0], [2.0, 3.0]],
+        [[1.0, 2.0], [float("nan"), 0.0]],
+        [[complex(float("inf"), float("nan")), 1.0], [-0.0, 2.0]],
+        [[float("-inf"), 0.0], [float("inf"), -0.0]],
+        [[-0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), -0.0]],
+        [[-0.0]],
+    ])
+    def test_special_entries(self, rows):
+        # the sum of moduli of each row, in order, as a generator would give it
+        for m in (CMatrix(rows), CMatrix(rows)._real_parts()):
+            want = max(sum(abs(x) for x in r) for r in m.rows)
+            got = m.row_sum_norm()
+            assert type(got) is float and got.hex() == want.hex()
+
+
+class TestScaledProduct:
+    """``a._scaled_product(b, s)`` is ``(a @ b).scale(s)`` bit for bit."""
+
+    SPECIAL = (0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+               5e-324, -2.2e-308, 1.5, -3.25, 1e300, 0.7)
+    FACTORS = (0.37, -2.5, 0.0, -0.0, 3, complex(0.5, -1.25), 1j, complex(-0.0, 0.0))
+
+    @staticmethod
+    def hexes(m):
+        return [[(type(x).__name__, x.real.hex(), x.imag.hex()) for x in r] for r in m.rows]
+
+    @classmethod
+    def operand(cls, rng, n, special):
+        def part():
+            return rng.choice(cls.SPECIAL) if rng.random() < special else rng.uniform(-2, 2)
+
+        return CMatrix([[complex(part(), part()) for _ in range(n)] for _ in range(n)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kinds", ["complex", "real", "real-complex", "complex-real"])
+    def test_float_is_product_then_scale(self, n, kinds):
+        rng = random.Random(n * 10 + len(kinds))
+        for trial in range(12):
+            special = (0.0, 0.2, 0.6)[trial % 3]
+            a, b = self.operand(rng, n, special), self.operand(rng, n, special)
+            left, right = kinds.split("-") if "-" in kinds else (kinds, kinds)
+            a = a._real_parts() if left == "real" else a
+            b = b._real_parts() if right == "real" else b
+            for s in self.FACTORS:
+                got = a._scaled_product(b, s)
+                assert self.hexes(got) == self.hexes((a @ b).scale(s))
+
+    def test_exact_is_product_then_scale(self):
+        rng = random.Random(21)
+        for n in range(1, 5):
+            a, b = rand_exact(n, rng), rand_exact(n, rng).scale(GaussianRational(1, -2))
+            for s in (Fraction(-3, 7), 0, 2, GaussianRational(Fraction(1, 2), -1)):
+                assert a._scaled_product(b, s) == (a @ b).scale(s)
+
+    @staticmethod
+    def raised(f):
+        with pytest.raises(Exception) as info:
+            f()
+        return type(info.value), str(info.value)
+
+    def test_mismatch_raises_as_matmul(self):
+        f2, f3, e2 = CMatrix.identity(2, "float"), CMatrix.identity(3, "float"), CMatrix.identity(2)
+        for a, b in ((f2, f3), (f3, f2), (e2, CMatrix.identity(3)), (f2, e2), (e2, f2),
+                     (f2, f2.rows), (e2, 2)):
+            want = self.raised(lambda: a @ b)
+            assert want[0] in (DimensionMismatch, BackendMismatch, TypeError)
+            assert self.raised(lambda: a._scaled_product(b, 2)) == want
 
 
 class TestInverse:
