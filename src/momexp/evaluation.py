@@ -7,9 +7,11 @@ vanishes too; otherwise the sum is settled after five consecutive term
 sizes below `tol` with an empirical term ratio below one, and the tail is
 then bounded geometrically.  Sequences without declared rapid growth can hit
 a finite radius of convergence; five consecutive term ratios >= 1 are
-reported as `radius_exceeded` instead of a value.  The matrix series of a
-geometric sequence m(p) = b^p is not summed at all: on either backend it is
-the Neumann closed form (I - Az/b)^{-1}, which exists iff rho(Az/b) < 1.
+reported as `radius_exceeded` instead of a value.  A kind with a closed form
+(``rules.neumann``: geometric, m(p) = b^p) is not summed: E(Az) is
+(I - Az/b)^{-1}, which exists iff rho(Az/b) < 1, decided in floats or, for
+an exact Az near rho = 1, exactly (:func:`_neumann_diverges`).  Only where a
+float I - Az/b fails the sigma rule inside the radius is its series summed.
 Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
 product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
 product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
@@ -28,7 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, SingularMatrix
+from .exact import _rho_below_one
 from .jordan import _block_toeplitz
 from .matrices import EXACT, FLOAT, CMatrix, require_exact, vec_norm
 
@@ -96,22 +99,40 @@ def _sum(first, step, size, limit, policy=None, rapid_growth=True):
     return EvalReport(total, limit + 1, math.inf, MAX_TERMS_REACHED)
 
 
-def _spectral_radius(m):
-    return max(abs(ev) for ev in np.linalg.eigvals(m.to_float().to_numpy()))
+def _neumann_diverges(M):
+    """Whether sum_p M^p diverges, rho(M) >= 1.  The float backend reads the
+    float rho, whose rounding decides a rho within a few ulps of 1.  An exact
+    M is decided exactly (:func:`momexp.exact._rho_below_one`) when its float
+    rho is within 1e-3 of 1 or not finite; with no float at all, the exact
+    test can only admit it, and else the OverflowError stands."""
+    try:
+        rho = max(abs(ev) for ev in np.linalg.eigvals(M.to_float().to_numpy()))
+    except OverflowError:
+        if _rho_below_one(M):
+            return False
+        raise
+    if M.backend == EXACT and not (math.isfinite(rho) and abs(rho - 1.0) > 1e-3):
+        return not _rho_below_one(M)
+    return rho >= 1.0
 
 
 def eval_exp(A, z, seq, policy=TruncationPolicy()):
     """Evaluate E(Az) = sum A^p z^p / m(p).
 
-    The exact backend needs an exact matrix, z and sequence.  A geometric
-    sequence takes the Neumann closed form, with ``terms_used`` 0.  Any
-    other is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from T_1 = Az m(0)/m(1)
-    with no product, each later term one product pass that scales each entry
-    as it is stored: under the policy on the float backend, in real
-    arithmetic when Az is real (the value still holds complex entries);
-    exactly on the exact backend, where the sum is finite iff Az is
-    nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n terms
-    without a zero term it stops with ``max_terms_reached``.
+    The exact backend needs an exact matrix, z and sequence.  A kind with a
+    closed form takes it: geometric's Neumann form (I - Az/b)^{-1}, with
+    ``terms_used`` 0, or ``radius_exceeded`` when rho(Az/b) >= 1.  The float
+    backend decides rho < 1 in floats, so within rounding of 1 by rounding;
+    the exact backend decides it exactly where the float rho is within 1e-3
+    of 1 or has no float.  Where a float I - Az/b fails the sigma rule though
+    rho < 1, the terms are summed instead, with the radius rule off.  Any
+    other kind is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from
+    T_1 = Az m(0)/m(1) with no product, each later term one product pass
+    that scales each entry as it is stored: under the policy on the float
+    backend, in real arithmetic when Az is real (the value still holds
+    complex entries); exactly on the exact backend, where the sum is finite
+    iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
+    terms without a zero term it stops with ``max_terms_reached``.
     """
     return _exp_series(A, z, seq, policy)
 
@@ -122,12 +143,17 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
     if exact:
         require_exact(seq, "moment sequence")
     z = require_exact(z, "z") if exact else complex(z)
-    if seq.kind == "geometric":
+    rapid = seq.rapid_growth_declared
+    if seq.rules.neumann:
         M = A.scale(z / seq.param)
-        if _spectral_radius(M) >= 1.0:
+        if _neumann_diverges(M):
             return EvalReport(None, 0, math.inf, RADIUS_EXCEEDED)
-        inv = (CMatrix.identity(A.n, A.backend) - M).inverse()
-        return EvalReport(inv if v is None else inv.rows @ v, 0, 0.0, CONVERGED)
+        try:
+            inv = (CMatrix.identity(A.n, A.backend) - M).inverse()
+        except SingularMatrix:  # float I - M, by the sigma rule: sum the terms
+            rapid = True
+        else:
+            return EvalReport(inv if v is None else inv.rows @ v, 0, 0.0, CONVERGED)
     ratio = seq.step_ratio if exact else seq.float_step_ratio
     real = False
     if v is None:
@@ -146,7 +172,7 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
 
     if exact:
         return _sum(first, step, size, min(A.n, policy.max_terms))
-    rep = _sum(first, step, size, policy.max_terms, policy, seq.rapid_growth_declared)
+    rep = _sum(first, step, size, policy.max_terms, policy, rapid)
     if real and rep.value is not None:
         rep.value = rep.value._complexified()
     return rep

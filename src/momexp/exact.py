@@ -6,8 +6,8 @@ matrix or vector computes on integer blocks instead: integer numerators
 ``re`` and ``im`` (None for a real block) over one common denominator, in
 the canonical form that :func:`_reduced` enforces.  Every product takes one,
 two or four integer products by one rule (:func:`_gauss`), and inverse,
-determinant, kernel and rank come from one fraction-free elimination
-(:func:`bareiss`), whose output is read only here.
+determinant, kernel, rank and the test rho < 1 come from one fraction-free
+elimination (:func:`bareiss`), whose output is read only here.
 
 :class:`momexp.matrices.CMatrix` stores an exact matrix in this format and
 :mod:`momexp.jordan` takes its exact kernel and span from here; this module
@@ -369,6 +369,35 @@ def _det(re, im, den):
     if len(pivots) < n:
         return GaussianRational(0)
     return gaussian_quotient(dr, di, (-1) ** swaps * den ** n, 0)
+
+
+def _rho_below_one(m):
+    """Whether rho(m) < 1 for an exact CMatrix m, decided exactly (Stein):
+    X - m^H X m = I has a Hermitian positive definite solution iff
+    rho(m) < 1, and its n^2 unknowns have no unique solution only if m has
+    eigenvalues lam, mu with conj(lam) mu = 1, so rho(m) >= 1.  For
+    m = N / den it reads den^2 X - N^H X N = den^2 I in Gaussian integers;
+    :func:`bareiss` gives X = Y / d, and X is definite iff every leading
+    principal minor of Y conj(d) is positive."""
+    n, d2 = m.n, m._den ** 2
+    nr, ni = m._re, m._imag()
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    # row (i, j), column (k, l): d2 [(i, j) = (k, l)] - conj(N[k][i]) N[l][j]
+    kr = tuple(tuple(d2 * (i == k and j == l) - nr[k][i] * nr[l][j] - ni[k][i] * ni[l][j]
+                     for k, l in pairs) for i, j in pairs)
+    ki = tuple(tuple(ni[k][i] * nr[l][j] - nr[k][i] * ni[l][j] for k, l in pairs)
+               for i, j in pairs)
+    (yr, yi), pivots, (dr, di), _ = bareiss(kr, None if _is_zero(ki) else ki,
+                                             tuple((d2 * (i == j),) for i, j in pairs))
+    if len(pivots) < n * n:
+        return False
+    y = [(r[-1], yi[t][-1] if yi else 0) for t, r in enumerate(yr)]
+    wr = _square([a * dr + b * di for a, b in y], n)
+    wi = _square([b * dr - a * di for a, b in y], n)
+    wi = None if _is_zero(wi) else wi
+    minors = (_det(tuple(r[:k] for r in wr[:k]), wi and tuple(r[:k] for r in wi[:k]), 1)
+              for k in range(1, n + 1))
+    return all(d.re > 0 for d in minors)
 
 
 # -- the exact half of the Jordan staircase --------------------------------

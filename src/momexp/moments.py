@@ -1,19 +1,18 @@
 """Moment sequences m = (m(p)) and their growth diagnostics.
 
-Built-in kinds:
+Each kind is one row of ``_KINDS``; a sequence reads all its rules there.
 
-* ``factorial``          m(p) = p!                     (exact)
-* ``q_factorial(q)``     m(p) = [p]_q!, [k]_q = 1+q+...+q^{k-1}  (exact for
-  rational q)
-* ``geometric(b)``       m(p) = b^p                    (exact for rational b;
-  finite radius of convergence, the standard counterexample sequence)
-* ``mittag_leffler(k)``  m(p) = Gamma(1 + p/k)         (binary64 only)
-* ``custom``             finite table of positive rationals
+kind (specifier)         m(p)                   exact  growth    closed form
+-----------------------  ---------------------  -----  --------  ---------------
+factorial (factorial)    p m(p-1) = p!          yes    rapid     -
+q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     -
+geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    (I - Az/b)^{-1}
+mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     -
+custom (custom:<path>)   entry p of its table   yes    declared  -
 
-``rapid_growth_declared`` asserts liminf m(p)^{1/p} = +infinity, which makes
-the associated exponential series entire.  Each built-in kind fixes it (and
-exactness) and raises SequenceError if it is passed; a custom table must
-declare it.  ``specifier()`` reads back through ``parse_specifier``.
+[k]_q = 1+q+...+q^{k-1}; q, b and table entries are rational, k a finite
+float.  Rapid growth, liminf m(p)^{1/p} = +infinity, makes E(Az) entire; a
+built-in kind fixes growth and exactness, a custom table declares growth.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import SequenceError
 
@@ -35,19 +36,44 @@ def _as_fraction(x, what):
         raise SequenceError(f"{what} must be rational, got {x!r}") from exc
 
 
-# kind: (specifier prefix, exact, rapid growth); a custom table's growth is
-# declared by its caller
+def _gamma(x):
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+class _Kind(NamedTuple):
+    prefix: str  # of the specifier
+    exact: bool
+    rapid: bool | None  # None: the caller declares a table's growth
+    param: tuple | None  # (cast, check, error) of the parameter; None: none
+    value: Callable | None  # m(p) from (seq, m(p-1), p); None: table entry p
+    log: Callable | None = None  # log m(p) from (seq, p), not from m(p)
+    neumann: bool = False  # E(Az) = (I - Az/param)^{-1}
+
+
 _KINDS = {
-    "factorial": ("factorial", True, True),
-    "q_factorial": ("qfac", True, True),
-    "geometric": ("geom", True, False),
-    "mittag_leffler": ("ml", False, True),
-    "custom": ("custom", True, None),
+    "factorial": _Kind("factorial", True, True, None, lambda s, m, p: m * p),
+    "q_factorial": _Kind("qfac", True, True,
+                         (partial(_as_fraction, what="q"), lambda q: q > 1,
+                          "q_factorial requires q > 1"),
+                         lambda s, m, p: m * s.q_number(p)),
+    "geometric": _Kind("geom", True, False,
+                       (partial(_as_fraction, what="b"), lambda b: b > 0,
+                        "geometric requires b > 0"),
+                       lambda s, m, p: m * s.param, neumann=True),
+    "mittag_leffler": _Kind("ml", False, True,
+                            (float, lambda k: math.isfinite(k) and k > 0,
+                             "mittag_leffler requires a finite k > 0"),
+                            lambda s, m, p: _gamma(1 + p / s.param),
+                            log=lambda s, p: math.lgamma(1 + p / s.param)),
+    "custom": _Kind("custom", True, None, None, None),
 }
 
 
 class MomentSequence:
-    """Memoized positive sequence m(p) with m(0) = 1.
+    """Memoized positive sequence m(p) with m(0) = 1, by the ``rules`` of its kind.
 
     Besides the values, an object memoizes the ratio rows of
     :meth:`ratio_row` and one row of float step ratios
@@ -55,36 +81,29 @@ class MomentSequence:
     """
 
     def __init__(self, kind, param=None, values=None, rapid_growth_declared=None):
-        if kind not in _KINDS:
+        rules = _KINDS.get(kind)
+        if rules is None:
             raise SequenceError(f"unknown sequence kind {kind!r}")
-        _, self.exact, rapid = _KINDS[kind]
+        rapid = rules.rapid
         if rapid is None and rapid_growth_declared is None:
             raise SequenceError("custom sequences must declare rapid growth explicitly")
         if rapid is not None and rapid_growth_declared is not None:
             raise SequenceError(f"the growth of a {kind} sequence is fixed by its kind")
-        if param is not None and kind in ("factorial", "custom"):
+        if param is not None and rules.param is None:
             raise SequenceError(f"a {kind} sequence takes no parameter")
         self.rapid_growth_declared = rapid_growth_declared if rapid is None else rapid
-        self.kind = kind
-        self.param = param
+        self.kind, self.rules, self.exact = kind, rules, rules.exact
         self._table = ()
         self._path = None  # the table's file, as its specifier wrote it
         self._lock = threading.Lock()
         self._rows = []  # ratio rows, see ratio_row
         self._float_ratios = [math.nan]  # see float_step_ratio; entry 0 unused
-        if kind == "q_factorial":
-            self.param = _as_fraction(param, "q")
-            if self.param <= 1:
-                raise SequenceError("q_factorial requires q > 1")
-        elif kind == "geometric":
-            self.param = _as_fraction(param, "b")
-            if self.param <= 0:
-                raise SequenceError("geometric requires b > 0")
-        elif kind == "mittag_leffler":
-            self.param = float(param)
-            if not (math.isfinite(self.param) and self.param > 0):
-                raise SequenceError("mittag_leffler requires a finite k > 0")
-        elif kind == "custom":
+        if rules.param is not None:
+            cast, check, error = rules.param
+            param = cast(param)
+            if not check(param):
+                raise SequenceError(error)
+        elif rules.value is None:
             if not values:
                 raise SequenceError("custom sequence needs a nonempty table")
             self._table = tuple(_as_fraction(v, "custom value") for v in values)
@@ -92,29 +111,17 @@ class MomentSequence:
                 raise SequenceError("m(0) must equal 1")
             if any(v <= 0 for v in self._table):
                 raise SequenceError("moment values must be positive")
+        self.param = param
         self._cache = [Fraction(1) if self.exact else 1.0]
 
     # -- constructors ---------------------------------------------------
 
-    @classmethod
-    def factorial(cls):
-        return cls("factorial")
-
-    @classmethod
-    def q_factorial(cls, q):
-        return cls("q_factorial", q)
-
-    @classmethod
-    def geometric(cls, b):
-        return cls("geometric", b)
-
-    @classmethod
-    def mittag_leffler(cls, k):
-        return cls("mittag_leffler", k)
-
-    @classmethod
-    def custom(cls, values, rapid_growth_declared):
-        return cls("custom", values=values, rapid_growth_declared=rapid_growth_declared)
+    factorial = classmethod(lambda cls: cls("factorial"))
+    q_factorial = classmethod(lambda cls, q: cls("q_factorial", q))
+    geometric = classmethod(lambda cls, b: cls("geometric", b))
+    mittag_leffler = classmethod(lambda cls, k: cls("mittag_leffler", k))
+    custom = classmethod(lambda cls, values, rapid_growth_declared: cls(
+        "custom", values=values, rapid_growth_declared=rapid_growth_declared))
 
     # -- evaluation -------------------------------------------------------
 
@@ -124,19 +131,8 @@ class MomentSequence:
 
     def _compute(self, p):
         # called under the lock with len(_cache) == p
-        prev = self._cache[p - 1]
-        if self.kind == "factorial":
-            return prev * p
-        if self.kind == "q_factorial":
-            return prev * self.q_number(p)
-        if self.kind == "geometric":
-            return prev * self.param
-        if self.kind == "mittag_leffler":
-            try:
-                return math.gamma(1 + p / self.param)
-            except OverflowError:
-                return math.inf
-        # custom
+        if self.rules.value is not None:
+            return self.rules.value(self, self._cache[p - 1], p)
         if p >= len(self._table):
             raise SequenceError(
                 f"custom sequence has {len(self._table)} values; m({p}) undefined"
@@ -175,12 +171,12 @@ class MomentSequence:
         return tuple(m[q] / (m[n] * m[q - n]) for n in range(q + 1))
 
     def step_ratio(self, p):
-        """m(p-1)/m(p), computed stably (log-gamma for mittag_leffler)."""
+        """m(p-1)/m(p), computed stably (from the log form, if the kind has one)."""
         if p < 1:
             raise ValueError("p must be >= 1")
-        if self.kind == "mittag_leffler":
-            k = self.param
-            return math.exp(math.lgamma(1 + (p - 1) / k) - math.lgamma(1 + p / k))
+        log = self.rules.log
+        if log is not None:
+            return math.exp(log(self, p - 1) - log(self, p))
         return self.value(p - 1) / self.value(p)
 
     def float_step_ratio(self, p):
@@ -192,15 +188,15 @@ class MomentSequence:
             return row[p]
         if p < 1:
             raise ValueError("p must be >= 1")
-        if not self.exact:  # step_ratio of mittag_leffler reads no moment value
+        if self.rules.log is not None:  # then step_ratio reads no moment value
             return self._fill(row, p, self.step_ratio)
         self.value(p)  # fills m(0..p) first; value takes the lock itself
         m = self._cache
         return self._fill(row, p, lambda q: float(m[q - 1] / m[q]))
 
     def log_value(self, p):
-        if self.kind == "mittag_leffler":
-            return math.lgamma(1 + p / self.param)
+        if self.rules.log is not None:
+            return self.rules.log(self, p)
         v = self.value(p)
         return math.log(v.numerator) - math.log(v.denominator)
 
@@ -209,9 +205,9 @@ class MomentSequence:
         a table read by :func:`load_custom` prints ``custom:<path>``, one
         built in memory ``custom``, which names no file; ``ml:k`` prints k
         with ``:g`` when that reads back as k, else in full."""
-        prefix = _KINDS[self.kind][0]
+        prefix = self.rules.prefix
         k = self.param if self._path is None else self._path
-        if self.kind == "mittag_leffler" and float(f"{k:g}") == k:
+        if type(k) is float and float(f"{k:g}") == k:
             k = f"{k:g}"
         return prefix if k is None else f"{prefix}:{k}"
 
@@ -267,16 +263,18 @@ def growth_probe(seq, P):
 # -- CLI specifier strings ----------------------------------------------
 
 def parse_specifier(spec, base=""):
-    """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>'.  A
-    relative custom path is read from the directory ``base`` and kept as
-    written, so the sequence's specifier is ``spec`` itself."""
+    """Parse 'factorial' | 'ml:k' | 'qfac:q' | 'geom:b' | 'custom:<path>': a
+    parameter or a table's file follows the colon.  A relative custom path is
+    read from the directory ``base`` and kept as written, so the sequence's
+    specifier is ``spec`` itself."""
     if not isinstance(spec, str):
         raise SequenceError(f"moment sequence specifier must be a string, got {spec!r}")
     prefix, colon, arg = spec.partition(":")
-    kind = next((k for k, row in _KINDS.items() if row[0] == prefix), None)
-    if kind is None or bool(colon) == (kind == "factorial"):
+    kind = next((k for k, row in _KINDS.items() if row.prefix == prefix), None)
+    rules = _KINDS.get(kind)
+    if rules is None or bool(colon) != (rules.param is not None or rules.value is None):
         raise SequenceError(f"unknown moment sequence specifier {spec!r}")
-    if kind == "custom":
+    if rules.value is None:
         seq = load_custom(os.path.join(base, arg))
         seq._path = arg
         return seq

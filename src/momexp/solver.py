@@ -32,9 +32,12 @@ class IVPSolution:
     an exact A with a float v_c raises BackendMismatch here.  ``sol(z)`` sums
     the vector series t_0 = v_c, t_p = (Az t_{p-1}) m(p-1)/m(p) by the rules
     of :func:`momexp.evaluation.eval_exp`: O(n^2) per term, sized by
-    ``vec_norm``, so ``terms_used`` and ``tail_estimate`` describe it; a
-    geometric m applies its Neumann form to v_c.  An exact sum ends at its
-    first zero term, by term n when v_c is in a nilpotent invariant subspace.
+    ``vec_norm``, so ``terms_used`` and ``tail_estimate`` describe it.  A
+    kind with a closed form applies it to v_c (geometric's Neumann form,
+    under the same radius decision) unless a float I - Az/b fails the sigma
+    rule inside the radius; then its vector series is summed.  An exact sum
+    ends at its first zero term, by term n when v_c is in a nilpotent
+    invariant subspace.
     It runs on numpy object arrays of GaussianRational, not on the integer
     kernel of :func:`momexp.matrices.krylov`: the sum adds terms with ``+``,
     which concatenates tuples, so that route would need a vector add of its

@@ -62,6 +62,30 @@ class TestEval:
         assert code == 3
         assert doc["status"] == "radius_exceeded"
 
+    def test_geometric_float_sigma_rule(self, capsys, tmp_path):
+        # rho = 0.5, but I - A fails the sigma rule: the terms are summed
+        path = write_matrix(tmp_path, "S.json", CMatrix([[0.5, 1e13], [0.0, 0.5]]))
+        code, doc = run(capsys, "eval", "--matrix", path, "--moment", "geom:1")
+        assert code == 0 and doc["status"] == "converged"
+        got = [[complex(*x) for x in r] for r in doc["value"]["entries"]]
+        for g, w in zip(sum(got, []), (2, 4e13, 0, 2)):
+            assert abs(g - w) <= 1e-12 * 4e13
+        code, doc = run(capsys, "solve", "--matrix", path, "--moment", "geom:1",
+                        "--v0", "[[1,0],[1,0]]", "--z", "1")
+        assert code == 0 and doc["results"][0]["status"] == "converged"
+
+    @pytest.mark.parametrize("m, code, status", [
+        (CMatrix([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]]),
+         3, "radius_exceeded"),
+        (CMatrix([[0, 10**400], [0, 0]]), 0, "converged"),
+    ], ids=["rotation-rho-one", "nilpotent-past-float-range"])
+    def test_geometric_exact_radius(self, capsys, tmp_path, m, code, status):
+        path = write_matrix(tmp_path, "Q.json", m)
+        got, doc = run(capsys, "eval", "--matrix", path, "--moment", "geom:1")
+        assert (got, doc["status"]) == (code, status)
+        if code == 0:
+            assert matrix_from_json(doc["value"]) == (CMatrix.identity(2) - m).inverse()
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",

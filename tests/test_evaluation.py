@@ -22,6 +22,7 @@ from momexp import (
     norm_bound_check,
     scalar_exp,
 )
+from momexp.exact import _rho_below_one
 from momexp.jordan import JordanDecomposition
 
 FACTORIAL = MomentSequence.factorial()
@@ -110,6 +111,76 @@ class TestEvalExp:
         assert (rep.value - want).row_sum_norm() <= 1e-12 * 500
         out = eval_exp(CMatrix.identity(2, "float").scale(2.01), 1.0, GEOM2)
         assert out.status == "radius_exceeded"
+
+    @pytest.mark.parametrize("a, want", [(0.5, [[2, 4e13], [0, 2]]),
+                                         (0.9, [[10, 1e15], [0, 10]])])
+    def test_geometric_float_sigma_rule_sums_the_terms(self, a, want):
+        # rho(Az) = a < 1, but I - Az fails sigma_min <= 1e-12 sigma_max, so
+        # the terms are summed; for a = 0.9 they grow for nine steps first,
+        # which the radius rule alone would call divergent
+        A = CMatrix([[a, 1e13], [0.0, a]])
+        rep = eval_exp(A, 1.0, MomentSequence.geometric(1))
+        assert rep.status == "converged" and rep.terms_used > 0
+        got = rep.value.to_numpy()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if a == 0.5:  # the same sum as a term loop over the all-ones table
+            ones = MomentSequence.custom(["1"] * 400, rapid_growth_declared=False)
+            again = eval_exp(A, 1.0, ones)
+            assert again.value == rep.value and again.terms_used == rep.terms_used == 96
+
+    @pytest.mark.parametrize("rows, scale", [
+        ([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]], 1),
+        ([[Fraction(9, 41), Fraction(-40, 41)], [Fraction(40, 41), Fraction(9, 41)]], 1),
+        ([[Fraction(28, 53), Fraction(-45, 53)], [Fraction(45, 53), Fraction(28, 53)]], 1),
+        ([[-4, 1], [-9, 2]], 1),  # P J_2(-1) P^-1, P = [[1, 2], [3, 7]]
+        # rho = 1 + 1e-17: no eigenvalues have conj(lam) mu = 1, so the Stein
+        # solution exists, and it is indefinite
+        ([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]],
+         1 + Fraction(1, 10**17)),
+    ], ids=["rotation-5-12-13", "rotation-9-40-41", "rotation-28-45-53", "P-J2(-1)-P^-1",
+            "rotation-5-12-13-expanded"])
+    def test_geometric_exact_radius_one_exceeded(self, rows, scale):
+        # rho = 1 exactly (or just above), though the float rho reads just below 1
+        A = CMatrix(rows).scale(scale)
+        rho = max(abs(np.linalg.eigvals(A.to_float().to_numpy())))
+        assert 1 - 1e-12 < rho < 1
+        rep = eval_exp(A, 1, MomentSequence.geometric(1))
+        assert (rep.status, rep.value) == ("radius_exceeded", None)
+
+    def test_exact_radius_test_agrees_with_float_rho_away_from_one(self):
+        rng = random.Random(2601)
+        verdicts = []
+        for case in range(120):
+            n = rng.randint(1, 3)
+            den = rng.randint(2, 6 * n)
+            A = CMatrix([[GaussianRational(Fraction(rng.randint(-5, 5), den),
+                                           Fraction(rng.randint(-5, 5) * (case % 2), den))
+                          for _ in range(n)] for _ in range(n)])
+            rho = max(abs(np.linalg.eigvals(A.to_float().to_numpy())))
+            if abs(rho - 1) > 1e-6:
+                verdicts.append(_rho_below_one(A))
+                assert verdicts[-1] == (rho < 1), A
+        assert 40 <= sum(verdicts) <= len(verdicts) - 40
+
+    def test_geometric_exact_contraction_near_one(self):
+        # P J_2(1 - 1e-12) P^-1 has rho = 1 - 1e-12 < 1, though its float rho
+        # reads 1 + 3.8e-8
+        a = 1 - Fraction(1, 10**12)
+        P = CMatrix([[1, 2], [3, 7]])
+        A = P @ CMatrix([[a, 1], [0, a]]) @ P.inverse()
+        assert max(abs(np.linalg.eigvals(A.to_float().to_numpy()))) > 1
+        rep = eval_exp(A, 1, MomentSequence.geometric(1))
+        assert rep.status == "converged"
+        assert rep.value == (CMatrix.identity(2) - A).inverse()
+
+    def test_geometric_exact_past_float_range(self):
+        # no float rho: the exact test admits the nilpotent matrix ...
+        rep = eval_exp(CMatrix([[0, 10**400], [0, 0]]), 1, MomentSequence.geometric(1))
+        assert rep.status == "converged"
+        assert rep.value == CMatrix([[1, 10**400], [0, 1]])
+        # ... and one it rejects keeps the float conversion's OverflowError
+        with pytest.raises(OverflowError):
+            eval_exp(CMatrix([[1, 0], [0, 10**400]]), 1, GEOM2)
 
     def test_zero_term_ends_float_sum(self):
         # a nilpotent Az: the third term is zero, so m(4) is never needed

@@ -191,20 +191,38 @@ class TestVectorSeries:
          TruncationPolicy(max_terms=5), "max_terms_reached"),
         ([[2.0, 1.0], [-1.0, 3.0]], (1.0, 2.0), 2.0, ML2,
          TruncationPolicy(max_terms=8), "max_terms_reached"),
-        # rho < 1 but sigma_min <= 1e-12 sigma_max: the sigma rule raises
-        ([[0.5, 1e13], [0.0, 0.5]], (1.0, 1.0), 1.0, MomentSequence.geometric(1),
-         TruncationPolicy(), SingularMatrix),
+        # rho = 1 exactly: a rotation and P J_2(-1) P^-1, float rho just below 1
+        ([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]], (1, 2),
+         1, MomentSequence.geometric(1), TruncationPolicy(), "radius_exceeded"),
+        ([[-4, 1], [-9, 2]], (1, 2), 1, MomentSequence.geometric(1), TruncationPolicy(),
+         "radius_exceeded"),
     ], ids=["geom-radius", "custom-radius", "factorial-max-terms", "ml2-max-terms",
-            "geom-sigma-rule"])
+            "geom-exact-rotation", "geom-exact-defective"])
     def test_same_failure_as_matrix_path(self, rows, v, z, seq, policy, status):
         A = CMatrix(rows)
         sol = solve(A, v, seq, policy)
-        if not isinstance(status, str):
-            for run in (sol.evaluate_report, lambda z: matrix_path(A, z, seq, v, policy)):
-                with pytest.raises(status):
-                    run(z)
-            return
         assert sol.evaluate_report(z).status == matrix_path(A, z, seq, v, policy).status == status
+
+    def test_sigma_rule_inside_radius_sums_the_terms(self):
+        # rho(Az) = 0.5 < 1 but I - Az fails sigma_min <= 1e-12 sigma_max:
+        # the vector series is summed, as the matrix series is
+        A, v, seq = CMatrix([[0.5, 1e13], [0.0, 0.5]]), (1.0, 1.0), MomentSequence.geometric(1)
+        got, want = solve(A, v, seq).evaluate_report(1.0), matrix_path(A, 1.0, seq, v)
+        assert got.status == want.status == "converged" and got.terms_used > 0
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got.value, want.value))
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got.value, (4e13 + 2, 2)))
+
+    @pytest.mark.parametrize("rows", [
+        # P J_2(1 - 1e-12) P^-1: rho = 1 - 1e-12, float rho 1 + 3.8e-8
+        [[Fraction(-2 * 10**12 - 1, 10**12), 1], [-9, Fraction(4 * 10**12 - 1, 10**12)]],
+        [[0, 10**400], [0, 0]],  # nilpotent, past the float range
+    ], ids=["contraction-near-one", "nilpotent-past-float-range"])
+    def test_exact_neumann_inside_radius(self, rows):
+        A = CMatrix(rows)
+        rep = solve(A, (1, 2), MomentSequence.geometric(1)).evaluate_report(1)
+        assert rep.status == "converged"
+        inv = (CMatrix.identity(2) - A).inverse()
+        assert rep.value == tuple(sum(x * y for x, y in zip(r, (1, 2))) for r in inv.rows)
 
     @pytest.mark.parametrize("seq", [FACTORIAL, QFAC2, MomentSequence.geometric(3),
                                      MomentSequence.custom(["1", "2", "5", "7", "9"], True)],
