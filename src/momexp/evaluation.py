@@ -3,11 +3,19 @@
 Every series here, sum_p A^p z^p / m(p) and its scalar / Jordan-block
 variants, is summed by one term loop (:func:`_sum`) under one stopping rule:
 a term of size exactly 0 ends the sum as converged, since every later term
-vanishes too; otherwise the sum is settled after five consecutive term
-sizes below `tol` with an empirical term ratio below one, and the tail is
-then bounded geometrically.  Sequences without declared rapid growth can hit
-a finite radius of convergence; five consecutive term ratios >= 1 are
-reported as `radius_exceeded` instead of a value.  A kind with a closed form
+vanishes too.  A log-convex kind (every built-in kind: r(p) = m(p-1)/m(p)
+is nonincreasing) bounds each later term ratio of a float sum by
+q_k = ||Az|| r(k+1) (the row-sum norm, read once per sum; the scalar
+Delta_h sums use their exact next ratio), and while q_k < 1 the sum is
+settled at the first term T_k whose tail bound ||T_k|| q_k / (1 - q_k) is
+below tol min(1, ||S_k||): the d_1 = ||Az|| case of Al-Mohy and Higham's
+majorant (SIMAX 31, 2009, section 4).  Where q_k >= 1 (a non-normal Az whose
+norm overstates its growth) and for custom tables, the sum is settled after
+five consecutive term sizes below `tol` with an empirical term ratio below
+one, and the tail is then estimated geometrically.  Sequences without
+declared rapid growth can hit a finite radius of convergence; there five
+consecutive term ratios >= 1 are reported as `radius_exceeded` instead of a
+value.  A kind with a closed form
 (``rules.neumann``: geometric, m(p) = b^p) is not summed: E(Az) is
 (I - Az/b)^{-1}, which exists iff rho(Az/b) < 1, decided in floats or, for
 an exact Az near rho = 1, exactly (:func:`_neumann_diverges`).  Only where a
@@ -46,6 +54,14 @@ _DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """How far a float sum runs.  ``tol`` bounds a certified tail: it is
+    absolute for a sum of norm >= 1 and relative below, so a tiny value such
+    as a Delta_h far out is still settled to about tol relative.  Truncation
+    leaves up to about ``tol`` of error, so a caller who wants more digits
+    passes a smaller one.  Where no tail is certified, the five-term rule
+    compares term sizes with ``tol`` itself.  ``max_terms`` caps the terms
+    summed."""
+
     tol: float = 1e-12
     max_terms: int = 10000
 
@@ -70,11 +86,19 @@ class EvalReport:
         return self.value
 
 
-def _sum(first, step, size, limit, policy=None, rapid_growth=True):
+def _sum(first, step, size, limit, policy=None, rapid_growth=True, contraction=None):
     """Sum first + t_1 + ... + t_limit, t_k = step(t_{k-1}, k), under the
     stopping rule; ``size`` measures a term.  Without a policy only a zero
     term converges (exact sums, where size need only tell zero from not).
-    ``terms_used`` counts the terms summed, or those examined on failure.
+    ``contraction(k)``, where given, is a q_k with size(t_{j+1}) <= q_k
+    size(t_j) for every j >= k; while q_k < 1 the tail after t_k is at most
+    size(t_k) q_k / (1 - q_k), and the sum is settled at the first k where
+    that bound is below tol min(1, size(S_k)), so tol is absolute for a sum
+    of size >= 1 and relative below.  Otherwise five consecutive term sizes
+    below tol with an empirical term ratio below one settle it, and without
+    declared rapid growth five consecutive ratios >= 1 report
+    ``radius_exceeded``.  ``terms_used`` counts the terms summed, or those
+    examined on failure.
     """
     total = term = first
     prev = small = grow = 0
@@ -92,9 +116,14 @@ def _sum(first, step, size, limit, policy=None, rapid_growth=True):
         prev = norm
         small = small + 1 if norm < policy.tol else 0
         grow = grow + 1 if ratio >= 1.0 else 0
-        if small >= _SETTLE and ratio < 1.0:
+        q = contraction(k) if contraction else math.inf
+        if q < 1.0:
+            tail = norm * q / (1.0 - q)
+            if tail < policy.tol and tail < policy.tol * size(total):
+                return EvalReport(total, k + 1, tail, CONVERGED)
+        elif small >= _SETTLE and ratio < 1.0:
             return EvalReport(total, k + 1, norm * ratio / (1.0 - ratio), CONVERGED)
-        if not rapid_growth and grow >= _SETTLE:
+        elif not rapid_growth and grow >= _SETTLE:
             return EvalReport(None, k + 1, math.inf, RADIUS_EXCEEDED)
     return EvalReport(total, limit + 1, math.inf, MAX_TERMS_REACHED)
 
@@ -172,7 +201,13 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
 
     if exact:
         return _sum(first, step, size, min(A.n, policy.max_terms))
-    rep = _sum(first, step, size, policy.max_terms, policy, rapid)
+    contraction = None
+    if seq.rules.log_convex:  # ||T_{j+1}|| <= ||T_j|| ||Az|| r(j+1), r nonincreasing
+        norm = M.row_sum_norm() if v is None else float(np.abs(M).sum(axis=1).max())
+
+        def contraction(k):
+            return norm * ratio(k + 1)
+    rep = _sum(first, step, size, policy.max_terms, policy, rapid, contraction)
     if real and rep.value is not None:
         rep.value = rep.value._complexified()
     return rep
@@ -197,8 +232,16 @@ def delta_E(lam, h, z, seq, policy=TruncationPolicy()):
         p = h + k
         return term * (lz * (p / k) * seq.float_step_ratio(p)) if lz else 0j
 
+    contraction = None
+    if seq.rules.log_convex:  # then the ratio of terms k+1 and k is nonincreasing in k
+        alz = abs(lz)
+
+        def contraction(k):
+            return alz * ((h + k + 1) / (k + 1)) * seq.float_step_ratio(h + k + 1)
+
     first = _power_over_moment(z, h, seq)
-    return _sum(first, step, abs, policy.max_terms, policy, seq.rapid_growth_declared)
+    return _sum(first, step, abs, policy.max_terms, policy, seq.rapid_growth_declared,
+                contraction)
 
 
 def _power_over_moment(z, h, seq):

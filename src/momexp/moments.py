@@ -2,17 +2,20 @@
 
 Each kind is one row of ``_KINDS``; a sequence reads all its rules there.
 
-kind (specifier)         m(p)                   exact  growth    closed form
------------------------  ---------------------  -----  --------  ---------------
-factorial (factorial)    p m(p-1) = p!          yes    rapid     -
-q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     -
-geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    (I - Az/b)^{-1}
-mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     -
-custom (custom:<path>)   entry p of its table   yes    declared  -
+kind (specifier)         m(p)                   exact  growth    log-convex  closed form
+-----------------------  ---------------------  -----  --------  ----------  ---------------
+factorial (factorial)    p m(p-1) = p!          yes    rapid     yes         -
+q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     yes         -
+geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    yes         (I - Az/b)^{-1}
+mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     yes         -
+custom (custom:<path>)   entry p of its table   yes    declared  not known   -
 
 [k]_q = 1+q+...+q^{k-1}; q, b and table entries are rational, k a finite
 float.  Rapid growth, liminf m(p)^{1/p} = +infinity, makes E(Az) entire; a
 built-in kind fixes growth and exactness, a custom table declares growth.
+A log-convex kind has a nonincreasing step ratio r(p) = m(p-1)/m(p), as the
+moments of a positive kernel do, so one term's ratio bounds every later
+one and the float sums certify their tails from it (``evaluation._sum``).
 """
 
 from __future__ import annotations
@@ -51,23 +54,26 @@ class _Kind(NamedTuple):
     value: Callable | None  # m(p) from (seq, m(p-1), p); None: table entry p
     log: Callable | None = None  # log m(p) from (seq, p), not from m(p)
     neumann: bool = False  # E(Az) = (I - Az/param)^{-1}
+    log_convex: bool = False  # r(p) = m(p-1)/m(p) is nonincreasing in p
 
 
 _KINDS = {
-    "factorial": _Kind("factorial", True, True, None, lambda s, m, p: m * p),
+    "factorial": _Kind("factorial", True, True, None, lambda s, m, p: m * p,
+                       log_convex=True),
     "q_factorial": _Kind("qfac", True, True,
                          (partial(_as_fraction, what="q"), lambda q: q > 1,
                           "q_factorial requires q > 1"),
-                         lambda s, m, p: m * s.q_number(p)),
+                         lambda s, m, p: m * s.q_number(p), log_convex=True),
     "geometric": _Kind("geom", True, False,
                        (partial(_as_fraction, what="b"), lambda b: b > 0,
                         "geometric requires b > 0"),
-                       lambda s, m, p: m * s.param, neumann=True),
+                       lambda s, m, p: m * s.param, neumann=True, log_convex=True),
     "mittag_leffler": _Kind("ml", False, True,
                             (float, lambda k: math.isfinite(k) and k > 0,
                              "mittag_leffler requires a finite k > 0"),
                             lambda s, m, p: _gamma(1 + p / s.param),
-                            log=lambda s, p: math.lgamma(1 + p / s.param)),
+                            log=lambda s, p: math.lgamma(1 + p / s.param),
+                            log_convex=True),
     "custom": _Kind("custom", True, None, None, None),
 }
 

@@ -224,11 +224,14 @@ def complex_series(A, z, seq, policy=TruncationPolicy()):
     """The float matrix series in complex arithmetic, as a reference:
     T_0 = I, T_p = (T_{p-1} @ Az) m(p-1)/m(p) with the first product I @ Az
     made too, each entry of a product summed left to right from its first
-    product, and eval_exp's stopping rule.  (value rows, terms_used,
-    tail_estimate, status)."""
+    product, and eval_exp's stopping rule for a log-convex sequence: while
+    q = ||Az|| m(k)/m(k+1) < 1, settled once ||T_k|| q / (1 - q) is below
+    tol min(1, ||S_k||), else after five small terms.  (value rows,
+    terms_used, tail_estimate, status)."""
     n, z = A.n, complex(z)
     M = [[x * z for x in r] for r in A.rows]
     cols = list(zip(*M))
+    norm_m = max(sum(abs(x) for x in row) for row in M)
     term = total = [[complex(i == j) for j in range(n)] for i in range(n)]
     prev = small = 0
     for k in range(1, policy.max_terms + 1):
@@ -250,7 +253,13 @@ def complex_series(A, z, seq, policy=TruncationPolicy()):
         ratio = norm / prev if prev else 0.0
         prev = norm
         small = small + 1 if norm < policy.tol else 0
-        if small >= 5 and ratio < 1.0:
+        q = norm_m * seq.float_step_ratio(k + 1)
+        if q < 1.0:
+            tail = norm * q / (1.0 - q)
+            size = max(sum(abs(x) for x in row) for row in total)
+            if tail < policy.tol * min(1.0, size):
+                return total, k + 1, tail, "converged"
+        elif small >= 5 and ratio < 1.0:
             return total, k + 1, norm * ratio / (1.0 - ratio), "converged"
     return total, policy.max_terms + 1, math.inf, "max_terms_reached"
 
@@ -321,8 +330,8 @@ class TestRealSeries:
             assert any(x.imag for r in rep.value.rows for x in r)
 
     @pytest.mark.parametrize("A, z, seq, stop", [
-        # settled after five small terms: T_1 is Az r(1) itself, and each of
-        # T_2..T_k is one product, so k - 1 = terms_used - 2 products
+        # settled at a certified term T_k: T_1 is Az r(1) itself, and each
+        # of T_2..T_k is one product, so k - 1 = terms_used - 2 products
         (EXAMPLE1, 0.5, FACTORIAL, 2),
         (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML2, 2),
         # a zero term T_k ends the sum with terms_used = k: k - 1 products
@@ -340,7 +349,113 @@ class TestRealSeries:
         assert len(calls) == rep.terms_used - stop
 
 
+def exact_symmetric(n, rho, seed):
+    """A seeded real symmetric A = Q diag(mu) Q^T held exactly in floats,
+    with Q, mu: Q is a row permutation of two Householder reflections
+    I - (2/n) v v^T, v in {-1, 1}^n, n a power of two, and mu are multiples
+    of rho/64 in [-rho, rho], so that no entry of A is rounded and the
+    reference Q diag(f(mu)) Q^T carries only the rounding of its own sums."""
+    rng = np.random.default_rng(seed)
+    q = np.eye(n)
+    for _ in range(2):
+        v = rng.choice([-1.0, 1.0], n)
+        q = q @ (np.eye(n) - (2 / n) * np.outer(v, v))
+    q = q[rng.permutation(n)]
+    mu = rng.integers(-64, 65, n) / 64 * rho
+    a = q @ np.diag(mu) @ q.T
+    exact = [[sum(Fraction(q[i, k]) * Fraction(mu[k]) * Fraction(q[j, k]) for k in range(n))
+              for j in range(n)] for i in range(n)]
+    assert [[Fraction(x) for x in row] for row in a.tolist()] == exact
+    return a, q, mu
+
+
+def euler_product(x, q):
+    """E(x) for qfac:q, q > 1: prod_{k>=0} (1 + (1 - 1/q) x q^{-k}),
+    a product with no cancellation between terms."""
+    out = 1.0
+    for k in range(200):
+        out *= 1.0 + (1.0 - 1.0 / q) * x * q**-k
+    return out
+
+
+class TestCertifiedTail:
+    """A log-convex sequence settles a float sum at its first term whose
+    ratio-majorant tail bound is below tol min(1, ||S||): the bound must
+    bound the error, up to the rounding of the sum itself."""
+
+    U = 2.0**-53
+    C = 16  # rounding allowance C u sum_p ||T_p||; the worst case seen is 6.1
+
+    @pytest.mark.parametrize("seq, f, rhos", [
+        (FACTORIAL, math.exp, (0.5, 2.0, 5.0)),
+        (ML2, lambda x: math.exp(x * x) * math.erfc(-x), (0.5, 1.5, 3.0)),
+        (QFAC2, lambda x: euler_product(x, 2.0), (0.5, 2.0, 5.0)),
+    ], ids=["factorial", "ml2", "qfac2"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tail_bounds_the_error(self, seq, f, rhos, seed):
+        n = (4, 8)[seed % 2]
+        a, q, mu = exact_symmetric(n, rhos[seed % 3], seed)
+        want = q @ np.diag([f(x) for x in mu]) @ q.T
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
+        assert rep.status == "converged"
+        assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
+        got = np.array(rep.value.rows).real
+        err = np.abs(got - want).sum(axis=1).max()
+        term, sizes = np.eye(n), 1.0  # sum_p ||T_p|| over the summed terms
+        for p in range(1, rep.terms_used):
+            term = term @ a * seq.float_step_ratio(p)
+            sizes += np.abs(term).sum(axis=1).max()
+        assert err <= rep.tail_estimate + self.C * self.U * sizes
+
+    def test_norm_overstating_growth_keeps_the_five_term_rule(self):
+        # ||Az|| r(k+1) >= 1 for every k summed, so no term is certified
+        rep = eval_exp(CMatrix([[0.5, 1e13], [0, 0.5]]), 1.0, FACTORIAL)
+        assert (rep.status, rep.terms_used) == ("converged", 27)
+        assert rep.tail_estimate.hex() == "0x1.da0849a71b3d7p-72"
+        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
+            ["0x1.a61298e1e069ap+0", "0x1.dfd74e9d97290p+43"],
+            ["0x0.0p+0", "0x1.a61298e1e069ap+0"]]
+        assert all(x.imag.hex() == "0x0.0p+0" for r in rep.value.rows for x in r)
+
+    def test_custom_table_keeps_the_five_term_rule(self):
+        # a custom table's step ratios are not known to fall, so the same
+        # factorial values stop later as a table than as the kind
+        table = MomentSequence.custom([str(math.factorial(p)) for p in range(40)],
+                                      rapid_growth_declared=True)
+        rep = eval_exp(EXAMPLE1, 0.5, table)
+        assert (rep.status, rep.terms_used) == ("converged", 21)
+        assert rep.tail_estimate.hex() == "0x1.327af65217becp-64"
+        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
+            ["0x1.a61298e1e069ap+0", "0x0.0p+0", "0x1.a61298e1e069ap-1"],
+            ["0x1.11ceb880aa838p+0", "0x1.5bf0a8b14576ap+1", "0x1.f62b607dd2748p-3"],
+            ["0x0.0p+0", "0x0.0p+0", "0x1.a61298e1e069ap+0"]]
+        assert all(x.imag.hex() == "0x0.0p+0" for r in rep.value.rows for x in r)
+        assert eval_exp(EXAMPLE1, 0.5, FACTORIAL).terms_used < rep.terms_used
+
+
+def power_over_factorial(a, b, h):
+    """(a + bi)^h / h! for integers a, b: the power in Gaussian integers,
+    each part rounded once, so no step overflows."""
+    re, im = 1, 0
+    for _ in range(h):
+        re, im = re * a - im * b, re * b + im * a
+    f = math.factorial(h)
+    return complex(float(Fraction(re, f)), float(Fraction(im, f)))
+
+
 class TestDeltaE:
+    @pytest.mark.parametrize("lam, h, a, b", [
+        (3.0, 120, 2, 0), (2.0, 171, 3, 0), (0.5, 200, 3, 4)])
+    def test_settles_relative_to_a_tiny_value(self, lam, h, a, b):
+        # every term is far below tol = 1e-12, yet the value is accurate to
+        # 1e-12 relative: Delta_h E(lam, z) = z^h e^{lam z} / h! for factorial
+        z = complex(a, b)
+        want = power_over_factorial(a, b, h) * cmath.exp(lam * z)
+        rep = delta_E(lam, h, z if b else float(a), FACTORIAL)
+        assert rep.status == "converged"
+        assert rep.tail_estimate <= 1e-12 * abs(rep.value)
+        assert abs(rep.value - want) <= 1e-12 * abs(want)
+
     def test_h0_matches_matrix_eval(self):
         for lam, z in [(1.3, 0.7), (-0.4 + 0.2j, 1.1)]:
             for seq in (FACTORIAL, ML2, QFAC2):

@@ -85,6 +85,15 @@ class TestValues:
         with pytest.raises(ValueError):
             short.float_step_ratio(0)
 
+    @pytest.mark.parametrize("spec", ["factorial", "qfac:2", "qfac:3/2", "geom:3/7",
+                                      "ml:2", "ml:0.1", "ml:1.2345678", "ml:7"])
+    def test_log_convex_kinds_have_falling_float_step_ratios(self, spec):
+        # the float sums bound every later term ratio by the current one
+        seq = parse_specifier(spec)
+        assert seq.rules.log_convex
+        ratios = [seq.float_step_ratio(p) for p in range(1, 400)]
+        assert all(b <= a for a, b in zip(ratios, ratios[1:]))
+
     def test_float_ratios_threads_agree_with_one_thread(self):
         # the row fills m(0..p) before it takes the lock that value() takes
         want = [float(MomentSequence.q_factorial(2).step_ratio(p)) for p in range(1, 61)]
