@@ -26,10 +26,13 @@ from .errors import (
 from .evaluation import (
     CONVERGED,
     MAX_TERMS_REACHED,
+    RADIUS_EXCEEDED,
     TruncationPolicy,
+    _neumann_diverges,
     eval_exp,
     eval_via_jordan,
 )
+from .exact import GaussianRational
 from .jordan import JordanDecomposition, jordan_decompose, verify_decomposition
 from .matrices import (
     EXACT,
@@ -193,13 +196,20 @@ def _cmd_solve(args):
     ok = True
     for ztext in args.z or []:
         z = _parse_complex(ztext)
-        rep = sol.evaluate_report(z)
-        ok = ok and rep.status == CONVERGED
+        # an exact matrix has its radius decided exactly, as in eval, at the
+        # binary rational z is; the value inside it is the float one
+        if A.backend == EXACT and seq.rules.neumann and _neumann_diverges(
+                A.scale(GaussianRational(z.real, z.imag) / seq.param)):
+            status, y = RADIUS_EXCEEDED, None
+        else:
+            rep = sol.evaluate_report(z)
+            status, y = rep.status, rep.value
+        ok = ok and status == CONVERGED
         results.append(
             {
                 "z": [z.real, z.imag],
-                "y": vector_to_json(rep.value) if rep.status == CONVERGED else None,
-                "status": rep.status,
+                "y": vector_to_json(y) if status == CONVERGED else None,
+                "status": status,
             }
         )
     doc = {"results": results}

@@ -24,6 +24,14 @@ Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
 product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
 product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
 is stored instead of building the product and then a scaled copy of it.
+A kind with a ramification order k (``rules.ramify``: ml:k for an integer
+2 <= k <= 8, where m(p + k) = (1 + p/k) m(p)) sums its float matrix series
+in Y = (Az)^k instead (:func:`_ramified`): each residue class p = kq + r is
+a series of exponential type in Y, so one product per step covers k moment
+terms.  Its steps shrink by ||Y||/(q + 1) or faster, so the same rule of
+:func:`_sum` certifies the tail of the whole value, and ``terms_used``
+counts the moment terms covered, k per step.  The vector series of
+``sol(z)`` and the scalar sums keep the term loop.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
@@ -34,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from operator import add, mul
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -161,7 +170,12 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     backend, in real arithmetic when Az is real (the value still holds
     complex entries); exactly on the exact backend, where the sum is finite
     iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
-    terms without a zero term it stops with ``max_terms_reached``.
+    terms without a zero term it stops with ``max_terms_reached``.  A float
+    ml:k with an integer 2 <= k <= 8 and a nonzero Az is summed in
+    Y = (Az)^k, one product per k moment terms, as
+    S_0 + Az(S_1 + Az(... + Az S_{k-1})) with S_r = sum_q Y^q / m(kq + r);
+    its ``tail_estimate`` bounds the truncation error of that value, and its
+    ``terms_used`` counts the moment terms covered, a multiple of k.
     """
     return _exp_series(A, z, seq, policy)
 
@@ -190,6 +204,12 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
         size = (lambda t: float(not t.is_zero())) if exact else CMatrix.row_sum_norm
         if not exact and all(x.imag == 0 for r in M.rows for x in r):
             real, M, first = True, M._real_parts(), first._real_parts()
+        order = seq.rules.ramify and seq.rules.ramify(seq.param)
+        if order and not exact and not M.is_zero():  # a zero Az ends at T_1 = 0
+            rep = _ramified(M, first, order, seq, policy)
+            if real and rep.value is not None:
+                rep.value = rep.value._complexified()
+            return rep
 
         def step(term, p):  # T_1 is M r(1) itself: the term before it is I
             return M.scale(ratio(p)) if p == 1 else term._scaled_product(M, ratio(p))
@@ -210,6 +230,69 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
     rep = _sum(first, step, size, policy.max_terms, policy, rapid, contraction)
     if real and rep.value is not None:
         rep.value = rep.value._complexified()
+    return rep
+
+
+class _Share(NamedTuple):
+    """Step q of a ramified sum: T_q and m(kq)/m(kq + r) for each class r."""
+
+    T: CMatrix
+    coeffs: tuple
+
+    def spread(self):
+        """m(kq)/m(kq + r) T_q for each class r; the factor of class 0 is 1."""
+        return (self.T if r == 0 else self.T.scale(c) for r, c in enumerate(self.coeffs))
+
+
+class _Classes(tuple):
+    """The class sums (S_r) of a ramified sum; adding a step's share adds
+    its multiple of T_q to each."""
+
+    __slots__ = ()
+
+    def __add__(self, share):
+        return _Classes(map(add, self, share.spread()))
+
+
+def _ramified(X, I, k, seq, policy):
+    """E(X) = sum_r X^r S_r with S_r = sum_q Y^q / m(kq + r), Y = X^k, for a
+    kind of ramification order k, m(p + k) = (1 + p/k) m(p).  With X^2..X^k
+    formed once (k - 1 products), step q makes T_q = Y^q / m(kq) = T_{q-1} Y / q
+    in one product pass and adds m(kq)/m(kq + r) T_q to each S_r; the value
+    is S_0 + X(S_1 + X(... + X S_{k-1})), k - 1 more products.  A step's size
+    is ||T_q|| sum_r ||X^r|| m(kq)/m(kq + r), and since
+    m(kq + r)/m(kq + k + r) = 1/(1 + q + r/k) <= 1/(q + 1), ||Y||/(q + 1)
+    bounds every later step ratio: the tail bound of :func:`_sum` then bounds
+    the error of E itself, measured against sum_r ||X^r|| ||S_r|| >= ||E||.
+    ``terms_used`` counts the moment terms covered, k per step, so a
+    ``max_terms`` cap covers at most max_terms + 1 of them."""
+    powers = [I, X]
+    for _ in range(2, k):
+        powers.append(powers[-1] @ X)
+    Y = powers[-1] @ X
+    weights = [P.row_sum_norm() for P in powers]
+    norm = Y.row_sum_norm()
+
+    def share(T, q):
+        log_m = seq.log_value(k * q)
+        return _Share(T, tuple(math.exp(log_m - seq.log_value(k * q + r)) for r in range(k)))
+
+    def step(term, q):  # T_1 is Y itself: no product by T_0 = I
+        return share(Y if q == 1 else term.T._scaled_product(Y, 1 / q), q)
+
+    def size(x):  # of a step's share, or of the class sums
+        if isinstance(x, _Share):
+            return x.T.row_sum_norm() * sum(map(mul, weights, x.coeffs))
+        return sum(map(mul, weights, map(CMatrix.row_sum_norm, x)))
+
+    rep = _sum(_Classes(share(I, 0).spread()), step, size, (policy.max_terms + 1) // k - 1,
+               policy, seq.rapid_growth_declared, lambda q: norm / (q + 1))
+    if rep.value is not None:
+        value = rep.value[-1]
+        for S in reversed(rep.value[:-1]):
+            value = S + X @ value
+        rep.value = value
+    rep.terms_used *= k
     return rep
 
 

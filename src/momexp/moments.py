@@ -2,13 +2,13 @@
 
 Each kind is one row of ``_KINDS``; a sequence reads all its rules there.
 
-kind (specifier)         m(p)                   exact  growth    log-convex  closed form
------------------------  ---------------------  -----  --------  ----------  ---------------
-factorial (factorial)    p m(p-1) = p!          yes    rapid     yes         -
-q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     yes         -
-geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    yes         (I - Az/b)^{-1}
-mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     yes         -
-custom (custom:<path>)   entry p of its table   yes    declared  not known   -
+kind (specifier)         m(p)                   exact  growth    log-convex  closed form      series variable
+-----------------------  ---------------------  -----  --------  ----------  ---------------  ---------------
+factorial (factorial)    p m(p-1) = p!          yes    rapid     yes         -                Az
+q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     yes         -                Az
+geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    yes         (I - Az/b)^{-1}  Az
+mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     yes         -                Y = (Az)^k *
+custom (custom:<path>)   entry p of its table   yes    declared  not known   -                Az
 
 [k]_q = 1+q+...+q^{k-1}; q, b and table entries are rational, k a finite
 float.  Rapid growth, liminf m(p)^{1/p} = +infinity, makes E(Az) entire; a
@@ -16,6 +16,13 @@ built-in kind fixes growth and exactness, a custom table declares growth.
 A log-convex kind has a nonincreasing step ratio r(p) = m(p-1)/m(p), as the
 moments of a positive kernel do, so one term's ratio bounds every later
 one and the float sums certify their tails from it (``evaluation._sum``).
+
+(*) For an integer k with 2 <= k <= 8 (the kind's ``ramify`` rule), where
+m(p + k) = (1 + p/k) m(p): each residue class p = kq + r is then a series
+of exponential type in Y = (Az)^k, and the float matrix series is summed in
+Y, k moment terms per product (``evaluation._ramified``).  Any other k,
+such as ``ml:1`` or ``ml:1.5``, is summed in Az.  A larger k is not
+ramified because the sum pays 2(k - 1) products before its first step.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ class _Kind(NamedTuple):
     log: Callable | None = None  # log m(p) from (seq, p), not from m(p)
     neumann: bool = False  # E(Az) = (I - Az/param)^{-1}
     log_convex: bool = False  # r(p) = m(p-1)/m(p) is nonincreasing in p
+    ramify: Callable | None = None  # order k >= 2 of the param, or None, where
+    #                                 m(p + k) = (1 + p/k) m(p): sum in (Az)^k
 
 
 _KINDS = {
@@ -73,7 +82,8 @@ _KINDS = {
                              "mittag_leffler requires a finite k > 0"),
                             lambda s, m, p: _gamma(1 + p / s.param),
                             log=lambda s, p: math.lgamma(1 + p / s.param),
-                            log_convex=True),
+                            log_convex=True,
+                            ramify=lambda k: int(k) if k.is_integer() and 2 <= k <= 8 else None),
     "custom": _Kind("custom", True, None, None, None),
 }
 

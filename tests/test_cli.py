@@ -86,6 +86,26 @@ class TestEval:
         if code == 0:
             assert matrix_from_json(doc["value"]) == (CMatrix.identity(2) - m).inverse()
 
+    @pytest.mark.parametrize("z, code, status", [
+        ("1", 3, "radius_exceeded"), ("-1", 3, "radius_exceeded"), ("0,1", 3, "radius_exceeded"),
+        ("0.5", 0, "converged"),
+    ])
+    def test_solve_decides_the_exact_radius(self, capsys, tmp_path, z, code, status):
+        # the exact rotation has rho = 1, its float copy rho just below 1
+        A = CMatrix([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]])
+        path = write_matrix(tmp_path, "R.json", A)
+        got, doc = run(capsys, "solve", "--matrix", path, "--moment", "geom:1",
+                       "--v0", '[["1","0"],["2","0"]]', "--z", z)
+        (result,) = doc["results"]
+        assert (got, result["status"]) == (code, status)
+        if code == 0:
+            want = (CMatrix.identity(2) - A.scale(Fraction(1, 2))).inverse().to_float()
+            y = [complex(*x) for x in result["y"]]
+            for g, row in zip(y, want.rows):
+                assert abs(g - (row[0] + 2 * row[1])) <= 1e-14
+        else:
+            assert result["y"] is None
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",

@@ -21,12 +21,15 @@ from momexp import (
     jordan_decompose,
     norm_bound_check,
     scalar_exp,
+    solve,
 )
 from momexp.exact import _rho_below_one
 from momexp.jordan import JordanDecomposition
 
 FACTORIAL = MomentSequence.factorial()
 ML2 = MomentSequence.mittag_leffler(2)
+ML3 = MomentSequence.mittag_leffler(3)
+ML15 = MomentSequence.mittag_leffler(1.5)
 QFAC2 = MomentSequence.q_factorial(2)
 GEOM2 = MomentSequence.geometric(2)
 
@@ -220,48 +223,137 @@ class TestEvalExp:
         assert rep.tail_estimate <= pol.tol
 
 
-def complex_series(A, z, seq, policy=TruncationPolicy()):
-    """The float matrix series in complex arithmetic, as a reference:
-    T_0 = I, T_p = (T_{p-1} @ Az) m(p-1)/m(p) with the first product I @ Az
-    made too, each entry of a product summed left to right from its first
-    product, and eval_exp's stopping rule for a log-convex sequence: while
-    q = ||Az|| m(k)/m(k+1) < 1, settled once ||T_k|| q / (1 - q) is below
-    tol min(1, ||S_k||), else after five small terms.  (value rows,
-    terms_used, tail_estimate, status)."""
-    n, z = A.n, complex(z)
-    M = [[x * z for x in r] for r in A.rows]
-    cols = list(zip(*M))
-    norm_m = max(sum(abs(x) for x in row) for row in M)
-    term = total = [[complex(i == j) for j in range(n)] for i in range(n)]
+def _product(a, b, s=None):
+    """a @ b on rows of Python complex, each entry summed left to right from
+    its first product and multiplied by s as it is stored."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        entries = []
+        for col in cols:
+            t = row[0] * col[0]
+            for x, y in zip(row[1:], col[1:]):
+                t = t + x * y
+            entries.append(t if s is None else t * s)
+        out.append(entries)
+    return out
+
+
+def _plus(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _norm(rows):
+    return max(sum(abs(x) for x in row) for row in rows)
+
+
+def reference_sum(first, step, size, plus, limit, contraction, policy):
+    """eval_exp's term loop and stopping rule for a log-convex sequence,
+    written out: while q = contraction(k) < 1, settled once size(T_k) q / (1 - q)
+    is below tol min(1, size(S_k)), else after five small terms.
+    (value, terms_used, tail_estimate, status)."""
+    term = total = first
     prev = small = 0
-    for k in range(1, policy.max_terms + 1):
-        r = complex(seq.float_step_ratio(k))
-        rows = []
-        for row in term:
-            out = []
-            for col in cols:
-                s = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    s = s + a * b
-                out.append(s * r)
-            rows.append(out)
-        term = rows
-        norm = max(sum(abs(x) for x in row) for row in term)
+    for k in range(1, limit + 1):
+        term = step(term, k)
+        norm = size(term)
         if norm == 0:
             return total, k, 0.0, "converged"
-        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
+        total = plus(total, term)
+        if math.isnan(norm) or norm > 1e100:
+            return None, k + 1, math.inf, "aborted_divergent"
         ratio = norm / prev if prev else 0.0
         prev = norm
         small = small + 1 if norm < policy.tol else 0
-        q = norm_m * seq.float_step_ratio(k + 1)
+        q = contraction(k)
         if q < 1.0:
             tail = norm * q / (1.0 - q)
-            size = max(sum(abs(x) for x in row) for row in total)
-            if tail < policy.tol * min(1.0, size):
+            if tail < policy.tol * min(1.0, size(total)):
                 return total, k + 1, tail, "converged"
         elif small >= 5 and ratio < 1.0:
             return total, k + 1, norm * ratio / (1.0 - ratio), "converged"
-    return total, policy.max_terms + 1, math.inf, "max_terms_reached"
+    return total, limit + 1, math.inf, "max_terms_reached"
+
+
+def complex_series(A, z, seq, policy=TruncationPolicy()):
+    """The float matrix term loop in complex arithmetic, as a reference:
+    T_0 = I, T_p = (T_{p-1} @ Az) m(p-1)/m(p) with the first product I @ Az
+    made too, and the contraction q_k = ||Az|| m(k)/m(k+1).
+    (value rows, terms_used, tail_estimate, status)."""
+    n, z = A.n, complex(z)
+    M = [[x * z for x in r] for r in A.rows]
+    norm_m = _norm(M)
+    return reference_sum(
+        [[complex(i == j) for j in range(n)] for i in range(n)],
+        lambda t, k: _product(t, M, complex(seq.float_step_ratio(k))),
+        _norm, _plus, policy.max_terms, lambda k: norm_m * seq.float_step_ratio(k + 1),
+        policy)
+
+
+def ramification(seq):
+    """The k of an ml:k whose matrix series is summed in Y = (Az)^k: an
+    integer k with 2 <= k <= 8; else None."""
+    k = seq.param if seq.kind == "mittag_leffler" else None
+    return int(k) if k is not None and k.is_integer() and 2 <= k <= 8 else None
+
+
+def ramified_series(A, z, seq, policy=TruncationPolicy()):
+    """The ramified float matrix series in complex arithmetic, as a reference:
+    X = Az, X^2..X^k by products, Y = X^k; T_1 = Y and T_q = (T_{q-1} @ Y)/q,
+    the class sums S_r gain c_r T_q with c_r = m(kq)/m(kq + r), a step
+    measures ||T_q|| sum_r ||X^r|| c_r and the class sums
+    sum_r ||X^r|| ||S_r||, the contraction is ||Y||/(q + 1), at most
+    (max_terms + 1) // k - 1 steps are made, and the value is
+    S_0 + X(S_1 + X(... + X S_{k-1})).  terms_used counts k per step.
+    (value rows, terms_used, tail_estimate, status)."""
+    n, z, k = A.n, complex(z), ramification(seq)
+    X = [[x * z for x in r] for r in A.rows]
+    powers = [[[complex(i == j) for j in range(n)] for i in range(n)], X]
+    for _ in range(2, k):
+        powers.append(_product(powers[-1], X))
+    Y = _product(powers[-1], X)
+    weights, norm_y = [_norm(P) for P in powers], _norm(Y)
+
+    def share(T, q):
+        log_m = seq.log_value(k * q)
+        return T, [math.exp(log_m - seq.log_value(k * q + r)) for r in range(k)]
+
+    def spread(T, coeffs):
+        return [T] + [[[x * complex(c) for x in row] for row in T] for c in coeffs[1:]]
+
+    def size(x):
+        if isinstance(x, tuple):
+            T, coeffs = x
+            return _norm(T) * sum(w * c for w, c in zip(weights, coeffs))
+        return sum(w * _norm(S) for w, S in zip(weights, x))
+
+    rows, terms, tail, status = reference_sum(
+        spread(*share(powers[0], 0)),
+        lambda t, q: share(Y if q == 1 else _product(t[0], Y, complex(1 / q)), q),
+        size, lambda total, t: [_plus(S, P) for S, P in zip(total, spread(*t))],
+        (policy.max_terms + 1) // k - 1, lambda q: norm_y / (q + 1), policy)
+    if rows is not None:
+        value = rows[-1]
+        for S in reversed(rows[:-1]):
+            value = _plus(S, _product(X, value))
+        rows = value
+    return rows, k * terms, tail, status
+
+
+def series_reference(A, z, seq, policy=TruncationPolicy()):
+    """The complex-arithmetic reference of the path eval_exp takes for seq."""
+    return (ramified_series if ramification(seq) else complex_series)(A, z, seq, policy)
+
+
+def vector_series(A, v, z, seq, policy=TruncationPolicy()):
+    """sol(z)'s vector term loop as a reference: numpy complex128,
+    t_p = (Az t_{p-1}) m(p-1)/m(p), sized by the largest entry modulus."""
+    a = np.array(A.rows, complex) * complex(z)
+    norm_a = float(np.abs(a).sum(axis=1).max())
+    return reference_sum(
+        np.array(v, complex), lambda t, p: (a @ t) * seq.float_step_ratio(p),
+        lambda t: float(max(map(abs, t), default=0.0)), lambda a, b: a + b,
+        policy.max_terms, lambda p: norm_a * seq.float_step_ratio(p + 1), policy)
 
 
 def real_gaussian(n, seed):
@@ -292,13 +384,14 @@ class TestRealSeries:
         monkeypatch.undo()
         return rep, kinds
 
-    @pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2], ids=["factorial", "ml2", "qfac2"])
+    @pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2, ML3, ML15],
+                             ids=["factorial", "ml2", "qfac2", "ml3", "ml1.5"])
     @pytest.mark.parametrize("n", [3, 12, 64])
     def test_real_sum_is_the_complex_sum(self, monkeypatch, n, seq):
         A = real_gaussian(n, n)
         z = (-1.0 if n == 12 else 1.0) / A.row_sum_norm()
         rep, kinds = self.run(monkeypatch, A, z, seq)
-        rows, terms, tail, status = complex_series(A, z, seq)
+        rows, terms, tail, status = series_reference(A, z, seq)
         assert kinds == {float}
         assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
         assert status == "converged"
@@ -321,7 +414,7 @@ class TestRealSeries:
             a[2, 3] += 1e-300j
         A = CMatrix(a.tolist())
         rep, kinds = self.run(monkeypatch, A, z, ML2)
-        rows, terms, tail, status = complex_series(A, z, ML2)
+        rows, terms, tail, status = series_reference(A, z, ML2)
         assert kinds == {complex}
         assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
         hexes = [[(x.real.hex(), x.imag.hex()) for x in r] for r in rows]
@@ -333,7 +426,7 @@ class TestRealSeries:
         # settled at a certified term T_k: T_1 is Az r(1) itself, and each
         # of T_2..T_k is one product, so k - 1 = terms_used - 2 products
         (EXAMPLE1, 0.5, FACTORIAL, 2),
-        (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML2, 2),
+        (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML15, 2),
         # a zero term T_k ends the sum with terms_used = k: k - 1 products
         (CMatrix([[0.0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1.0, FACTORIAL, 1),
         (CMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1, FACTORIAL, 1),
@@ -349,12 +442,14 @@ class TestRealSeries:
         assert len(calls) == rep.terms_used - stop
 
 
-def exact_symmetric(n, rho, seed):
+def exact_symmetric(n, rho, seed, imag=False):
     """A seeded real symmetric A = Q diag(mu) Q^T held exactly in floats,
     with Q, mu: Q is a row permutation of two Householder reflections
     I - (2/n) v v^T, v in {-1, 1}^n, n a power of two, and mu are multiples
     of rho/64 in [-rho, rho], so that no entry of A is rounded and the
-    reference Q diag(f(mu)) Q^T carries only the rounding of its own sums."""
+    reference Q diag(f(mu)) Q^T carries only the rounding of its own sums.
+    With ``imag``, mu gains an imaginary part of the same kind, and A is a
+    complex normal matrix whose real and imaginary parts are exact."""
     rng = np.random.default_rng(seed)
     q = np.eye(n)
     for _ in range(2):
@@ -362,11 +457,28 @@ def exact_symmetric(n, rho, seed):
         q = q @ (np.eye(n) - (2 / n) * np.outer(v, v))
     q = q[rng.permutation(n)]
     mu = rng.integers(-64, 65, n) / 64 * rho
+    if imag:
+        mu = mu + 1j * rng.integers(-64, 65, n) / 64 * rho
     a = q @ np.diag(mu) @ q.T
-    exact = [[sum(Fraction(q[i, k]) * Fraction(mu[k]) * Fraction(q[j, k]) for k in range(n))
-              for j in range(n)] for i in range(n)]
-    assert [[Fraction(x) for x in row] for row in a.tolist()] == exact
+    for part in (np.real, np.imag) if imag else (np.real,):
+        exact = [[sum(Fraction(q[i, k]) * Fraction(part(mu[k])) * Fraction(q[j, k])
+                      for k in range(n)) for j in range(n)] for i in range(n)]
+        assert [[Fraction(x) for x in row] for row in part(a).tolist()] == exact
     return a, q, mu
+
+
+def ml_reference(x, k):
+    """E(x) = sum_p x^p / Gamma(1 + p/k) for ml:k, summed at 40 digits by
+    mpmath until a term is below 1e-40 of the sum."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x, total, p = mp.mpc(x), mp.mpf(0), 0
+        while True:
+            term = x**p * mp.rgamma(1 + mp.mpf(p) / k)
+            total += term
+            if p > 10 and abs(term) < mp.mpf(10) ** -40 * max(1, abs(total)):
+                return complex(total)
+            p += 1
 
 
 def euler_product(x, q):
@@ -407,6 +519,29 @@ class TestCertifiedTail:
             sizes += np.abs(term).sum(axis=1).max()
         assert err <= rep.tail_estimate + self.C * self.U * sizes
 
+    @pytest.mark.parametrize("seq, imag, rhos", [
+        (ML2, True, (0.5, 1.5, 2.5)),
+        (ML3, False, (0.5, 1.5, 2.5)),
+        (ML3, True, (0.5, 1.25, 1.75)),
+    ], ids=["ml2-complex", "ml3-real", "ml3-complex"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tail_bounds_the_ramified_error(self, seq, imag, rhos, seed):
+        # the ramified sums against mpmath, with the same allowance C = 16
+        # over the term loop's sum_p ||T_p|| (the worst case seen is 2.9)
+        n, k = (4, 8)[seed % 2], int(seq.param)
+        a, q, mu = exact_symmetric(n, rhos[seed % 3], seed, imag)
+        want = q @ np.diag([ml_reference(x, k) for x in mu]) @ q.T
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
+        assert rep.status == "converged" and rep.terms_used % k == 0
+        assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
+        got = np.array(rep.value.rows)
+        err = np.abs(got - want).sum(axis=1).max()
+        term, sizes = np.eye(n), 1.0
+        for p in range(1, rep.terms_used):
+            term = term @ a * seq.float_step_ratio(p)
+            sizes += np.abs(term).sum(axis=1).max()
+        assert err <= rep.tail_estimate + self.C * self.U * sizes
+
     def test_norm_overstating_growth_keeps_the_five_term_rule(self):
         # ||Az|| r(k+1) >= 1 for every k summed, so no term is certified
         rep = eval_exp(CMatrix([[0.5, 1e13], [0, 0.5]]), 1.0, FACTORIAL)
@@ -433,6 +568,63 @@ class TestCertifiedTail:
         assert eval_exp(EXAMPLE1, 0.5, FACTORIAL).terms_used < rep.terms_used
 
 
+class TestRamifiedSeries:
+    """ml:k with an integer 2 <= k <= 8 sums its matrix series in (Az)^k;
+    every other sum keeps the term loop."""
+
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    def test_max_terms_reached(self, seq):
+        A, pol = CMatrix([[2.0, 1.0], [-1.0, 3.0j]]), TruncationPolicy(max_terms=8)
+        rep = eval_exp(A, 2.0, seq, pol)
+        rows, terms, tail, status = ramified_series(A, 2.0, seq, pol)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "max_terms_reached" and terms <= 9 and terms % int(seq.param) == 0
+        assert rep.value.rows == tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    def test_zero_z(self, seq):
+        rep = eval_exp(CMatrix([[1.0, 2.0], [3.0, -4.0j]]), 0.0, seq)
+        assert (rep.status, rep.terms_used) == ("converged", 1)
+        assert rep.value == CMatrix.identity(2, "float")
+
+    @pytest.mark.parametrize("seq, terms", [(ML2, 4), (ML3, 3)], ids=["ml2", "ml3"])
+    def test_nilpotent(self, seq, terms):
+        # X^3 = 0: ml2 finds Y^2 = 0 at its second step, ml3 Y = 0 at its first
+        X = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, -3.0], [0.0, 0.0, 0.0]])
+        rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
+        assert (rep.status, rep.terms_used) == ("converged", terms)
+        want = np.eye(3) + X / seq.value(1) + X @ X / seq.value(2)
+        assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [1, 1.5, 9])
+    @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
+    def test_other_k_keep_the_term_loop(self, k, imag):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if imag else 0)
+        A, seq = CMatrix((a / 8).tolist()), MomentSequence.mittag_leffler(k)
+        rep = eval_exp(A, 1.0, seq)
+        rows, terms, tail, status = complex_series(A, 1.0, seq)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "converged"
+        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
+            [x.real.hex() for x in r] for r in rows]
+        if imag:
+            assert [[x.imag.hex() for x in r] for r in rep.value.rows] == [
+                [x.imag.hex() for x in r] for r in rows]
+
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    def test_vector_series_keeps_the_term_loop(self, seq):
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        A, v, z = CMatrix((a / 3).tolist()), tuple(rng.standard_normal(6) + 0j), 0.8 - 0.3j
+        rep = solve(A, v, seq).evaluate_report(z)
+        value, terms, tail, status = vector_series(A, v, z, seq)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "converged"
+        assert [(x.real.hex(), x.imag.hex()) for x in rep.value] == [
+            (x.real.hex(), x.imag.hex()) for x in value.tolist()]
+
+
 def power_over_factorial(a, b, h):
     """(a + bi)^h / h! for integers a, b: the power in Gaussian integers,
     each part rounded once, so no step overflows."""
@@ -457,10 +649,14 @@ class TestDeltaE:
         assert abs(rep.value - want) <= 1e-12 * abs(want)
 
     def test_h0_matches_matrix_eval(self):
+        # the matrix ml:2 sum is ramified, so it truncates at other terms than
+        # the scalar sum, each within its certified tail: at the default tol
+        # that is up to about 1e-12 apart, so both run at tol 1e-15
+        pol = TruncationPolicy(tol=1e-15)
         for lam, z in [(1.3, 0.7), (-0.4 + 0.2j, 1.1)]:
             for seq in (FACTORIAL, ML2, QFAC2):
-                scalar = delta_E(lam, 0, z, seq).value
-                mat = eval_exp(CMatrix([[complex(lam)]]), z, seq).value
+                scalar = delta_E(lam, 0, z, seq, pol).value
+                mat = eval_exp(CMatrix([[complex(lam)]]), z, seq, pol).value
                 assert abs(scalar - mat.rows[0][0]) < 1e-14
 
     def test_factorial_closed_form(self):

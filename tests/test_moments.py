@@ -94,6 +94,19 @@ class TestValues:
         ratios = [seq.float_step_ratio(p) for p in range(1, 400)]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
+    @pytest.mark.parametrize("spec, order", [
+        ("ml:2", 2), ("ml:2.0", 2), ("ml:3", 3), ("ml:8", 8), ("ml:1", None),
+        ("ml:1.5", None), ("ml:0.5", None), ("ml:9", None), ("ml:1e300", None),
+        ("factorial", None), ("qfac:2", None), ("geom:2", None)])
+    def test_ramification_order(self, spec, order):
+        # m(p + k) = (1 + p/k) m(p): the matrix series is summed in (Az)^k
+        seq = parse_specifier(spec)
+        assert (seq.rules.ramify and seq.rules.ramify(seq.param)) == order
+        if order:
+            for p in range(40):
+                assert math.isclose(seq.value(p + order), (1 + p / order) * seq.value(p),
+                                    rel_tol=1e-13)
+
     def test_float_ratios_threads_agree_with_one_thread(self):
         # the row fills m(0..p) before it takes the lock that value() takes
         want = [float(MomentSequence.q_factorial(2).step_ratio(p)) for p in range(1, 61)]
