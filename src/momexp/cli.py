@@ -26,9 +26,7 @@ from .errors import (
 from .evaluation import (
     CONVERGED,
     MAX_TERMS_REACHED,
-    RADIUS_EXCEEDED,
     TruncationPolicy,
-    _neumann_diverges,
     eval_exp,
     eval_via_jordan,
 )
@@ -66,6 +64,11 @@ def _parse_complex(text):
     if not cmath.isfinite(z):
         raise ValueError(f"complex value must be finite, got {text!r}")
     return z
+
+
+def _binary_rational(x):
+    """An exact scalar as it is, a float one as the Gaussian rational it is."""
+    return x if isinstance(x, GaussianRational) else GaussianRational(x.real, x.imag)
 
 
 def _load_json(path):
@@ -187,29 +190,32 @@ def _cmd_solve(args):
     v0 = vector_from_json(json.loads(args.v0))
     args.inputs.append(("--v0", v0))
     policy = _policy(args)
+    # a closed form on an exact matrix is applied exactly, z and v0 read as
+    # the binary rationals they are: its radius is decided exactly, as in
+    # eval, and its value is exact until printed
+    closed = None
+    if A.backend == EXACT and seq.rules.neumann:
+        closed = solve(A, tuple(map(_binary_rational, v0)), seq, policy)
     # an exact matrix goes to floats only for --z or --check qres, so one
     # past the float range still has its exact residual
     sol = None
-    if A.backend != EXACT or args.z or args.check == "qres":
+    if A.backend != EXACT or (args.z and closed is None) or args.check == "qres":
         sol = solve(A.to_float(), tuple(complex(x) for x in v0), seq, policy)
     results = []
     ok = True
     for ztext in args.z or []:
         z = _parse_complex(ztext)
-        # an exact matrix has its radius decided exactly, as in eval, at the
-        # binary rational z is; the value inside it is the float one
-        if A.backend == EXACT and seq.rules.neumann and _neumann_diverges(
-                A.scale(GaussianRational(z.real, z.imag) / seq.param)):
-            status, y = RADIUS_EXCEEDED, None
-        else:
+        if closed is None:
             rep = sol.evaluate_report(z)
-            status, y = rep.status, rep.value
-        ok = ok and status == CONVERGED
+        else:
+            rep = closed.evaluate_report(_binary_rational(z))
+        ok = ok and rep.status == CONVERGED
         results.append(
             {
                 "z": [z.real, z.imag],
-                "y": vector_to_json(y) if status == CONVERGED else None,
-                "status": status,
+                "y": (vector_to_json(tuple(map(complex, rep.value)))
+                      if rep.status == CONVERGED else None),
+                "status": rep.status,
             }
         )
     doc = {"results": results}

@@ -25,12 +25,15 @@ product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
 product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
 is stored instead of building the product and then a scaled copy of it.
 A kind with a ramification order k (``rules.ramify``: ml:k for an integer
-2 <= k <= 8, where m(p + k) = (1 + p/k) m(p)) sums its float matrix series
-in Y = (Az)^k instead (:func:`_ramified`): each residue class p = kq + r is
-a series of exponential type in Y, so one product per step covers k moment
-terms.  Its steps shrink by ||Y||/(q + 1) or faster, so the same rule of
-:func:`_sum` certifies the tail of the whole value, and ``terms_used``
-counts the moment terms covered, k per step.  The vector series of
+k >= 2, where m(p + k) = (1 + p/k) m(p)) sums its float matrix series in
+Y = (Az)^k instead (:func:`_ramified`) when k <= 4 and Az is n x n with
+n >= 5:
+each residue class p = kq + r is a series of exponential type in Y, so one
+product per step covers k moment terms.  Its steps shrink by ||Y||/(q + 1)
+or faster, so the same rule of :func:`_sum` certifies the tail of the whole
+value, and ``terms_used`` counts the moment terms covered, k per step.  A
+ramified sum that aborts is summed again by the term loop, whose guard sees
+the terms themselves.  A larger k, a smaller Az, the vector series of
 ``sol(z)`` and the scalar sums keep the term loop.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
@@ -59,6 +62,16 @@ MAX_TERMS_REACHED = "max_terms_reached"
 
 _SETTLE = 5  # consecutive small (or growing) terms that decide a sum
 _DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
+# where a ramified sum pays, timed against the term loop on complex normal Az:
+# below this n a product costs about as much as a ramified step's k scalings
+# and additions (ml:2 at n = 3 and 4 took 1.01 to 1.47 times the term loop's
+# time, at n = 5 0.92 to 1.15, at n = 6 0.84 to 1.05, at n >= 8 0.50 to 0.95)
+_RAMIFY_MIN_N = 5
+# above this k the 2(k - 1) products of the powers and the recombination are
+# not repaid at a small ||Az|| (at n = 10 and 30 and a spectral radius of 0.05
+# to 0.3, ml:5..ml:12 took up to 2.6 times the term loop's time and ml:2..ml:4
+# at most 1.02 times)
+_RAMIFY_MAX_K = 4
 
 
 @dataclass(frozen=True)
@@ -171,8 +184,8 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     complex entries); exactly on the exact backend, where the sum is finite
     iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
     terms without a zero term it stops with ``max_terms_reached``.  A float
-    ml:k with an integer 2 <= k <= 8 and a nonzero Az is summed in
-    Y = (Az)^k, one product per k moment terms, as
+    ml:k with an integer 2 <= k <= 4 and a nonzero n x n Az, n >= 5, is
+    summed in Y = (Az)^k, one product per k moment terms, as
     S_0 + Az(S_1 + Az(... + Az S_{k-1})) with S_r = sum_q Y^q / m(kq + r);
     its ``tail_estimate`` bounds the truncation error of that value, and its
     ``terms_used`` counts the moment terms covered, a multiple of k.
@@ -205,11 +218,16 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
         if not exact and all(x.imag == 0 for r in M.rows for x in r):
             real, M, first = True, M._real_parts(), first._real_parts()
         order = seq.rules.ramify and seq.rules.ramify(seq.param)
-        if order and not exact and not M.is_zero():  # a zero Az ends at T_1 = 0
+        # a zero Az is left to the term loop, which ends at T_1 = 0
+        if (order and order <= _RAMIFY_MAX_K and not exact and M.n >= _RAMIFY_MIN_N
+                and not M.is_zero()):
             rep = _ramified(M, first, order, seq, policy)
-            if real and rep.value is not None:
-                rep.value = rep.value._complexified()
-            return rep
+            # its step sizes are products of norms, which a non-normal Az can
+            # push past the guard while every term is far below it
+            if rep.status != ABORTED_DIVERGENT:
+                if real and rep.value is not None:
+                    rep.value = rep.value._complexified()
+                return rep
 
         def step(term, p):  # T_1 is M r(1) itself: the term before it is I
             return M.scale(ratio(p)) if p == 1 else term._scaled_product(M, ratio(p))
@@ -265,7 +283,10 @@ def _ramified(X, I, k, seq, policy):
     bounds every later step ratio: the tail bound of :func:`_sum` then bounds
     the error of E itself, measured against sum_r ||X^r|| ||S_r|| >= ||E||.
     ``terms_used`` counts the moment terms covered, k per step, so a
-    ``max_terms`` cap covers at most max_terms + 1 of them."""
+    ``max_terms`` cap covers at most max_terms + 1 of them (k <= 4 and
+    max_terms >= 5 keep that step limit nonnegative).  A step's size bounds
+    the norms of its k moment terms summed, so it can be far above each of
+    them: the caller retries an aborted sum with the term loop."""
     powers = [I, X]
     for _ in range(2, k):
         powers.append(powers[-1] @ X)

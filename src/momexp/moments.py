@@ -17,12 +17,12 @@ A log-convex kind has a nonincreasing step ratio r(p) = m(p-1)/m(p), as the
 moments of a positive kernel do, so one term's ratio bounds every later
 one and the float sums certify their tails from it (``evaluation._sum``).
 
-(*) For an integer k with 2 <= k <= 8 (the kind's ``ramify`` rule), where
+(*) For an integer k >= 2 (the kind's ``ramify`` rule), where
 m(p + k) = (1 + p/k) m(p): each residue class p = kq + r is then a series
-of exponential type in Y = (Az)^k, and the float matrix series is summed in
-Y, k moment terms per product (``evaluation._ramified``).  Any other k,
-such as ``ml:1`` or ``ml:1.5``, is summed in Az.  A larger k is not
-ramified because the sum pays 2(k - 1) products before its first step.
+of exponential type in Y = (Az)^k, and the float matrix series can be
+summed in Y, k moment terms per product (``evaluation._ramified``, which
+does so where it pays).  Any other k, such as ``ml:1`` or ``ml:1.5``, is
+summed in Az.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ _KINDS = {
                             lambda s, m, p: _gamma(1 + p / s.param),
                             log=lambda s, p: math.lgamma(1 + p / s.param),
                             log_convex=True,
-                            ramify=lambda k: int(k) if k.is_integer() and 2 <= k <= 8 else None),
+                            ramify=lambda k: int(k) if k.is_integer() and k >= 2 else None),
     "custom": _Kind("custom", True, None, None, None),
 }
 

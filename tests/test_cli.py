@@ -106,6 +106,22 @@ class TestEval:
         else:
             assert result["y"] is None
 
+    @pytest.mark.parametrize("v0", ['[["1","0"],["2","0"]]', "[[1,0],[2,0]]"],
+                             ids=["exact-v0", "float-v0"])
+    def test_solve_exact_closed_form_inside_the_radius(self, capsys, tmp_path, v0):
+        # P J_2(1 - 1e-12) P^-1 has rho = 1 - 1e-12, though its float rho
+        # reads 1 + 3.8e-8: the value is the exact (I - A)^{-1} v0, rounded
+        a = 1 - Fraction(1, 10**12)
+        P = CMatrix([[1, 2], [3, 7]])
+        A = P @ CMatrix([[a, 1], [0, a]]) @ P.inverse()
+        path = write_matrix(tmp_path, "NEAR.json", A)
+        code, doc = run(capsys, "solve", "--matrix", path, "--moment", "geom:1",
+                        "--v0", v0, "--z", "1")
+        (result,) = doc["results"]
+        assert (code, result["status"]) == (0, "converged")
+        inv = (CMatrix.identity(2) - A).inverse()
+        assert [complex(*y) for y in result["y"]] == [complex(r[0] + 2 * r[1]) for r in inv.rows]
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",

@@ -290,11 +290,11 @@ def complex_series(A, z, seq, policy=TruncationPolicy()):
         policy)
 
 
-def ramification(seq):
-    """The k of an ml:k whose matrix series is summed in Y = (Az)^k: an
-    integer k with 2 <= k <= 8; else None."""
-    k = seq.param if seq.kind == "mittag_leffler" else None
-    return int(k) if k is not None and k.is_integer() and 2 <= k <= 8 else None
+def ramification(seq, n):
+    """The k of an ml:k whose n x n matrix series is summed in Y = (Az)^k:
+    an integer k with 2 <= k <= 4, for n >= 5; else None."""
+    k = seq.param if seq.kind == "mittag_leffler" and n >= 5 else None
+    return int(k) if k is not None and k.is_integer() and 2 <= k <= 4 else None
 
 
 def ramified_series(A, z, seq, policy=TruncationPolicy()):
@@ -306,7 +306,7 @@ def ramified_series(A, z, seq, policy=TruncationPolicy()):
     (max_terms + 1) // k - 1 steps are made, and the value is
     S_0 + X(S_1 + X(... + X S_{k-1})).  terms_used counts k per step.
     (value rows, terms_used, tail_estimate, status)."""
-    n, z, k = A.n, complex(z), ramification(seq)
+    n, z, k = A.n, complex(z), int(seq.param)
     X = [[x * z for x in r] for r in A.rows]
     powers = [[[complex(i == j) for j in range(n)] for i in range(n)], X]
     for _ in range(2, k):
@@ -342,7 +342,7 @@ def ramified_series(A, z, seq, policy=TruncationPolicy()):
 
 def series_reference(A, z, seq, policy=TruncationPolicy()):
     """The complex-arithmetic reference of the path eval_exp takes for seq."""
-    return (ramified_series if ramification(seq) else complex_series)(A, z, seq, policy)
+    return (ramified_series if ramification(seq, A.n) else complex_series)(A, z, seq, policy)
 
 
 def vector_series(A, v, z, seq, policy=TruncationPolicy()):
@@ -426,7 +426,7 @@ class TestRealSeries:
         # settled at a certified term T_k: T_1 is Az r(1) itself, and each
         # of T_2..T_k is one product, so k - 1 = terms_used - 2 products
         (EXAMPLE1, 0.5, FACTORIAL, 2),
-        (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML15, 2),
+        (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML2, 2),
         # a zero term T_k ends the sum with terms_used = k: k - 1 products
         (CMatrix([[0.0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1.0, FACTORIAL, 1),
         (CMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1, FACTORIAL, 1),
@@ -527,8 +527,8 @@ class TestCertifiedTail:
     @pytest.mark.parametrize("seed", range(6))
     def test_tail_bounds_the_ramified_error(self, seq, imag, rhos, seed):
         # the ramified sums against mpmath, with the same allowance C = 16
-        # over the term loop's sum_p ||T_p|| (the worst case seen is 2.9)
-        n, k = (4, 8)[seed % 2], int(seq.param)
+        # over the term loop's sum_p ||T_p|| (worst seen: 8.0 here, 9.4 over 120 seeds)
+        n, k = (8, 16)[seed % 2], int(seq.param)
         a, q, mu = exact_symmetric(n, rhos[seed % 3], seed, imag)
         want = q @ np.diag([ml_reference(x, k) for x in mu]) @ q.T
         rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
@@ -569,38 +569,66 @@ class TestCertifiedTail:
 
 
 class TestRamifiedSeries:
-    """ml:k with an integer 2 <= k <= 8 sums its matrix series in (Az)^k;
-    every other sum keeps the term loop."""
+    """ml:k with an integer 2 <= k <= 4 sums the matrix series of an n x n Az
+    with n >= 5 in (Az)^k; every other sum keeps the term loop."""
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_max_terms_reached(self, seq):
-        A, pol = CMatrix([[2.0, 1.0], [-1.0, 3.0j]]), TruncationPolicy(max_terms=8)
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        A, pol = CMatrix(a.tolist()), TruncationPolicy(max_terms=8)
         rep = eval_exp(A, 2.0, seq, pol)
         rows, terms, tail, status = ramified_series(A, 2.0, seq, pol)
         assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
         assert status == "max_terms_reached" and terms <= 9 and terms % int(seq.param) == 0
         assert rep.value.rows == tuple(map(tuple, rows))
 
+    def test_max_terms_below_the_order_keeps_the_term_loop(self):
+        # ml:8 is not ramified: max_terms = 5 covers max_terms + 1 terms
+        rng = np.random.default_rng(32)
+        A = CMatrix(rng.standard_normal((8, 8)).tolist())
+        seq, pol = MomentSequence.mittag_leffler(8), TruncationPolicy(max_terms=5)
+        rep = eval_exp(A, 1.0, seq, pol)
+        assert (rep.status, rep.terms_used) == ("max_terms_reached", 6)
+        rows, terms, tail, status = complex_series(A, 1.0, seq, pol)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_zero_z(self, seq):
-        rep = eval_exp(CMatrix([[1.0, 2.0], [3.0, -4.0j]]), 0.0, seq)
+        rep = eval_exp(CMatrix(np.arange(25.0).reshape(5, 5).tolist()), 0.0, seq)
         assert (rep.status, rep.terms_used) == ("converged", 1)
-        assert rep.value == CMatrix.identity(2, "float")
+        assert rep.value == CMatrix.identity(5, "float")
 
-    @pytest.mark.parametrize("seq, terms", [(ML2, 4), (ML3, 3)], ids=["ml2", "ml3"])
-    def test_nilpotent(self, seq, terms):
-        # X^3 = 0: ml2 finds Y^2 = 0 at its second step, ml3 Y = 0 at its first
-        X = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, -3.0], [0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    def test_nilpotent(self, seq):
+        # X^5 = 0: ml2 finds Y^3 = 0 at its third step, ml3 Y^2 = 0 at its second
+        X = np.triu(np.arange(1.0, 26.0).reshape(5, 5), 1)
         rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
-        assert (rep.status, rep.terms_used) == ("converged", terms)
-        want = np.eye(3) + X / seq.value(1) + X @ X / seq.value(2)
+        assert (rep.status, rep.terms_used) == ("converged", 6)
+        want, power = np.zeros((5, 5)), np.eye(5)
+        for p in range(5):
+            want, power = want + power / seq.value(p), power @ X
         assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
 
-    @pytest.mark.parametrize("k", [1, 1.5, 9])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_overstated_step_size_falls_back_to_the_term_loop(self, n):
+        # a ramified step's size ||T_1|| ||X|| m(2)/m(3) is about 1e120, past
+        # the 1e100 guard, while no term of the series passes about 3e60
+        a = np.eye(n) * 0.5
+        a[0, 1] = 1e60
+        A = CMatrix(a.tolist())
+        rep = eval_exp(A, 1.0, ML2)
+        rows, terms, tail, status = complex_series(A, 1.0, ML2)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "converged"
+        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
+            [x.real.hex() for x in r] for r in rows]
+
+    @pytest.mark.parametrize("k, n", [(1, 5), (1.5, 5), (5, 5), (9, 5), (2, 4), (4, 4)])
     @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
-    def test_other_k_keep_the_term_loop(self, k, imag):
+    def test_other_cases_keep_the_term_loop(self, k, n, imag):
         rng = np.random.default_rng(29)
-        a = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if imag else 0)
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if imag else 0)
         A, seq = CMatrix((a / 8).tolist()), MomentSequence.mittag_leffler(k)
         rep = eval_exp(A, 1.0, seq)
         rows, terms, tail, status = complex_series(A, 1.0, seq)
@@ -649,14 +677,10 @@ class TestDeltaE:
         assert abs(rep.value - want) <= 1e-12 * abs(want)
 
     def test_h0_matches_matrix_eval(self):
-        # the matrix ml:2 sum is ramified, so it truncates at other terms than
-        # the scalar sum, each within its certified tail: at the default tol
-        # that is up to about 1e-12 apart, so both run at tol 1e-15
-        pol = TruncationPolicy(tol=1e-15)
         for lam, z in [(1.3, 0.7), (-0.4 + 0.2j, 1.1)]:
             for seq in (FACTORIAL, ML2, QFAC2):
-                scalar = delta_E(lam, 0, z, seq, pol).value
-                mat = eval_exp(CMatrix([[complex(lam)]]), z, seq, pol).value
+                scalar = delta_E(lam, 0, z, seq).value
+                mat = eval_exp(CMatrix([[complex(lam)]]), z, seq).value
                 assert abs(scalar - mat.rows[0][0]) < 1e-14
 
     def test_factorial_closed_form(self):
