@@ -157,6 +157,10 @@ def _cmd_eval(args):
     policy = _policy(args)
     if A.backend == EXACT and seq.exact and z.imag == 0 and z.real.is_integer():
         z_in = int(z.real)
+    elif A.backend == EXACT and seq.exact and seq.rules.neumann:
+        # a closed form on an exact matrix is applied exactly, z read as the
+        # binary rational it is: its radius is decided exactly, as in solve
+        z_in = _binary_rational(z)
     else:
         A = A.to_float()
         z_in = z
@@ -167,6 +171,8 @@ def _cmd_eval(args):
         if rep.status == MAX_TERMS_REACHED and A.backend == EXACT:
             # the exact series is finite only for nilpotent Az: sum in floats
             rep = eval_exp(A.to_float(), z, seq, policy)
+        if isinstance(z_in, GaussianRational) and rep.value is not None:
+            rep.value = rep.value.to_float()  # a float z gets a float value
         doc = _report_doc(rep)
         status = rep.status
     if args.path in ("jordan", "both"):

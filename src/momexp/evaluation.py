@@ -27,14 +27,22 @@ is stored instead of building the product and then a scaled copy of it.
 A kind with a ramification order k (``rules.ramify``: ml:k for an integer
 k >= 2, where m(p + k) = (1 + p/k) m(p)) sums its float matrix series in
 Y = (Az)^k instead (:func:`_ramified`) when k <= 4 and Az is n x n with
-n >= 5:
-each residue class p = kq + r is a series of exponential type in Y, so one
-product per step covers k moment terms.  Its steps shrink by ||Y||/(q + 1)
-or faster, so the same rule of :func:`_sum` certifies the tail of the whole
-value, and ``terms_used`` counts the moment terms covered, k per step.  A
-ramified sum that aborts is summed again by the term loop, whose guard sees
-the terms themselves.  A larger k, a smaller Az, the vector series of
-``sol(z)`` and the scalar sums keep the term loop.
+n >= 5: each residue class p = kq + r is a series of exponential type in Y.
+Its degree K in Y is fixed before the sum, from Al-Mohy and Higham's
+majorant ||Y^q|| <= alpha^q, alpha = max(d_p, d_{p+1}), d_j = ||Y^j||^{1/j},
+sharpened by each Y^j the sum forms anyway; the tail bound at K is
+``tail_estimate``, and ``terms_used`` = k(K + 1) counts the moment terms
+covered.  A long series is then summed by Paterson and Stockmeyer's scheme
+in blocks of ks powers of Az, with Horner's rule over the blocks in
+G = Y^s: about 2 sqrt(kK) products where the step loop makes K + 2k - 3.
+A short series, or one whose ||Y|| overstates the growth of Y^q (a
+non-normal Az, where the degree fixed in advance runs past where the
+terms settle), is summed by the step loop instead, one product per step
+of k moment terms, certified as :func:`_sum` certifies the term loop.  A
+degree past ``max_terms``, a non-finite alpha, a value past the
+divergence guard or failing the relative test, and an aborted step loop
+leave the sum to the term loop.  A larger k, a smaller Az, the vector
+series of ``sol(z)`` and the scalar sums keep the term loop.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
@@ -45,6 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from operator import add, mul
 from typing import Any, NamedTuple
 
@@ -72,6 +82,15 @@ _RAMIFY_MIN_N = 5
 # to 0.3, ml:5..ml:12 took up to 2.6 times the term loop's time and ml:2..ml:4
 # at most 1.02 times)
 _RAMIFY_MAX_K = 4
+# where the ramified sum is Paterson-Stockmeyer's rather than the step
+# loop's, timed on complex normal Az and non-normal P J P^-1 (2 x 2 Jordan
+# blocks), n = 8, 10, 12, k = 2..4: it must save this many products at its
+# degree, and the degree ||Y|| alone fixes may be at most this factor above
+# the sharpened one; a larger factor marks a non-normal Y whose norm
+# overstates its growth, where the step loop, which measures its terms,
+# stops well before the degree fixed in advance (see _ramified)
+_PS_MIN_SAVING = 6
+_PS_MAX_SHARPENING = 1.5
 
 
 @dataclass(frozen=True)
@@ -185,10 +204,12 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
     terms without a zero term it stops with ``max_terms_reached``.  A float
     ml:k with an integer 2 <= k <= 4 and a nonzero n x n Az, n >= 5, is
-    summed in Y = (Az)^k, one product per k moment terms, as
-    S_0 + Az(S_1 + Az(... + Az S_{k-1})) with S_r = sum_q Y^q / m(kq + r);
-    its ``tail_estimate`` bounds the truncation error of that value, and its
-    ``terms_used`` counts the moment terms covered, a multiple of k.
+    summed in Y = (Az)^k to a degree K fixed in advance by a majorant of
+    ||Y^q||: by Paterson-Stockmeyer in blocks of powers of Az where that
+    saves products, else one product per k moment terms.  Its
+    ``tail_estimate`` bounds the truncation error of that value, and its
+    ``terms_used`` counts the moment terms covered, a multiple of k; a
+    degree past ``max_terms`` or a failed sum falls back to the term loop.
     """
     return _exp_series(A, z, seq, policy)
 
@@ -222,9 +243,7 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
         if (order and order <= _RAMIFY_MAX_K and not exact and M.n >= _RAMIFY_MIN_N
                 and not M.is_zero()):
             rep = _ramified(M, first, order, seq, policy)
-            # its step sizes are products of norms, which a non-normal Az can
-            # push past the guard while every term is far below it
-            if rep.status != ABORTED_DIVERGENT:
+            if rep is not None:
                 if real and rep.value is not None:
                     rep.value = rep.value._complexified()
                 return rep
@@ -251,8 +270,161 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
     return rep
 
 
+def _ramified(X, I, k, seq, policy):
+    """E(X) = sum_p X^p / m(p) for a kind of ramification order k,
+    m(p + k) = (1 + p/k) m(p), in Y = X^k; None where the term loop must
+    sum it instead.
+
+    The truncation degree is fixed before any Horner product.  The sum up
+    to q = K in Y covers the moment terms p < k(K + 1) = ``terms_used``.
+    Its coefficients c_{q,r} = 1/m(kq + r) fall by 1/(1 + q + r/k) <= 1/(q + 1)
+    per step, and ||Y^q|| <= alpha^q for every q >= p(p - 1) with
+    alpha = max(d_p, d_{p+1}), d_j = ||Y^j||^{1/j} (Al-Mohy and Higham,
+    SIMAX 31, 2009, Thm 4.2; p = 1 gives alpha = ||Y||).  So for alpha < K + 2
+    the error is at most
+    sum_r ||X^r|| c_{K+1,r} alpha^{K+1} / (1 - alpha/(K + 2)), computed in logs,
+    and K is the first degree at which that is below tol, reported as
+    ``tail_estimate``.  Y^2..Y^s are formed one product each, and each
+    sharpens alpha (which can only lower K) before the next is formed; s,
+    the steps in Y per block, is the one that saves the most products at
+    the current K.  Where ||Y|| alone settles the sum below the least K at
+    which Paterson-Stockmeyer saves ``_PS_MIN_SAVING`` products, no degree is
+    fixed: the step loop sums it at once.
+
+    The sum is then Paterson-Stockmeyer's (:func:`_horner`) over blocks of
+    b = ks powers X^{qk+r} = Y^q X^r, where it saves at least
+    ``_PS_MIN_SAVING`` products over the step loop at the same K and the
+    degree ||Y|| alone fixed is at most ``_PS_MAX_SHARPENING`` times K;
+    elsewhere :func:`_stepped` sums the series from the same Y^q.  Horner's
+    value must pass the relative test tail < tol min(1, ||E||): if not, K is
+    fixed again against tol ||E|| / 2 and the blocks are summed once more.
+    A power that is exactly zero ends the polynomial: converged, with tail 0
+    and ``terms_used`` the multiple of k it lies in.  None (the term loop)
+    for a degree past ``max_terms``, a non-finite alpha, a value past the
+    divergence guard, a second failed relative test and an aborted step
+    loop."""
+    L, limit = seq.log_value, policy.max_terms + 1
+    low = [I, X]  # X^0..X^{k-1}
+    for _ in range(k - 1):
+        low.append(low[-1] @ X)
+    weights = [P.row_sum_norm() for P in low]  # 0 only for a zero power
+    if 0.0 in weights:
+        return _polynomial(low, weights.index(0.0), k, L)
+    ys, norms = [I, low.pop()], [1.0, weights.pop()]  # Y^j and ||Y^j||, j = 0, 1, ...
+
+    def spread(top):
+        """X^0..X^top as Y^q X^r, and the exponent of the first zero among
+        them, if any (each Y^q formed is nonzero)."""
+        out = []
+        for p in range(top + 1):
+            q, r = divmod(p, k)
+            P = low[r] if q == 0 else ys[q] if r == 0 else ys[q] @ low[r]
+            if P.is_zero():
+                return out, p
+            out.append(P)
+        return out, None
+
+    logw = list(map(math.log, weights))
+    logs = {}  # K -> log sum_r ||X^r|| / m(k(K + 1) + r)
+
+    def majorants():
+        """(m, log C, log alpha, alpha) with ||Y^q|| <= C alpha^q for every
+        q >= m and alpha below the term limit: Al-Mohy and Higham's
+        (p(p - 1), 1, max(d_p, d_{p+1})), and (0, C_j, d_j) from
+        Y^q = (Y^j)^{q // j} Y^{q % j}, C_j = max_{i<j} ||Y^i|| / d_j^i."""
+        d = [1.0] + [x ** (1 / j) for j, x in enumerate(norms) if j]
+        out = ([(p * (p - 1), 1.0, max(d[p], d[p + 1])) for p in range(2, len(d) - 1)]
+               + [(0, max(norms[i] / d[j] ** i for i in range(j)), d[j])
+                  for j in range(1, len(d))])
+        return [(m, math.log(C), math.log(a), a) for m, C, a in out if a < limit]
+
+    def bound(K, bounds):
+        """log of the tail bound after q = K in Y, inf where no alpha < K + 2."""
+        best = min((c + (K + 1) * la - math.log1p(-a / (K + 2))
+                    for m, c, la, a in bounds if m <= K + 1 and a < K + 2), default=math.inf)
+        if best < math.inf and K not in logs:
+            e = [w - L(k * (K + 1) + r) for r, w in enumerate(logw)]
+            top = max(e)
+            logs[K] = top + math.log(sum(math.exp(x - top) for x in e))
+        return best + logs[K] if best < math.inf else best
+
+    def degree(target, lo=0, top=limit // k - 1):
+        """The first K in lo..top, k(K + 1) <= max_terms + 1, whose tail
+        bound is below target, and that bound; or None.  Each majorant's
+        bound falls by at least (K + 2)/alpha > 1 per step once
+        alpha < K + 2, so the least of them falls with K, and the first K
+        is found by bisection."""
+        bounds = majorants()
+        if not bounds:  # also a nan or an infinite alpha
+            return None
+        lo, goal = max(lo, int(min(b[3] for b in bounds)) - 1), math.log(target)
+        if lo > top:
+            return None
+        hi, step = lo, 1
+        while not bound(hi, bounds) < goal:  # gallop up from lo, then bisect
+            if hi >= top:
+                return None
+            lo, hi, step = hi + 1, min(top, hi + step), 2 * step
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bound(mid, bounds) < goal:
+                hi = mid
+            else:
+                lo = mid + 1
+        return hi, math.exp(bound(hi, bounds))
+
+    # where ||Y|| alone settles the sum below every degree at which PS pays
+    # (the tail bound with alpha = ||Y|| < 16, in floats), the step loop sums it
+    least, a = _least_paying_degree(k), norms[1]
+    cap = min(limit // k, least) - 1
+    if a < cap + 2 and (sum(map(mul, weights, _class_factors(seq, k, cap + 1)))
+                        * a ** (cap + 1) / (1 - a / (cap + 2)) < policy.tol):
+        return _stepped(low, weights, ys, a, seq, policy)
+    found = degree(policy.tol, cap + 1)
+    if found is None:
+        return None
+    # the step loop where the degree falls to `stepped` or below: under the
+    # least that pays, or under first / _PS_MAX_SHARPENING
+    first = found[0]
+    stepped = max(least, math.ceil(first / _PS_MAX_SHARPENING)) - 1
+    while len(ys) - 1 < _blocking(found[0], k):
+        P = ys[-1] @ ys[1]
+        norm = P.row_sum_norm()
+        if norm == 0:  # X^{kj} = 0 for the j it would have been
+            powers, end = spread(k * len(ys) - 1)
+            return _polynomial(powers, k * len(ys) if end is None else end, k, L)
+        ys.append(P)
+        norms.append(norm)
+        if bound(stepped, majorants()) < math.log(policy.tol):
+            return _stepped(low, weights, ys, norms[1], seq, policy)
+        found = degree(policy.tol, stepped + 1, found[0])  # K can only fall
+    K, s = found[0], len(ys) - 1
+    if K <= stepped or _saving(K, k, s) < _PS_MIN_SAVING:
+        return _stepped(low, weights, ys, norms[1], seq, policy)
+    powers, end = spread(k * s)
+    if end is not None:
+        return _polynomial(powers, end, k, L)
+    for retry in (False, True):
+        K, tail = found
+        value = _horner(powers, k * s, k * (K + 1), L)
+        norm = value.row_sum_norm()
+        if not 0 < norm <= _DIVERGENCE_GUARD:
+            return None
+        if tail < policy.tol * min(1.0, norm):
+            return EvalReport(value, k * (K + 1), tail, CONVERGED)
+        found = None if retry else degree(policy.tol * norm / 2)
+        if found is None:
+            return None
+
+
+def _polynomial(powers, end, k, L):
+    """The sum of X^0..X^{end-1} where X^end = 0: exact up to rounding, so
+    converged with tail 0; ``terms_used`` is the multiple of k end lies in."""
+    return EvalReport(_combination(powers, 0, end, 0.0, L), -(-end // k) * k, 0.0, CONVERGED)
+
+
 class _Share(NamedTuple):
-    """Step q of a ramified sum: T_q and m(kq)/m(kq + r) for each class r."""
+    """Step q of a ramified step loop: T_q and m(kq)/m(kq + r) for each class r."""
 
     T: CMatrix
     coeffs: tuple
@@ -263,8 +435,8 @@ class _Share(NamedTuple):
 
 
 class _Classes(tuple):
-    """The class sums (S_r) of a ramified sum; adding a step's share adds
-    its multiple of T_q to each."""
+    """The class sums (S_r) of a ramified step loop; adding a step's share
+    adds its multiple of T_q to each."""
 
     __slots__ = ()
 
@@ -272,49 +444,103 @@ class _Classes(tuple):
         return _Classes(map(add, self, share.spread()))
 
 
-def _ramified(X, I, k, seq, policy):
-    """E(X) = sum_r X^r S_r with S_r = sum_q Y^q / m(kq + r), Y = X^k, for a
-    kind of ramification order k, m(p + k) = (1 + p/k) m(p).  With X^2..X^k
-    formed once (k - 1 products), step q makes T_q = Y^q / m(kq) = T_{q-1} Y / q
-    in one product pass and adds m(kq)/m(kq + r) T_q to each S_r; the value
-    is S_0 + X(S_1 + X(... + X S_{k-1})), k - 1 more products.  A step's size
+def _stepped(powers, weights, ys, norm, seq, policy):
+    """E(X) = sum_r X^r S_r with S_r = sum_q Y^q / m(kq + r), summed step by
+    step from X^0..X^{k-1} (``powers``, of norms ``weights``) and Y^0..Y^s
+    (``ys``, ||Y|| = ``norm``); None where it aborts.  Step q makes T_q = Y^q / m(kq) = Y^q / q!, a scaled Y^q for
+    q <= s and T_{q-1} Y / q in one product pass after, and adds
+    m(kq)/m(kq + r) T_q to each S_r; the value is
+    S_0 + X(S_1 + X(... + X S_{k-1})), k - 1 more products.  A step's size
     is ||T_q|| sum_r ||X^r|| m(kq)/m(kq + r), and since
     m(kq + r)/m(kq + k + r) = 1/(1 + q + r/k) <= 1/(q + 1), ||Y||/(q + 1)
     bounds every later step ratio: the tail bound of :func:`_sum` then bounds
     the error of E itself, measured against sum_r ||X^r|| ||S_r|| >= ||E||.
     ``terms_used`` counts the moment terms covered, k per step, so a
-    ``max_terms`` cap covers at most max_terms + 1 of them (k <= 4 and
-    max_terms >= 5 keep that step limit nonnegative).  A step's size bounds
-    the norms of its k moment terms summed, so it can be far above each of
-    them: the caller retries an aborted sum with the term loop."""
-    powers = [I, X]
-    for _ in range(2, k):
-        powers.append(powers[-1] @ X)
-    Y = powers[-1] @ X
-    weights = [P.row_sum_norm() for P in powers]
-    norm = Y.row_sum_norm()
+    ``max_terms`` cap covers at most max_terms + 1 of them.  A step's size
+    bounds the norms of its k moment terms summed, so it can be far above
+    each of them: an aborted sum is left to the term loop."""
+    L, Y, k = seq.log_value, ys[1], len(powers)
 
     def share(T, q):
-        log_m = seq.log_value(k * q)
-        return _Share(T, tuple(math.exp(log_m - seq.log_value(k * q + r)) for r in range(k)))
+        log_m = L(k * q)
+        return _Share(T, tuple(math.exp(log_m - L(k * q + r)) for r in range(k)))
 
-    def step(term, q):  # T_1 is Y itself: no product by T_0 = I
-        return share(Y if q == 1 else term.T._scaled_product(Y, 1 / q), q)
+    def step(term, q):
+        if q < len(ys):  # T_1 is Y itself
+            return share(ys[q] if q == 1 else ys[q].scale(1 / math.factorial(q)), q)
+        return share(term.T._scaled_product(Y, 1 / q), q)
 
     def size(x):  # of a step's share, or of the class sums
         if isinstance(x, _Share):
             return x.T.row_sum_norm() * sum(map(mul, weights, x.coeffs))
         return sum(map(mul, weights, map(CMatrix.row_sum_norm, x)))
 
-    rep = _sum(_Classes(share(I, 0).spread()), step, size, (policy.max_terms + 1) // k - 1,
+    rep = _sum(_Classes(share(ys[0], 0).spread()), step, size, (policy.max_terms + 1) // k - 1,
                policy, seq.rapid_growth_declared, lambda q: norm / (q + 1))
+    if rep.status == ABORTED_DIVERGENT:
+        return None
     if rep.value is not None:
         value = rep.value[-1]
         for S in reversed(rep.value[:-1]):
-            value = S + X @ value
+            value = S + powers[1] @ value
         rep.value = value
     rep.terms_used *= k
     return rep
+
+
+@lru_cache(maxsize=None)
+def _class_factors(seq, k, q):
+    """1/m(kq + r) for each class r < k."""
+    return tuple(math.exp(-seq.log_value(k * q + r)) for r in range(k))
+
+
+def _saving(K, k, s):
+    """The products Paterson-Stockmeyer saves over the step loop summing up
+    to q = K in Y, past X^2..X^k: the loop's K - 1 steps and k - 1 products
+    to recombine, against Y^2..Y^s, the Y^q X^r between them (ks - k in all)
+    and one product per block after the first."""
+    return K + k - 2 - (k * s - k + -(-(K + 1) // s) - 1)
+
+
+@lru_cache(maxsize=None)
+def _blocking(K, k):
+    """The s in 1..K + 1 that saves the most products at degree K."""
+    return max(range(1, K + 2), key=lambda s: (_saving(K, k, s), -s))
+
+
+@lru_cache(maxsize=None)
+def _least_paying_degree(k):
+    """The least K at which Paterson-Stockmeyer saves ``_PS_MIN_SAVING``."""
+    return next(K for K in count() if _saving(K, k, _blocking(K, k)) >= _PS_MIN_SAVING)
+
+
+def _combination(powers, start, count, base, L):
+    """sum_{i < count} X^i exp(base - log m(start + i)) from the powers X^i,
+    by ``scale`` and ``+``; a factor of exactly 1 scales nothing."""
+    out = None
+    for i in range(count):
+        c = math.exp(base - L(start + i))
+        term = powers[i] if c == 1.0 else powers[i].scale(c)
+        out = term if out is None else out + term
+    return out
+
+
+def _horner(powers, b, terms, L):
+    """sum_{p < terms} X^p / m(p) by Paterson and Stockmeyer (SIAM J. Comput.
+    2, 1973), from the powers X^0..X^b: with G = X^b and the blocks
+    B_j = sum_{i < b} X^i / m(jb + i), it is B_0 + G(B_1 + G(B_2 + ...)), one
+    product per block after the first.  Each H_j = m(jb) sum_{i >= j} G^{i-j} B_i
+    (H_0 = B_0 + G H_1 m(0)/m(b) is the sum) has its coefficients
+    m(jb)/m(jb + i) <= 1 taken in logs, so none of them under- or
+    overflows where a 1/m(p) would, and H_j = m(jb) B_j + G H_{j+1} m(jb)/m(jb + b)."""
+    H = above = None
+    for j in reversed(range(-(-terms // b))):
+        base = L(j * b) if j else 0.0
+        B = _combination(powers, j * b, min(b, terms - j * b), base, L)
+        if H is not None:
+            B = B + (powers[b] @ H).scale(math.exp(base - above))
+        H, above = B, base
+    return H
 
 
 def delta_E(lam, h, z, seq, policy=TruncationPolicy()):

@@ -122,6 +122,27 @@ class TestEval:
         inv = (CMatrix.identity(2) - A).inverse()
         assert [complex(*y) for y in result["y"]] == [complex(r[0] + 2 * r[1]) for r in inv.rows]
 
+    def test_eval_exact_closed_form_at_a_float_z(self, capsys, tmp_path):
+        # the same matrix at z = 1.0000000000001, exact rho(Az) = 1 - 9e-13:
+        # eval reads z as the binary rational it is, as solve does, so both
+        # verbs decide the radius exactly and print the exact value, rounded
+        a = 1 - Fraction(1, 10**12)
+        P = CMatrix([[1, 2], [3, 7]])
+        A = P @ CMatrix([[a, 1], [0, a]]) @ P.inverse()
+        path = write_matrix(tmp_path, "NEAR.json", A)
+        z = "1.0000000000001"
+        code, doc = run(capsys, "eval", "--matrix", path, "--moment", "geom:1", "--z", z)
+        assert (code, doc["status"], doc["terms_used"], doc["tail_estimate"]) == (
+            0, "converged", 0, 0.0)
+        inv = (CMatrix.identity(2) - A.scale(Fraction(float(z)))).inverse().to_float()
+        got = [[complex(*x) for x in row] for row in doc["value"]["entries"]]
+        assert got == [list(row) for row in inv.rows]
+        code, doc = run(capsys, "solve", "--matrix", path, "--moment", "geom:1",
+                        "--v0", '[["1","0"],["0","0"]]', "--z", z)
+        (result,) = doc["results"]
+        assert (code, result["status"]) == (0, "converged")
+        assert [complex(*y) for y in result["y"]] == [row[0] for row in got]
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",

@@ -23,12 +23,15 @@ from momexp import (
     scalar_exp,
     solve,
 )
+from momexp import evaluation
+from momexp.evaluation import _horner
 from momexp.exact import _rho_below_one
 from momexp.jordan import JordanDecomposition
 
 FACTORIAL = MomentSequence.factorial()
 ML2 = MomentSequence.mittag_leffler(2)
 ML3 = MomentSequence.mittag_leffler(3)
+ML4 = MomentSequence.mittag_leffler(4)
 ML15 = MomentSequence.mittag_leffler(1.5)
 QFAC2 = MomentSequence.q_factorial(2)
 GEOM2 = MomentSequence.geometric(2)
@@ -297,52 +300,157 @@ def ramification(seq, n):
     return int(k) if k is not None and k.is_integer() and 2 <= k <= 4 else None
 
 
+def ps_saving(K, k, s):
+    """Products Paterson-Stockmeyer saves over the step loop up to q = K in
+    Y with s blocks: K - 1 steps and k - 1 to recombine, against
+    ks - k powers past Y and ceil((K + 1)/s) - 1 Horner products."""
+    return K + k - 2 - (k * s - k + -(-(K + 1) // s) - 1)
+
+
 def ramified_series(A, z, seq, policy=TruncationPolicy()):
-    """The ramified float matrix series in complex arithmetic, as a reference:
-    X = Az, X^2..X^k by products, Y = X^k; T_1 = Y and T_q = (T_{q-1} @ Y)/q,
-    the class sums S_r gain c_r T_q with c_r = m(kq)/m(kq + r), a step
-    measures ||T_q|| sum_r ||X^r|| c_r and the class sums
-    sum_r ||X^r|| ||S_r||, the contraction is ||Y||/(q + 1), at most
+    """The ramified float matrix series in complex arithmetic, as a reference.
+    X = Az and X^2..X^k by products, Y = X^k, w_r = ||X^r|| for r < k; least
+    is the first K at which the best s saves 6 products (ps_saving), and
+    cap = min((max_terms + 1) // k, least) - 1.  Where ||Y|| < cap + 2 and
+    sum_r w_r / m(k(cap + 1) + r) ||Y||^{cap+1} / (1 - ||Y||/(cap + 2)) < tol,
+    the step loop sums it.  Else the degree K is the first with
+    k(K + 1) <= max_terms + 1 at which
+    log sum_r w_r / m(k(K + 1) + r) + min log(C alpha^{K+1} / (1 - alpha/(K + 2)))
+    is below log tol, the min over the majorants ||Y^q|| <= C alpha^q of the
+    norms of Y^0..Y^j formed: (1, max(d_p, d_{p+1})) once K + 1 >= p(p - 1),
+    and (max_{i<j} ||Y^i|| / d_j^i, d_j), d_j = ||Y^j||^{1/j}; each alpha < K + 2.
+    K1 is the first such K.  Y^j = Y^{j-1} @ Y is formed while j is below s,
+    the blocking with the largest saving (the least s among equals), K >= least
+    and K1 <= 1.5 K.  With s = j, PS sums it where it saves 6 products and
+    K1 <= 1.5 K, else the step loop.  PS's powers are X^{qk+r} = Y^q @ X^r,
+    and its value Horner's over blocks of b = ks powers:
+    H_j = sum_i X^i m(jb)/m(jb + i) + (G @ H_{j+1}) m(jb)/m(jb + b), G = X^b,
+    base m(0) = 1 for block 0, a factor 1.0 scaling nothing.  A value whose
+    tail is not below tol min(1, ||E||) is summed again at the degree for
+    tol ||E|| / 2.  The step loop: T_q = Y^q / q! from the Y^q formed
+    (T_1 = Y), then (T_{q-1} @ Y)/q; class sums S_r gain c_r T_q with
+    c_r = m(kq)/m(kq + r), a step measures ||T_q|| sum_r w_r c_r and the
+    class sums sum_r w_r ||S_r||, the contraction is ||Y||/(q + 1), at most
     (max_terms + 1) // k - 1 steps are made, and the value is
-    S_0 + X(S_1 + X(... + X S_{k-1})).  terms_used counts k per step.
+    S_0 + X(S_1 + X(... + X S_{k-1})); terms_used counts k per step.  None
+    where eval_exp leaves the sum to the term loop.
     (value rows, terms_used, tail_estimate, status)."""
     n, z, k = A.n, complex(z), int(seq.param)
+    L, limit = seq.log_value, policy.max_terms + 1
     X = [[x * z for x in r] for r in A.rows]
-    powers = [[[complex(i == j) for j in range(n)] for i in range(n)], X]
-    for _ in range(2, k):
-        powers.append(_product(powers[-1], X))
-    Y = _product(powers[-1], X)
-    weights, norm_y = [_norm(P) for P in powers], _norm(Y)
+    low = [[[complex(i == j) for j in range(n)] for i in range(n)], X]
+    while len(low) <= k:
+        low.append(_product(low[-1], X))
+    ys = [low[0], low.pop()]
+    weights = [_norm(P) for P in low]
+    norms = [1.0, _norm(ys[1])]
 
-    def share(T, q):
-        log_m = seq.log_value(k * q)
-        return T, [math.exp(log_m - seq.log_value(k * q + r)) for r in range(k)]
+    def blocking(K):
+        return max(range(1, K + 2), key=lambda s: (ps_saving(K, k, s), -s))
 
-    def spread(T, coeffs):
-        return [T] + [[[x * complex(c) for x in row] for row in T] for c in coeffs[1:]]
+    def scaled(P, c):
+        return [[x * complex(c) for x in r] for r in P]
 
-    def size(x):
-        if isinstance(x, tuple):
-            T, coeffs = x
-            return _norm(T) * sum(w * c for w, c in zip(weights, coeffs))
-        return sum(w * _norm(S) for w, S in zip(weights, x))
+    def stepped():
+        def share(T, q):
+            log_m = L(k * q)
+            return T, [math.exp(log_m - L(k * q + r)) for r in range(k)]
 
-    rows, terms, tail, status = reference_sum(
-        spread(*share(powers[0], 0)),
-        lambda t, q: share(Y if q == 1 else _product(t[0], Y, complex(1 / q)), q),
-        size, lambda total, t: [_plus(S, P) for S, P in zip(total, spread(*t))],
-        (policy.max_terms + 1) // k - 1, lambda q: norm_y / (q + 1), policy)
-    if rows is not None:
+        def spread(T, coeffs):
+            return [T] + [scaled(T, c) for c in coeffs[1:]]
+
+        def size(x):
+            if isinstance(x, tuple):
+                T, coeffs = x
+                return _norm(T) * sum(w * c for w, c in zip(weights, coeffs))
+            return sum(w * _norm(S) for w, S in zip(weights, x))
+
+        def step(t, q):
+            if q < len(ys):
+                return share(ys[q] if q == 1 else scaled(ys[q], 1 / math.factorial(q)), q)
+            return share(_product(t[0], ys[1], complex(1 / q)), q)
+
+        rows, terms, tail, status = reference_sum(
+            spread(*share(low[0], 0)), step, size,
+            lambda total, t: [_plus(S, P) for S, P in zip(total, spread(*t))],
+            limit // k - 1, lambda q: norms[1] / (q + 1), policy)
+        if status == "aborted_divergent":
+            return None
         value = rows[-1]
         for S in reversed(rows[:-1]):
             value = _plus(S, _product(X, value))
-        rows = value
-    return rows, k * terms, tail, status
+        return value, k * terms, tail, status
+
+    least = next(K for K in range(100) if ps_saving(K, k, blocking(K)) >= 6)
+    cap, a = min(limit // k, least) - 1, norms[1]
+    if a < cap + 2 and (sum(w * math.exp(-L(k * (cap + 1) + r)) for r, w in enumerate(weights))
+                        * a ** (cap + 1) / (1 - a / (cap + 2)) < policy.tol):
+        return stepped()
+    logw = [math.log(w) for w in weights]
+
+    def degree(target):
+        d = [1.0] + [x ** (1 / j) for j, x in enumerate(norms) if j]
+        bounds = [(p * (p - 1), 1.0, max(d[p], d[p + 1])) for p in range(2, len(d) - 1)]
+        bounds += [(0, max(norms[i] / d[j] ** i for i in range(j)), d[j])
+                   for j in range(1, len(d))]
+        for K in range(limit // k):
+            logs = [math.log(C) + (K + 1) * math.log(a) - math.log1p(-a / (K + 2))
+                    for m, C, a in bounds if m <= K + 1 and a < K + 2]
+            if logs:
+                e = [w - L(k * (K + 1) + r) for r, w in enumerate(logw)]
+                top = max(e)
+                log_tail = top + math.log(sum(math.exp(x - top) for x in e)) + min(logs)
+                if log_tail < math.log(target):
+                    return K, math.exp(log_tail)
+        return None
+
+    def combination(powers, start, count, base):
+        out = None
+        for i in range(count):
+            c = math.exp(base - L(start + i))
+            term = powers[i] if c == 1.0 else scaled(powers[i], c)
+            out = term if out is None else _plus(out, term)
+        return out
+
+    found = degree(policy.tol)
+    if found is None:
+        return None
+    first = found[0]
+    while (len(ys) - 1 < blocking(found[0]) and found[0] >= least
+           and first <= 1.5 * found[0]):
+        ys.append(_product(ys[-1], ys[1]))
+        norms.append(_norm(ys[-1]))
+        found = degree(policy.tol)
+    s = len(ys) - 1
+    if ps_saving(found[0], k, s) < 6 or first > 1.5 * found[0]:
+        return stepped()
+    powers = [low[r] if q == 0 else ys[q] if r == 0 else _product(ys[q], low[r])
+              for q, r in map(lambda p: divmod(p, k), range(k * s + 1))]
+    b = k * s
+    for retry in (False, True):
+        if retry:
+            found = degree(policy.tol * norm / 2)
+            if found is None:
+                return None
+        K, tail = found
+        terms, H = k * (K + 1), None
+        for j in reversed(range(-(-terms // b))):
+            base = L(j * b) if j else 0.0
+            B = combination(powers, j * b, min(b, terms - j * b), base)
+            if H is not None:
+                B = _plus(B, scaled(_product(powers[b], H), math.exp(base - above)))
+            H, above = B, base
+        norm = _norm(H)
+        assert 0 < norm <= 1e100
+        if tail < policy.tol * min(1.0, norm):
+            return H, terms, tail, "converged"
+    return None
 
 
 def series_reference(A, z, seq, policy=TruncationPolicy()):
     """The complex-arithmetic reference of the path eval_exp takes for seq."""
-    return (ramified_series if ramification(seq, A.n) else complex_series)(A, z, seq, policy)
+    out = ramified_series(A, z, seq, policy) if ramification(seq, A.n) else None
+    return out or complex_series(A, z, seq, policy)
 
 
 def vector_series(A, v, z, seq, policy=TruncationPolicy()):
@@ -399,6 +507,30 @@ class TestRealSeries:
             assert all(type(x) is complex for x in got)
             assert [x.real.hex() for x in got] == [x.real.hex() for x in want]
             assert all(x.imag.hex() == (0.0).hex() for x in got)
+
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    @pytest.mark.parametrize("which", ["real", "complex A", "complex z"])
+    def test_paterson_stockmeyer_sum_is_the_complex_sum(self, monkeypatch, which, seq):
+        # at ||Az|| = 3 the 12 x 12 sums are long enough for Paterson-Stockmeyer:
+        # a real Az on floats gives the complex sum's real parts and +0.0
+        A = real_gaussian(12, 12)
+        z = 3.0 / A.row_sum_norm()
+        if which == "complex A":
+            rng = np.random.default_rng(12)
+            A = CMatrix((np.array(A.rows) + 1j * rng.standard_normal((12, 12)) / 10).tolist())
+        elif which == "complex z":
+            z = complex(z, z / 3)
+        horner = []
+        monkeypatch.setattr(evaluation, "_horner", lambda *a: horner.append(a) or _horner(*a))
+        rep, kinds = self.run(monkeypatch, A, z, seq)
+        rows, terms, tail, status = series_reference(A, z, seq)
+        assert len(horner) == 1 and kinds == {float if which == "real" else complex}
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert status == "converged"
+        assert [[(x.real.hex(), x.imag.hex()) for x in r] for r in rep.value.rows] == [
+            [(x.real.hex(), x.imag.hex()) for x in r] for r in rows]
+        if which == "real":
+            assert all(x.imag.hex() == (0.0).hex() for r in rep.value.rows for x in r)
 
     @pytest.mark.parametrize("which", ["complex A", "complex z", "tiny imaginary entry"])
     def test_complex_inputs_take_the_complex_sum(self, monkeypatch, which):
@@ -523,7 +655,8 @@ class TestCertifiedTail:
         (ML2, True, (0.5, 1.5, 2.5)),
         (ML3, False, (0.5, 1.5, 2.5)),
         (ML3, True, (0.5, 1.25, 1.75)),
-    ], ids=["ml2-complex", "ml3-real", "ml3-complex"])
+        (ML4, False, (0.5, 1.0, 1.5)),
+    ], ids=["ml2-complex", "ml3-real", "ml3-complex", "ml4-real"])
     @pytest.mark.parametrize("seed", range(6))
     def test_tail_bounds_the_ramified_error(self, seq, imag, rhos, seed):
         # the ramified sums against mpmath, with the same allowance C = 16
@@ -574,13 +707,16 @@ class TestRamifiedSeries:
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_max_terms_reached(self, seq):
+        # ||Y|| puts the degree fixed in advance past max_terms = 8, so the
+        # term loop sums the series and runs out of terms
         rng = np.random.default_rng(31)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         A, pol = CMatrix(a.tolist()), TruncationPolicy(max_terms=8)
         rep = eval_exp(A, 2.0, seq, pol)
-        rows, terms, tail, status = ramified_series(A, 2.0, seq, pol)
+        rows, terms, tail, status = complex_series(A, 2.0, seq, pol)
+        assert ramified_series(A, 2.0, seq, pol) is None
         assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "max_terms_reached" and terms <= 9 and terms % int(seq.param) == 0
+        assert status == "max_terms_reached" and terms == 9
         assert rep.value.rows == tuple(map(tuple, rows))
 
     def test_max_terms_below_the_order_keeps_the_term_loop(self):
@@ -599,12 +735,29 @@ class TestRamifiedSeries:
         assert (rep.status, rep.terms_used) == ("converged", 1)
         assert rep.value == CMatrix.identity(5, "float")
 
-    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
-    def test_nilpotent(self, seq):
-        # X^5 = 0: ml2 finds Y^3 = 0 at its third step, ml3 Y^2 = 0 at its second
+    @pytest.mark.parametrize("seq, terms", [(ML2, 6), (ML3, 5)], ids=["ml2", "ml3"])
+    def test_nilpotent(self, seq, terms):
+        # X^5 = 0.  ml2 finds X^5 = 0 among the powers of its blocks, which
+        # ends the polynomial in the class of Y^2 (6 moment terms); ml3's
+        # ||Y|| = ||X^3|| puts its degree past max_terms, and the term loop
+        # ends at the zero term T_5
         X = np.triu(np.arange(1.0, 26.0).reshape(5, 5), 1)
         rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
-        assert (rep.status, rep.terms_used) == ("converged", 6)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == ("converged", terms, 0.0)
+        want, power = np.zeros((5, 5)), np.eye(5)
+        for p in range(5):
+            want, power = want + power / seq.value(p), power @ X
+        assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seq, terms", [(ML2, 6), (ML3, 6), (ML4, 8)],
+                             ids=["ml2", "ml3", "ml4"])
+    def test_zero_power_ends_the_polynomial(self, seq, terms):
+        # 3 S for the 5 x 5 shift S: ||Y^j|| = 3^{kj} until Y^j = 0, so no
+        # power sharpens the degree past where Paterson-Stockmeyer pays, and
+        # the zero among the powers it forms ends the sum at X^5 = 0
+        X = np.diag([3.0] * 4, 1)
+        rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == ("converged", terms, 0.0)
         want, power = np.zeros((5, 5)), np.eye(5)
         for p in range(5):
             want, power = want + power / seq.value(p), power @ X
@@ -612,8 +765,9 @@ class TestRamifiedSeries:
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_overstated_step_size_falls_back_to_the_term_loop(self, n):
-        # a ramified step's size ||T_1|| ||X|| m(2)/m(3) is about 1e120, past
-        # the 1e100 guard, while no term of the series passes about 3e60
+        # ||Y|| = 1e60 puts the degree fixed in advance past max_terms (a
+        # step loop's size ||T_1|| ||X|| m(2)/m(3) was about 1e120, past the
+        # 1e100 guard), while no term of the series passes about 3e60
         a = np.eye(n) * 0.5
         a[0, 1] = 1e60
         A = CMatrix(a.tolist())
@@ -621,6 +775,20 @@ class TestRamifiedSeries:
         rows, terms, tail, status = complex_series(A, 1.0, ML2)
         assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
         assert status == "converged"
+        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
+            [x.real.hex() for x in r] for r in rows]
+
+    def test_non_normal_sum_stops_no_later_than_the_term_loop(self):
+        # 0.5 I + 1e40 e_1 e_2^T: ||Y|| = 1e40 overstates the growth of Y^q,
+        # and the degree it fixes is past max_terms, so the term loop sums the
+        # series in 69 terms (a ramified step loop took 110)
+        a = np.eye(8) * 0.5
+        a[0, 1] = 1e40
+        A = CMatrix(a.tolist())
+        rep = eval_exp(A, 1.0, ML2)
+        rows, terms, tail, status = complex_series(A, 1.0, ML2)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert (status, terms) == ("converged", 69)
         assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
             [x.real.hex() for x in r] for r in rows]
 
