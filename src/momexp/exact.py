@@ -5,9 +5,10 @@ so that coefficient identities can be tested with no tolerance at all.  A
 matrix or vector computes on integer blocks instead: integer numerators
 ``re`` and ``im`` (None for a real block) over one common denominator, in
 the canonical form that :func:`_reduced` enforces.  Every product takes one,
-two or four integer products by one rule (:func:`_gauss`), and inverse,
-determinant, kernel, rank and the test rho < 1 come from one fraction-free
-elimination (:func:`bareiss`), whose output is read only here.
+two or four integer products by one rule (:func:`_gauss`); inverse,
+determinant, kernel and rank come from one fraction-free elimination
+(:func:`bareiss`), whose output is read only here, and the test rho < 1
+from the characteristic polynomial (:func:`_rho_below_one`).
 
 :class:`momexp.matrices.CMatrix` stores an exact matrix in this format and
 :mod:`momexp.jordan` takes its exact kernel and span from here; this module
@@ -372,32 +373,32 @@ def _det(re, im, den):
 
 
 def _rho_below_one(m):
-    """Whether rho(m) < 1 for an exact CMatrix m, decided exactly (Stein):
-    X - m^H X m = I has a Hermitian positive definite solution iff
-    rho(m) < 1, and its n^2 unknowns have no unique solution only if m has
-    eigenvalues lam, mu with conj(lam) mu = 1, so rho(m) >= 1.  For
-    m = N / den it reads den^2 X - N^H X N = den^2 I in Gaussian integers;
-    :func:`bareiss` gives X = Y / d, and X is definite iff every leading
-    principal minor of Y conj(d) is positive."""
-    n, d2 = m.n, m._den ** 2
-    nr, ni = m._re, m._imag()
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    # row (i, j), column (k, l): d2 [(i, j) = (k, l)] - conj(N[k][i]) N[l][j]
-    kr = tuple(tuple(d2 * (i == k and j == l) - nr[k][i] * nr[l][j] - ni[k][i] * ni[l][j]
-                     for k, l in pairs) for i, j in pairs)
-    ki = tuple(tuple(ni[k][i] * nr[l][j] - nr[k][i] * ni[l][j] for k, l in pairs)
-               for i, j in pairs)
-    (yr, yi), pivots, (dr, di), _ = bareiss(kr, None if _is_zero(ki) else ki,
-                                             tuple((d2 * (i == j),) for i, j in pairs))
-    if len(pivots) < n * n:
-        return False
-    y = [(r[-1], yi[t][-1] if yi else 0) for t, r in enumerate(yr)]
-    wr = _square([a * dr + b * di for a, b in y], n)
-    wi = _square([b * dr - a * di for a, b in y], n)
-    wi = None if _is_zero(wi) else wi
-    minors = (_det(tuple(r[:k] for r in wr[:k]), wi and tuple(r[:k] for r in wi[:k]), 1)
-              for k in range(1, n + 1))
-    return all(d.re > 0 for d in minors)
+    """Whether rho(m) < 1 for an exact CMatrix m, by the Schur-Cohn test
+    (Henrici, Applied and Computational Complex Analysis 1, 1974, ch. 6).
+    For m = N / den, Faddeev-LeVerrier gives det(w I - N) in Gaussian
+    integers, each division exact; w = den z gives p(z), whose roots are the
+    eigenvalues of m.  All lie in |z| < 1 only if |p(0)| < |lead|; then
+    conj(lead) p - p(0) p*, p*(z) = z^d conj(p(1/conj z)), vanishes at 0,
+    and (Rouche) its quotient by z, over the gcd of its integers, has all
+    its roots inside iff p has."""
+    # c_{n-k} = -tr(N B_k) / k and B_{k+1} = N B_k + c_{n-k} I, from B_1 = I
+    n, coeffs, br, bi = m.n, [(1, 0)], _eye(m.n), _zeros(m.n)  # det(w I - N), w^n down
+    for k in range(1, n + 1):
+        ar, ai = _gauss(_imatmul, m._re, m._im, _transposed(br), _transposed(bi))
+        c = [-sum(a[i][i] for i in range(n)) // k for a in (ar, ai)]
+        coeffs.append(c)
+        br, bi = ([[x + s * (i == j) for j, x in enumerate(r)] for i, r in enumerate(a)]
+                  for a, s in zip((ar, ai), c))
+    p = [(a * m._den ** j, b * m._den ** j) for j, (a, b) in enumerate(reversed(coeffs))]
+    while len(p) > 1:
+        (ar, ai), (lr, li) = p[0], p[-1]
+        if ar * ar + ai * ai >= lr * lr + li * li:
+            return False
+        p = [(lr * xr + li * xi - ar * yr - ai * yi, lr * xi - li * xr - ai * yr + ar * yi)
+             for (xr, xi), (yr, yi) in zip(p[1:], reversed(p[:-1]))]
+        g = math.gcd(*chain.from_iterable(p))
+        p = [(x // g, y // g) for x, y in p]
+    return True
 
 
 # -- the exact half of the Jordan staircase --------------------------------

@@ -46,6 +46,13 @@ def _as_fraction(x, what):
         raise SequenceError(f"{what} must be rational, got {x!r}") from exc
 
 
+def _as_float(x, what):
+    try:
+        return float(x)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SequenceError(f"{what} must be a real number, got {x!r}") from exc
+
+
 def _gamma(x):
     try:
         return math.gamma(x)
@@ -78,7 +85,7 @@ _KINDS = {
                         "geometric requires b > 0"),
                        lambda s, m, p: m * s.param, neumann=True, log_convex=True),
     "mittag_leffler": _Kind("ml", False, True,
-                            (float, lambda k: math.isfinite(k) and k > 0,
+                            (partial(_as_float, what="k"), lambda k: math.isfinite(k) and k > 0,
                              "mittag_leffler requires a finite k > 0"),
                             lambda s, m, p: _gamma(1 + p / s.param),
                             log=lambda s, p: math.lgamma(1 + p / s.param),

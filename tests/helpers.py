@@ -1,17 +1,21 @@
 """Shared test utilities: synthetic Jordan instances with known structure,
-a plain-Fraction Gauss-Jordan reference for exact elimination, and
+a plain-Fraction Gauss-Jordan reference for exact elimination,
 plain-Fraction references for the moment-basis Cauchy product, the
-inverse-series scalars and the solution series with its residual."""
+inverse-series scalars and the solution series with its residual, and
+oracles for the float series E(Az) that share no code with its evaluator."""
 
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 
+import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from momexp import CMatrix, GaussianRational
+from momexp import CMatrix, GaussianRational, eval_exp
 from momexp.jordan import assemble_jordan
 
 
@@ -277,3 +281,223 @@ def lazy_rows_reads():
         yield reads
     finally:
         CMatrix.__getattr__ = lazy
+
+
+# -- series oracles ------------------------------------------------------------
+# E(X) = sum_p X^p / m(p) for a float matrix X, computed without momexp's
+# float evaluation: closed forms on normal matrices, mpmath scalars for
+# lam I + N with N^2 = 0, and otherwise the partial sum to a degree K whose
+# tail is provably below 1e-25.  A float value passes if it lies within
+# tail_estimate + C u sum_p ||T_p|| of the oracle, T_p = X^p / m(p) over the
+# p < terms_used it summed (row-sum norms): the suite needs C = 6.1 at most,
+# and 9.4 was seen over 120 seeds of the ramified normal cases.
+
+U = 2.0**-53
+C = 16
+_BITS = 128  # the partial sums' binary fixed point: integers in units of 2^-128
+
+# the n > 12 partial sums rely on extended precision, eps 1.08e-19 on x86-64
+assert np.finfo(np.longdouble).eps < 1e-18, "np.longdouble has no extended precision here"
+
+
+def euler_product(x, q):
+    """E(x) for qfac:q, q > 1: prod_{k>=0} (1 + (1 - 1/q) x q^{-k}),
+    a product with no cancellation between terms."""
+    out = 1.0
+    for k in range(200):
+        out *= 1.0 + (1.0 - 1.0 / q) * x * q**-k
+    return out
+
+
+def exact_symmetric(n, rho, seed, imag=False):
+    """A seeded real symmetric A = Q diag(mu) Q^T held exactly in floats,
+    with Q, mu: Q is a row permutation of two Householder reflections
+    I - (2/n) v v^T, v in {-1, 1}^n, n a power of two, and mu are multiples
+    of rho/64 in [-rho, rho], so that no entry of A is rounded and the
+    reference Q diag(f(mu)) Q^T carries only the rounding of its own sums.
+    With ``imag``, mu gains an imaginary part of the same kind, and A is a
+    complex normal matrix whose real and imaginary parts are exact."""
+    rng = np.random.default_rng(seed)
+    q = np.eye(n)
+    for _ in range(2):
+        v = rng.choice([-1.0, 1.0], n)
+        q = q @ (np.eye(n) - (2 / n) * np.outer(v, v))
+    q = q[rng.permutation(n)]
+    mu = rng.integers(-64, 65, n) / 64 * rho
+    if imag:
+        mu = mu + 1j * rng.integers(-64, 65, n) / 64 * rho
+    a = q @ np.diag(mu) @ q.T
+    for part in (np.real, np.imag) if imag else (np.real,):
+        exact = [[sum(Fraction(q[i, k]) * Fraction(part(mu[k])) * Fraction(q[j, k])
+                      for k in range(n)) for j in range(n)] for i in range(n)]
+        assert [[Fraction(x) for x in row] for row in part(a).tolist()] == exact
+    return a, q, mu
+
+
+def scaled(A, z):
+    """Az as a numpy complex array, asserting that no entry of the float
+    product is rounded (the test data are dyadic with few bits), so that an
+    oracle sums the very Az the library sums."""
+    def exact(v):
+        return GaussianRational(Fraction(v.real), Fraction(v.imag))
+
+    x = np.array(A.rows) * complex(z)
+    assert all(exact(y) == exact(a) * exact(complex(z))
+               for ry, ra in zip(x, np.array(A.rows)) for y, a in zip(ry, ra)), z
+    return x
+
+
+@lru_cache(maxsize=None)
+def _ratio(seq, p):
+    """r(p) = m(p-1)/m(p) to _BITS + 64 bits: for ml:k from mpmath's log
+    Gamma, for the other kinds from their exact values."""
+    with mp.workprec(_BITS + 64):
+        if seq.kind == "mittag_leffler":
+            k = seq.param
+            return mp.exp(mp.loggamma(1 + mp.mpf(p - 1) / k) - mp.loggamma(1 + mp.mpf(p) / k))
+        r = seq.value(p - 1) / seq.value(p)
+        return mp.mpf(r.numerator) / r.denominator
+
+
+def scalar_series(x, seq):
+    """(E(x), E'(x)) = sum_p (x^p, p x^{p-1}) / m(p) as mpmath numbers,
+    summed at 40 digits until a term of E is below 1e-40 of its sum."""
+    with mp.workdps(40):
+        x, e, de, term = mp.mpc(x), mp.mpf(0), mp.mpf(0), mp.mpf(1)  # term = x^p / m(p)
+        for p in count():
+            e += term
+            de += (p + 1) * term * _ratio(seq, p + 1)
+            if p > 10 and abs(term) < mp.mpf(10) ** -40 * max(1, abs(e)):
+                return e, de
+            term *= x * _ratio(seq, p + 1)
+
+
+def tail_degree(norm, seq):
+    """The least K with sum_{p > K} ||X||^p / m(p) < 1e-25 for ||X|| <= norm
+    and a log-convex kind: the terms after K + 1 fall by at most
+    q = norm r(K + 2), so the tail is at most the first omitted term over
+    1 - q."""
+    with mp.workdps(30):
+        norm, term = mp.mpf(norm), mp.mpf(1)
+        for K in count():
+            term *= norm * _ratio(seq, K + 1)
+            q = norm * _ratio(seq, K + 2)
+            if q < 1 and term / (1 - q) < 1e-25:
+                return K
+
+
+def _longdouble(v):
+    """An integer in units of 2^-_BITS as an np.longdouble."""
+    return np.ldexp(np.longdouble(str(v)), -_BITS)
+
+
+def partial_sum(x, seq, degree):
+    """sum_{p <= degree} x^p / m(p) as an np.clongdouble array, from
+    T_0 = I, T_p = (T_{p-1} x) r(p).  For n <= 12 the terms are binary fixed
+    point on Python ints: Fractions over one denominator 2^_BITS, each
+    truncated once per step, which adds an error of about n 2^-128 (a
+    complex product takes three real ones).  Larger n sum in np.clongdouble."""
+    n, r = len(x), [int(mp.ldexp(_ratio(seq, p), _BITS)) if p else 0 for p in range(degree + 1)]
+    if n > 12:
+        x = x.astype(np.clongdouble) if np.any(x.imag) else x.real.astype(np.longdouble)
+        term = total = np.eye(n, dtype=x.dtype)
+        for p in range(1, degree + 1):
+            term = (term @ x) * _longdouble(r[p])
+            total = total + term
+        return total
+    c, d = (np.vectorize(lambda v: int(Fraction(v) * 2**_BITS), otypes=[object])(part)
+            for part in (x.real, x.imag))
+    real, cd, dc = not np.any(x.imag), c + d, d - c
+    tr = sr = np.eye(n, dtype=int).astype(object) << _BITS
+    ti = si = 0 * tr
+    for p in range(1, degree + 1):
+        if real:  # ti stays 0
+            re, im = tr @ c, ti
+        else:  # (tr + i ti)(c + i d) = (k - ti cd) + i (k + tr dc), k = (tr + ti) c
+            k = (tr + ti) @ c
+            re, im = k - ti @ cd, k + tr @ dc
+        tr, ti = (((m >> _BITS) * r[p]) >> _BITS for m in (re, im))
+        sr, si = sr + tr, si + ti
+    return np.vectorize(lambda a, b: _longdouble(a) + 1j * _longdouble(b),
+                        otypes=[np.clongdouble])(sr, si)
+
+
+def series_oracle(x, seq):
+    """E(x) to within 1e-25: the partial sum to :func:`tail_degree`."""
+    norm = float(np.abs(x).sum(axis=1).max()) * (1 + 1e-9)
+    return partial_sum(x, seq, tail_degree(norm, seq))
+
+
+def shift_oracle(lam, c, n, z, seq):
+    """E(Az) for A = lam I + c e_1 e_2^T, whose N = c e_1 e_2^T has N^2 = 0:
+    (Az)^p = (lam z)^p I + p (lam z)^{p-1} z N, so E(Az) is
+    E(lam z) I + z E'(lam z) N (:func:`scalar_series`)."""
+    def clongdouble(v):
+        return np.longdouble(mp.nstr(v.real, 25)) + 1j * np.longdouble(mp.nstr(v.imag, 25))
+
+    e, de = scalar_series(complex(lam) * complex(z), seq)
+    out = np.eye(n, dtype=np.clongdouble) * clongdouble(e)
+    with mp.workdps(40):
+        out[0, 1] = clongdouble(de * mp.mpf(c) * mp.mpc(z))
+    return out
+
+
+def term_sizes(x, seq, count, v=None):
+    """||T_p||, p < count, T_p = x^p / m(p) (or the largest modulus of
+    T_p v), in float64: the sizes that scale the rounding allowance."""
+    term = np.eye(len(x)) if v is None else np.asarray(v, complex)
+    out = []
+    for p in range(count):
+        term = (x @ term) * float(_ratio(seq, p)) if p else term
+        out.append(float(np.abs(term).sum(axis=1).max() if v is None else np.abs(term).max()))
+    return out
+
+
+def assert_within_rounding(rep, want, sizes, tail=None):
+    """The pass rule: ||value - want|| <= tail + C u sum_p ||T_p|| over the
+    p < terms_used summed; ``tail`` defaults to the report's tail_estimate
+    (a partial sum to the same degree passes tail = 0)."""
+    got = rep.value.rows if isinstance(rep.value, CMatrix) else rep.value
+    diff = np.abs(np.array(got, dtype=np.clongdouble) - np.asarray(want, dtype=np.clongdouble))
+    err = float(diff.sum(axis=1).max() if diff.ndim == 2 else diff.max())
+    allowed = (rep.tail_estimate if tail is None else tail) + C * U * sum(sizes[:rep.terms_used])
+    assert err <= allowed, (err, allowed)
+
+
+def assert_matches_the_series(rep, A, z, seq, partial=False):
+    """The pass rule against E(Az) (:func:`series_oracle`), or with
+    ``partial`` against the partial sum over the terms_used terms summed."""
+    x = scaled(A, z)
+    want = partial_sum(x, seq, rep.terms_used - 1) if partial else series_oracle(x, seq)
+    assert_within_rounding(rep, want, term_sizes(x, seq, rep.terms_used), 0.0 if partial else None)
+
+
+@contextmanager
+def counting_products():
+    """List, for each matrix product a term loop or a ramified sum makes
+    inside the block, the set of its two factors' entry types: float for a
+    sum on real parts, complex otherwise (exact for an exact term loop)."""
+    kinds = []
+    product = CMatrix._scaled_product
+
+    def spy(a, b, s):
+        kinds.append({type(a.rows[0][0]), type(b.rows[0][0])})
+        return product(a, b, s)
+
+    CMatrix._scaled_product = spy
+    try:
+        yield kinds
+    finally:
+        CMatrix._scaled_product = product
+
+
+def complex_path(A, z, seq):
+    """eval_exp(A, z, seq) with a real Az summed as complex: the
+    library's own complex path, reached by making ``CMatrix._real_parts``
+    the identity, so no copy of its loops is needed."""
+    real_parts = CMatrix._real_parts
+    CMatrix._real_parts = lambda self: self
+    try:
+        return eval_exp(A, z, seq)
+    finally:
+        CMatrix._real_parts = real_parts

@@ -621,6 +621,10 @@ class TestErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_word_ml_parameter_names_the_parameter(self, capsys):
+        assert main(["probe", "--moment", "ml:two"]) == 2
+        assert capsys.readouterr() == ("", "error: k must be a real number, got 'two'\n")
+
     @pytest.mark.parametrize(
         "verb, doc, named",
         [

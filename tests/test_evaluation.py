@@ -1,7 +1,15 @@
+"""Tests of the evaluation module.  Oracle rule: a float value is checked
+against an oracle in ``helpers`` that shares no code with the evaluator
+(closed forms, mpmath scalars, partial sums with a tail provably below
+1e-25), and passes within tail_estimate + C u sum_p ||T_p|| of it, C = 16.
+Bits are compared only where the library promises them (a real Az gives its
+own complex path), and no test reads a routing constant of the evaluator."""
+
 import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,10 +31,22 @@ from momexp import (
     scalar_exp,
     solve,
 )
-from momexp import evaluation
-from momexp.evaluation import _horner
 from momexp.exact import _rho_below_one
 from momexp.jordan import JordanDecomposition
+
+from helpers import (
+    assert_matches_the_series,
+    assert_within_rounding,
+    complex_path,
+    counting_products,
+    euler_product,
+    exact_symmetric,
+    scalar_series,
+    scaled,
+    series_oracle,
+    shift_oracle,
+    term_sizes,
+)
 
 FACTORIAL = MomentSequence.factorial()
 ML2 = MomentSequence.mittag_leffler(2)
@@ -35,6 +55,8 @@ ML4 = MomentSequence.mittag_leffler(4)
 ML15 = MomentSequence.mittag_leffler(1.5)
 QFAC2 = MomentSequence.q_factorial(2)
 GEOM2 = MomentSequence.geometric(2)
+
+ROTATION = GaussianRational(Fraction(3, 5), Fraction(4, 5))  # |3/5 + 4i/5| = 1
 
 EXAMPLE1 = CMatrix([[1.0, 0, 1], [1, 2, 0], [0, 0, 1]])
 EXAMPLE2 = CMatrix([[0.0, 1, 1], [-1, 2, 1], [1, -1, 1]])
@@ -139,8 +161,7 @@ class TestEvalExp:
         ([[Fraction(9, 41), Fraction(-40, 41)], [Fraction(40, 41), Fraction(9, 41)]], 1),
         ([[Fraction(28, 53), Fraction(-45, 53)], [Fraction(45, 53), Fraction(28, 53)]], 1),
         ([[-4, 1], [-9, 2]], 1),  # P J_2(-1) P^-1, P = [[1, 2], [3, 7]]
-        # rho = 1 + 1e-17: no eigenvalues have conj(lam) mu = 1, so the Stein
-        # solution exists, and it is indefinite
+        # rho = 1 + 1e-17: just outside the unit circle
         ([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]],
          1 + Fraction(1, 10**17)),
     ], ids=["rotation-5-12-13", "rotation-9-40-41", "rotation-28-45-53", "P-J2(-1)-P^-1",
@@ -167,6 +188,35 @@ class TestEvalExp:
                 verdicts.append(_rho_below_one(A))
                 assert verdicts[-1] == (rho < 1), A
         assert 40 <= sum(verdicts) <= len(verdicts) - 40
+
+    @pytest.mark.parametrize("spectrum, below", [
+        ((ROTATION, Fraction(1, 2)), False),
+        ((ROTATION * (1 - Fraction(1, 10**12)), Fraction(-1, 2), Fraction(1, 3)), True),
+        ((ROTATION * (1 + Fraction(1, 10**12)), 0), False),
+        ((1 - Fraction(1, 10**12),) * 3, True),
+        ((-1, Fraction(1, 2), Fraction(1, 2), 0), False),
+        ((GaussianRational(0, 1), GaussianRational(0, -1)), False),
+        ((0, 0, 0, 0), True),
+        ((GaussianRational(Fraction(1, 2), Fraction(1, 2)), Fraction(-7, 10),
+          GaussianRational(0, Fraction(9, 10)), Fraction(99, 100)), True),
+        ((-ROTATION, -ROTATION, Fraction(1, 7)), False),
+    ], ids=["on-circle", "inside-by-1e-12", "outside-by-1e-12", "triple-inside",
+            "minus-one", "plus-minus-i", "nilpotent", "mixed-inside", "double-on-circle"])
+    def test_exact_radius_test_on_known_spectra(self, spectrum, below):
+        # A = P T P^-1 with T upper triangular has T's diagonal as its spectrum
+        rng = random.Random(len(spectrum))
+        n = len(spectrum)
+
+        def entry(den=1):  # complex for odd n
+            return GaussianRational(Fraction(rng.randint(-3, 3), den),
+                                    Fraction(rng.randint(-3, 3), den) * (n % 2))
+
+        T = CMatrix([[spectrum[i] if i == j else entry(4) if j > i else 0
+                      for j in range(n)] for i in range(n)])
+        P = CMatrix.zeros(n)
+        while P.det() == 0:
+            P = CMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        assert _rho_below_one(P @ T @ P.inverse()) == below
 
     def test_geometric_exact_contraction_near_one(self):
         # P J_2(1 - 1e-12) P^-1 has rho = 1 - 1e-12 < 1, though its float rho
@@ -226,409 +276,161 @@ class TestEvalExp:
         assert rep.tail_estimate <= pol.tol
 
 
-def _product(a, b, s=None):
-    """a @ b on rows of Python complex, each entry summed left to right from
-    its first product and multiplied by s as it is stored."""
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        entries = []
-        for col in cols:
-            t = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                t = t + x * y
-            entries.append(t if s is None else t * s)
-        out.append(entries)
-    return out
+def dyadic(a):
+    """a rounded to multiples of 2^-20, so that its product with a z of a
+    few bits is exact (``helpers.scaled``)."""
+    return np.round(np.asarray(a) * 2**20) / 2**20
 
 
-def _plus(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _norm(rows):
-    return max(sum(abs(x) for x in row) for row in rows)
-
-
-def reference_sum(first, step, size, plus, limit, contraction, policy):
-    """eval_exp's term loop and stopping rule for a log-convex sequence,
-    written out: while q = contraction(k) < 1, settled once size(T_k) q / (1 - q)
-    is below tol min(1, size(S_k)), else after five small terms.
-    (value, terms_used, tail_estimate, status)."""
-    term = total = first
-    prev = small = 0
-    for k in range(1, limit + 1):
-        term = step(term, k)
-        norm = size(term)
-        if norm == 0:
-            return total, k, 0.0, "converged"
-        total = plus(total, term)
-        if math.isnan(norm) or norm > 1e100:
-            return None, k + 1, math.inf, "aborted_divergent"
-        ratio = norm / prev if prev else 0.0
-        prev = norm
-        small = small + 1 if norm < policy.tol else 0
-        q = contraction(k)
-        if q < 1.0:
-            tail = norm * q / (1.0 - q)
-            if tail < policy.tol * min(1.0, size(total)):
-                return total, k + 1, tail, "converged"
-        elif small >= 5 and ratio < 1.0:
-            return total, k + 1, norm * ratio / (1.0 - ratio), "converged"
-    return total, limit + 1, math.inf, "max_terms_reached"
-
-
-def complex_series(A, z, seq, policy=TruncationPolicy()):
-    """The float matrix term loop in complex arithmetic, as a reference:
-    T_0 = I, T_p = (T_{p-1} @ Az) m(p-1)/m(p) with the first product I @ Az
-    made too, and the contraction q_k = ||Az|| m(k)/m(k+1).
-    (value rows, terms_used, tail_estimate, status)."""
-    n, z = A.n, complex(z)
-    M = [[x * z for x in r] for r in A.rows]
-    norm_m = _norm(M)
-    return reference_sum(
-        [[complex(i == j) for j in range(n)] for i in range(n)],
-        lambda t, k: _product(t, M, complex(seq.float_step_ratio(k))),
-        _norm, _plus, policy.max_terms, lambda k: norm_m * seq.float_step_ratio(k + 1),
-        policy)
-
-
-def ramification(seq, n):
-    """The k of an ml:k whose n x n matrix series is summed in Y = (Az)^k:
-    an integer k with 2 <= k <= 4, for n >= 5; else None."""
-    k = seq.param if seq.kind == "mittag_leffler" and n >= 5 else None
-    return int(k) if k is not None and k.is_integer() and 2 <= k <= 4 else None
-
-
-def ps_saving(K, k, s):
-    """Products Paterson-Stockmeyer saves over the step loop up to q = K in
-    Y with s blocks: K - 1 steps and k - 1 to recombine, against
-    ks - k powers past Y and ceil((K + 1)/s) - 1 Horner products."""
-    return K + k - 2 - (k * s - k + -(-(K + 1) // s) - 1)
-
-
-def ramified_series(A, z, seq, policy=TruncationPolicy()):
-    """The ramified float matrix series in complex arithmetic, as a reference.
-    X = Az and X^2..X^k by products, Y = X^k, w_r = ||X^r|| for r < k; least
-    is the first K at which the best s saves 6 products (ps_saving), and
-    cap = min((max_terms + 1) // k, least) - 1.  Where ||Y|| < cap + 2 and
-    sum_r w_r / m(k(cap + 1) + r) ||Y||^{cap+1} / (1 - ||Y||/(cap + 2)) < tol,
-    the step loop sums it.  Else the degree K is the first with
-    k(K + 1) <= max_terms + 1 at which
-    log sum_r w_r / m(k(K + 1) + r) + min log(C alpha^{K+1} / (1 - alpha/(K + 2)))
-    is below log tol, the min over the majorants ||Y^q|| <= C alpha^q of the
-    norms of Y^0..Y^j formed: (1, max(d_p, d_{p+1})) once K + 1 >= p(p - 1),
-    and (max_{i<j} ||Y^i|| / d_j^i, d_j), d_j = ||Y^j||^{1/j}; each alpha < K + 2.
-    K1 is the first such K.  Y^j = Y^{j-1} @ Y is formed while j is below s,
-    the blocking with the largest saving (the least s among equals), K >= least
-    and K1 <= 1.5 K.  With s = j, PS sums it where it saves 6 products and
-    K1 <= 1.5 K, else the step loop.  PS's powers are X^{qk+r} = Y^q @ X^r,
-    and its value Horner's over blocks of b = ks powers:
-    H_j = sum_i X^i m(jb)/m(jb + i) + (G @ H_{j+1}) m(jb)/m(jb + b), G = X^b,
-    base m(0) = 1 for block 0, a factor 1.0 scaling nothing.  A value whose
-    tail is not below tol min(1, ||E||) is summed again at the degree for
-    tol ||E|| / 2.  The step loop: T_q = Y^q / q! from the Y^q formed
-    (T_1 = Y), then (T_{q-1} @ Y)/q; class sums S_r gain c_r T_q with
-    c_r = m(kq)/m(kq + r), a step measures ||T_q|| sum_r w_r c_r and the
-    class sums sum_r w_r ||S_r||, the contraction is ||Y||/(q + 1), at most
-    (max_terms + 1) // k - 1 steps are made, and the value is
-    S_0 + X(S_1 + X(... + X S_{k-1})); terms_used counts k per step.  None
-    where eval_exp leaves the sum to the term loop.
-    (value rows, terms_used, tail_estimate, status)."""
-    n, z, k = A.n, complex(z), int(seq.param)
-    L, limit = seq.log_value, policy.max_terms + 1
-    X = [[x * z for x in r] for r in A.rows]
-    low = [[[complex(i == j) for j in range(n)] for i in range(n)], X]
-    while len(low) <= k:
-        low.append(_product(low[-1], X))
-    ys = [low[0], low.pop()]
-    weights = [_norm(P) for P in low]
-    norms = [1.0, _norm(ys[1])]
-
-    def blocking(K):
-        return max(range(1, K + 2), key=lambda s: (ps_saving(K, k, s), -s))
-
-    def scaled(P, c):
-        return [[x * complex(c) for x in r] for r in P]
-
-    def stepped():
-        def share(T, q):
-            log_m = L(k * q)
-            return T, [math.exp(log_m - L(k * q + r)) for r in range(k)]
-
-        def spread(T, coeffs):
-            return [T] + [scaled(T, c) for c in coeffs[1:]]
-
-        def size(x):
-            if isinstance(x, tuple):
-                T, coeffs = x
-                return _norm(T) * sum(w * c for w, c in zip(weights, coeffs))
-            return sum(w * _norm(S) for w, S in zip(weights, x))
-
-        def step(t, q):
-            if q < len(ys):
-                return share(ys[q] if q == 1 else scaled(ys[q], 1 / math.factorial(q)), q)
-            return share(_product(t[0], ys[1], complex(1 / q)), q)
-
-        rows, terms, tail, status = reference_sum(
-            spread(*share(low[0], 0)), step, size,
-            lambda total, t: [_plus(S, P) for S, P in zip(total, spread(*t))],
-            limit // k - 1, lambda q: norms[1] / (q + 1), policy)
-        if status == "aborted_divergent":
-            return None
-        value = rows[-1]
-        for S in reversed(rows[:-1]):
-            value = _plus(S, _product(X, value))
-        return value, k * terms, tail, status
-
-    least = next(K for K in range(100) if ps_saving(K, k, blocking(K)) >= 6)
-    cap, a = min(limit // k, least) - 1, norms[1]
-    if a < cap + 2 and (sum(w * math.exp(-L(k * (cap + 1) + r)) for r, w in enumerate(weights))
-                        * a ** (cap + 1) / (1 - a / (cap + 2)) < policy.tol):
-        return stepped()
-    logw = [math.log(w) for w in weights]
-
-    def degree(target):
-        d = [1.0] + [x ** (1 / j) for j, x in enumerate(norms) if j]
-        bounds = [(p * (p - 1), 1.0, max(d[p], d[p + 1])) for p in range(2, len(d) - 1)]
-        bounds += [(0, max(norms[i] / d[j] ** i for i in range(j)), d[j])
-                   for j in range(1, len(d))]
-        for K in range(limit // k):
-            logs = [math.log(C) + (K + 1) * math.log(a) - math.log1p(-a / (K + 2))
-                    for m, C, a in bounds if m <= K + 1 and a < K + 2]
-            if logs:
-                e = [w - L(k * (K + 1) + r) for r, w in enumerate(logw)]
-                top = max(e)
-                log_tail = top + math.log(sum(math.exp(x - top) for x in e)) + min(logs)
-                if log_tail < math.log(target):
-                    return K, math.exp(log_tail)
-        return None
-
-    def combination(powers, start, count, base):
-        out = None
-        for i in range(count):
-            c = math.exp(base - L(start + i))
-            term = powers[i] if c == 1.0 else scaled(powers[i], c)
-            out = term if out is None else _plus(out, term)
-        return out
-
-    found = degree(policy.tol)
-    if found is None:
-        return None
-    first = found[0]
-    while (len(ys) - 1 < blocking(found[0]) and found[0] >= least
-           and first <= 1.5 * found[0]):
-        ys.append(_product(ys[-1], ys[1]))
-        norms.append(_norm(ys[-1]))
-        found = degree(policy.tol)
-    s = len(ys) - 1
-    if ps_saving(found[0], k, s) < 6 or first > 1.5 * found[0]:
-        return stepped()
-    powers = [low[r] if q == 0 else ys[q] if r == 0 else _product(ys[q], low[r])
-              for q, r in map(lambda p: divmod(p, k), range(k * s + 1))]
-    b = k * s
-    for retry in (False, True):
-        if retry:
-            found = degree(policy.tol * norm / 2)
-            if found is None:
-                return None
-        K, tail = found
-        terms, H = k * (K + 1), None
-        for j in reversed(range(-(-terms // b))):
-            base = L(j * b) if j else 0.0
-            B = combination(powers, j * b, min(b, terms - j * b), base)
-            if H is not None:
-                B = _plus(B, scaled(_product(powers[b], H), math.exp(base - above)))
-            H, above = B, base
-        norm = _norm(H)
-        assert 0 < norm <= 1e100
-        if tail < policy.tol * min(1.0, norm):
-            return H, terms, tail, "converged"
-    return None
-
-
-def series_reference(A, z, seq, policy=TruncationPolicy()):
-    """The complex-arithmetic reference of the path eval_exp takes for seq."""
-    out = ramified_series(A, z, seq, policy) if ramification(seq, A.n) else None
-    return out or complex_series(A, z, seq, policy)
-
-
-def vector_series(A, v, z, seq, policy=TruncationPolicy()):
-    """sol(z)'s vector term loop as a reference: numpy complex128,
-    t_p = (Az t_{p-1}) m(p-1)/m(p), sized by the largest entry modulus."""
-    a = np.array(A.rows, complex) * complex(z)
-    norm_a = float(np.abs(a).sum(axis=1).max())
-    return reference_sum(
-        np.array(v, complex), lambda t, p: (a @ t) * seq.float_step_ratio(p),
-        lambda t: float(max(map(abs, t), default=0.0)), lambda a, b: a + b,
-        policy.max_terms, lambda p: norm_a * seq.float_step_ratio(p + 1), policy)
+def short(x):
+    """x rounded to 8 significant bits."""
+    m, e = math.frexp(x)
+    return math.ldexp(round(m * 256), e - 8)
 
 
 def real_gaussian(n, seed):
-    """A seeded real n x n matrix with N(0, 1) entries, a tenth of them
-    zero and a few -0.0, so that signed zeros meet the sum."""
+    """A seeded real n x n matrix with N(0, 1) entries on the grid of
+    :func:`dyadic`, a tenth of them zero and a few -0.0, so that signed
+    zeros meet the sum."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
+    a = dyadic(rng.standard_normal((n, n)))
     a[rng.random((n, n)) < 0.1] = 0.0
     a[0, -1] = -0.0
     return CMatrix(a.tolist())
 
 
-class TestRealSeries:
-    """A real Az is summed on floats: the value must be the complex sum's,
-    bit for bit, held as complex entries with imaginary parts +0.0."""
-
-    @staticmethod
-    def run(monkeypatch, A, z, seq):
-        kinds = set()
-        product = CMatrix._scaled_product
-
-        def spy(a, b, s):
-            kinds.add(type(a.rows[0][0]))
-            return product(a, b, s)
-
-        monkeypatch.setattr(CMatrix, "_scaled_product", spy)
+@lru_cache(maxsize=None)
+def real_run(n, seq):
+    """eval_exp on real_gaussian(n, n) at z = +-2^j with ||Az|| within a
+    factor sqrt(2) of 1 (negative for n = 12), counting its products:
+    (A, z, report, the entry types of each product)."""
+    A = real_gaussian(n, n)
+    z = (-1.0 if n == 12 else 1.0) * 2.0 ** -round(math.log2(A.row_sum_norm()))
+    with counting_products() as products:
         rep = eval_exp(A, z, seq)
-        monkeypatch.undo()
-        return rep, kinds
+    return A, z, rep, products
 
-    @pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2, ML3, ML15],
-                             ids=["factorial", "ml2", "qfac2", "ml3", "ml1.5"])
-    @pytest.mark.parametrize("n", [3, 12, 64])
-    def test_real_sum_is_the_complex_sum(self, monkeypatch, n, seq):
-        A = real_gaussian(n, n)
-        z = (-1.0 if n == 12 else 1.0) / A.row_sum_norm()
-        rep, kinds = self.run(monkeypatch, A, z, seq)
-        rows, terms, tail, status = series_reference(A, z, seq)
-        assert kinds == {float}
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "converged"
-        for got, want in zip(rep.value.rows, rows):
-            assert all(type(x) is complex for x in got)
-            assert [x.real.hex() for x in got] == [x.real.hex() for x in want]
-            assert all(x.imag.hex() == (0.0).hex() for x in got)
+
+REAL_KINDS = pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2, ML3, ML15],
+                                     ids=["factorial", "ml2", "qfac2", "ml3", "ml1.5"])
+REAL_SIZES = pytest.mark.parametrize("n", [3, 12, 64])
+
+
+class TestRealSeries:
+    """A real Az is summed in real arithmetic, on Python floats, and made
+    complex once at the end (the evaluation module's docstring)."""
+
+    @REAL_KINDS
+    @REAL_SIZES
+    def test_real_sum_is_the_complex_sum(self, n, seq):
+        """The value and report equal the library's own complex path on the
+        same input, bit for bit."""
+        A, z, rep, _ = real_run(n, seq)
+        other = complex_path(A, z, seq)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == (
+            other.status, other.terms_used, other.tail_estimate)
+        assert repr(rep.value.rows) == repr(other.value.rows)  # repr tells -0.0 from 0.0
+
+    @REAL_KINDS
+    @REAL_SIZES
+    def test_real_entries_are_complex_with_zero_imaginary_parts(self, n, seq):
+        rep = real_run(n, seq)[2]
+        assert all(type(x) is complex and x.imag.hex() == (0.0).hex()
+                   for r in rep.value.rows for x in r)
+
+    @REAL_KINDS
+    @REAL_SIZES
+    def test_real_sum_matches_the_oracle(self, n, seq):
+        A, z, rep, _ = real_run(n, seq)
+        assert rep.status == "converged"
+        assert_matches_the_series(rep, A, z, seq)
+
+    @REAL_KINDS
+    @REAL_SIZES
+    def test_real_data_is_summed_on_floats(self, n, seq):
+        """Every product is of two float matrices.  The term loop makes at
+        most terms_used - 2 products (T_1 takes none); ml:2 and ml:3 at
+        n = 12 and 64 are summed in Y = (Az)^k (eval_exp: an integer
+        2 <= k <= 4 and n >= 5), in at most the step loop's K + 2k - 3,
+        K = terms_used / k - 1, which Paterson-Stockmeyer only lowers."""
+        rep, products = real_run(n, seq)[2:]
+        assert products and all(kinds == {float} for kinds in products)
+        if seq in (ML2, ML3) and n > 3:
+            k = int(seq.param)
+            assert rep.terms_used % k == 0
+            assert len(products) <= rep.terms_used // k - 1 + 2 * k - 3
+        else:
+            assert len(products) <= rep.terms_used - 2
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     @pytest.mark.parametrize("which", ["real", "complex A", "complex z"])
-    def test_paterson_stockmeyer_sum_is_the_complex_sum(self, monkeypatch, which, seq):
-        # at ||Az|| = 3 the 12 x 12 sums are long enough for Paterson-Stockmeyer:
-        # a real Az on floats gives the complex sum's real parts and +0.0
+    def test_paterson_stockmeyer_sum_is_the_complex_sum(self, which, seq):
+        """At ||Az|| about 3 the 12 x 12 sums are long enough for
+        Paterson-Stockmeyer.  The value lies within the rounding allowance
+        of the oracle, the products stay within the step loop's
+        K + 2k - 3, and a real Az gives the library's complex sum on floats."""
         A = real_gaussian(12, 12)
-        z = 3.0 / A.row_sum_norm()
+        z = short(3.0 / A.row_sum_norm())
         if which == "complex A":
             rng = np.random.default_rng(12)
-            A = CMatrix((np.array(A.rows) + 1j * rng.standard_normal((12, 12)) / 10).tolist())
+            A = CMatrix((np.array(A.rows) + 1j * dyadic(rng.standard_normal((12, 12)) / 10))
+                        .tolist())
         elif which == "complex z":
-            z = complex(z, z / 3)
-        horner = []
-        monkeypatch.setattr(evaluation, "_horner", lambda *a: horner.append(a) or _horner(*a))
-        rep, kinds = self.run(monkeypatch, A, z, seq)
-        rows, terms, tail, status = series_reference(A, z, seq)
-        assert len(horner) == 1 and kinds == {float if which == "real" else complex}
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "converged"
-        assert [[(x.real.hex(), x.imag.hex()) for x in r] for r in rep.value.rows] == [
-            [(x.real.hex(), x.imag.hex()) for x in r] for r in rows]
+            z = complex(z, short(z / 3))
+        with counting_products() as products:
+            rep = eval_exp(A, z, seq)
+        k = int(seq.param)
+        assert rep.status == "converged" and rep.terms_used % k == 0
+        assert len(products) <= rep.terms_used // k - 1 + 2 * k - 3
+        assert_matches_the_series(rep, A, z, seq)
         if which == "real":
-            assert all(x.imag.hex() == (0.0).hex() for r in rep.value.rows for x in r)
+            assert all(kinds == {float} for kinds in products)
+            assert repr(rep.value.rows) == repr(complex_path(A, z, seq).value.rows)
 
     @pytest.mark.parametrize("which", ["complex A", "complex z", "tiny imaginary entry"])
-    def test_complex_inputs_take_the_complex_sum(self, monkeypatch, which):
+    def test_complex_inputs_take_the_complex_sum(self, which):
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((6, 6))
-        z = 0.2
+        a = dyadic(rng.standard_normal((6, 6)))
+        z = 0.203125
         if which == "complex A":
-            a = a + 1j * rng.standard_normal((6, 6))
+            a = a + 1j * dyadic(rng.standard_normal((6, 6)))
         elif which == "complex z":
-            z = complex(0.15, -0.1)
+            z = complex(0.15625, -0.09375)
         else:
             a = a.astype(complex)
-            a[2, 3] += 1e-300j
+            a[2, 3] += 2.0**-1000 * 1j
         A = CMatrix(a.tolist())
-        rep, kinds = self.run(monkeypatch, A, z, ML2)
-        rows, terms, tail, status = series_reference(A, z, ML2)
-        assert kinds == {complex}
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        hexes = [[(x.real.hex(), x.imag.hex()) for x in r] for r in rows]
-        assert [[(x.real.hex(), x.imag.hex()) for x in r] for r in rep.value.rows] == hexes
+        with counting_products() as products:
+            rep = eval_exp(A, z, ML2)
+        assert products and all(kinds == {complex} for kinds in products)
+        assert rep.status == "converged"
+        assert_matches_the_series(rep, A, z, ML2)
         if which == "tiny imaginary entry":
             assert any(x.imag for r in rep.value.rows for x in r)
 
     @pytest.mark.parametrize("A, z, seq, stop", [
-        # settled at a certified term T_k: T_1 is Az r(1) itself, and each
-        # of T_2..T_k is one product, so k - 1 = terms_used - 2 products
         (EXAMPLE1, 0.5, FACTORIAL, 2),
         (CMatrix([[0.3j, 1.0], [-1.0, 0.2]]), 1.0, ML2, 2),
-        # a zero term T_k ends the sum with terms_used = k: k - 1 products
         (CMatrix([[0.0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1.0, FACTORIAL, 1),
         (CMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]), 1, FACTORIAL, 1),
         (CMatrix([[0, GaussianRational(1, 1)], [0, 0]]), 1, FACTORIAL, 1),
     ])
-    def test_first_term_makes_no_product(self, monkeypatch, A, z, seq, stop):
-        calls = []
-        product = CMatrix._scaled_product
-        monkeypatch.setattr(CMatrix, "_scaled_product",
-                            lambda a, b, s: calls.append(1) or product(a, b, s))
-        rep = eval_exp(A, z, seq)
+    def test_first_term_makes_no_product(self, A, z, seq, stop):
+        """T_1 is Az m(0)/m(1) itself and each later term one product, so a
+        sum settled at a certified T_k (terms_used = k + 1) makes at most
+        terms_used - 2 products, and one ended by a zero term T_k
+        (terms_used = k) at most terms_used - 1."""
+        with counting_products() as products:
+            rep = eval_exp(A, z, seq)
         assert rep.status == "converged"
-        assert len(calls) == rep.terms_used - stop
-
-
-def exact_symmetric(n, rho, seed, imag=False):
-    """A seeded real symmetric A = Q diag(mu) Q^T held exactly in floats,
-    with Q, mu: Q is a row permutation of two Householder reflections
-    I - (2/n) v v^T, v in {-1, 1}^n, n a power of two, and mu are multiples
-    of rho/64 in [-rho, rho], so that no entry of A is rounded and the
-    reference Q diag(f(mu)) Q^T carries only the rounding of its own sums.
-    With ``imag``, mu gains an imaginary part of the same kind, and A is a
-    complex normal matrix whose real and imaginary parts are exact."""
-    rng = np.random.default_rng(seed)
-    q = np.eye(n)
-    for _ in range(2):
-        v = rng.choice([-1.0, 1.0], n)
-        q = q @ (np.eye(n) - (2 / n) * np.outer(v, v))
-    q = q[rng.permutation(n)]
-    mu = rng.integers(-64, 65, n) / 64 * rho
-    if imag:
-        mu = mu + 1j * rng.integers(-64, 65, n) / 64 * rho
-    a = q @ np.diag(mu) @ q.T
-    for part in (np.real, np.imag) if imag else (np.real,):
-        exact = [[sum(Fraction(q[i, k]) * Fraction(part(mu[k])) * Fraction(q[j, k])
-                      for k in range(n)) for j in range(n)] for i in range(n)]
-        assert [[Fraction(x) for x in row] for row in part(a).tolist()] == exact
-    return a, q, mu
-
-
-def ml_reference(x, k):
-    """E(x) = sum_p x^p / Gamma(1 + p/k) for ml:k, summed at 40 digits by
-    mpmath until a term is below 1e-40 of the sum."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        x, total, p = mp.mpc(x), mp.mpf(0), 0
-        while True:
-            term = x**p * mp.rgamma(1 + mp.mpf(p) / k)
-            total += term
-            if p > 10 and abs(term) < mp.mpf(10) ** -40 * max(1, abs(total)):
-                return complex(total)
-            p += 1
-
-
-def euler_product(x, q):
-    """E(x) for qfac:q, q > 1: prod_{k>=0} (1 + (1 - 1/q) x q^{-k}),
-    a product with no cancellation between terms."""
-    out = 1.0
-    for k in range(200):
-        out *= 1.0 + (1.0 - 1.0 / q) * x * q**-k
-    return out
+        assert len(products) <= rep.terms_used - stop
 
 
 class TestCertifiedTail:
     """A log-convex sequence settles a float sum at its first term whose
     ratio-majorant tail bound is below tol min(1, ||S||): the bound must
-    bound the error, up to the rounding of the sum itself."""
-
-    U = 2.0**-53
-    C = 16  # rounding allowance C u sum_p ||T_p||; the worst case seen is 6.1
+    bound the error, up to the rounding allowance C u sum_p ||T_p||
+    (``helpers.assert_within_rounding``)."""
 
     @pytest.mark.parametrize("seq, f, rhos", [
         (FACTORIAL, math.exp, (0.5, 2.0, 5.0)),
@@ -643,13 +445,7 @@ class TestCertifiedTail:
         rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
         assert rep.status == "converged"
         assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
-        got = np.array(rep.value.rows).real
-        err = np.abs(got - want).sum(axis=1).max()
-        term, sizes = np.eye(n), 1.0  # sum_p ||T_p|| over the summed terms
-        for p in range(1, rep.terms_used):
-            term = term @ a * seq.float_step_ratio(p)
-            sizes += np.abs(term).sum(axis=1).max()
-        assert err <= rep.tail_estimate + self.C * self.U * sizes
+        assert_within_rounding(rep, want, term_sizes(a, seq, rep.terms_used))
 
     @pytest.mark.parametrize("seq, imag, rhos", [
         (ML2, True, (0.5, 1.5, 2.5)),
@@ -663,27 +459,19 @@ class TestCertifiedTail:
         # over the term loop's sum_p ||T_p|| (worst seen: 8.0 here, 9.4 over 120 seeds)
         n, k = (8, 16)[seed % 2], int(seq.param)
         a, q, mu = exact_symmetric(n, rhos[seed % 3], seed, imag)
-        want = q @ np.diag([ml_reference(x, k) for x in mu]) @ q.T
+        want = q @ np.diag([complex(scalar_series(x, seq)[0]) for x in mu]) @ q.T
         rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
         assert rep.status == "converged" and rep.terms_used % k == 0
         assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
-        got = np.array(rep.value.rows)
-        err = np.abs(got - want).sum(axis=1).max()
-        term, sizes = np.eye(n), 1.0
-        for p in range(1, rep.terms_used):
-            term = term @ a * seq.float_step_ratio(p)
-            sizes += np.abs(term).sum(axis=1).max()
-        assert err <= rep.tail_estimate + self.C * self.U * sizes
+        assert_within_rounding(rep, want, term_sizes(a, seq, rep.terms_used))
 
     def test_norm_overstating_growth_keeps_the_five_term_rule(self):
         # ||Az|| r(k+1) >= 1 for every k summed, so no term is certified
-        rep = eval_exp(CMatrix([[0.5, 1e13], [0, 0.5]]), 1.0, FACTORIAL)
-        assert (rep.status, rep.terms_used) == ("converged", 27)
-        assert rep.tail_estimate.hex() == "0x1.da0849a71b3d7p-72"
-        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
-            ["0x1.a61298e1e069ap+0", "0x1.dfd74e9d97290p+43"],
-            ["0x0.0p+0", "0x1.a61298e1e069ap+0"]]
-        assert all(x.imag.hex() == "0x0.0p+0" for r in rep.value.rows for x in r)
+        a = np.array([[0.5, 1e13], [0, 0.5]])
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, FACTORIAL)
+        assert rep.status == "converged"
+        assert_within_rounding(rep, shift_oracle(0.5, 1e13, 2, 1.0, FACTORIAL),
+                               term_sizes(a, FACTORIAL, rep.terms_used))
 
     def test_custom_table_keeps_the_five_term_rule(self):
         # a custom table's step ratios are not known to fall, so the same
@@ -691,33 +479,36 @@ class TestCertifiedTail:
         table = MomentSequence.custom([str(math.factorial(p)) for p in range(40)],
                                       rapid_growth_declared=True)
         rep = eval_exp(EXAMPLE1, 0.5, table)
-        assert (rep.status, rep.terms_used) == ("converged", 21)
-        assert rep.tail_estimate.hex() == "0x1.327af65217becp-64"
-        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
-            ["0x1.a61298e1e069ap+0", "0x0.0p+0", "0x1.a61298e1e069ap-1"],
-            ["0x1.11ceb880aa838p+0", "0x1.5bf0a8b14576ap+1", "0x1.f62b607dd2748p-3"],
-            ["0x0.0p+0", "0x0.0p+0", "0x1.a61298e1e069ap+0"]]
-        assert all(x.imag.hex() == "0x0.0p+0" for r in rep.value.rows for x in r)
+        assert rep.status == "converged"
+        assert_matches_the_series(rep, EXAMPLE1, 0.5, FACTORIAL)
         assert eval_exp(EXAMPLE1, 0.5, FACTORIAL).terms_used < rep.terms_used
+
+
+def assert_polynomial(rep, X, seq):
+    """E(X) for a 5 x 5 X with X^5 = 0 is the polynomial X^0..X^4, summed
+    to tail 0 over at least its 5 terms."""
+    assert (rep.status, rep.tail_estimate) == ("converged", 0.0) and rep.terms_used >= 5
+    want, power = np.zeros((5, 5)), np.eye(5)
+    for p in range(5):
+        want, power = want + power / seq.value(p), power @ X
+    assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestRamifiedSeries:
     """ml:k with an integer 2 <= k <= 4 sums the matrix series of an n x n Az
-    with n >= 5 in (Az)^k; every other sum keeps the term loop."""
+    with n >= 5 in (Az)^k; every other sum keeps the term loop.  Each value
+    is checked against an oracle, whichever path summed it."""
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_max_terms_reached(self, seq):
         # ||Y|| puts the degree fixed in advance past max_terms = 8, so the
-        # term loop sums the series and runs out of terms
+        # series runs out of terms: the value is the partial sum to degree 8
         rng = np.random.default_rng(31)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         A, pol = CMatrix(a.tolist()), TruncationPolicy(max_terms=8)
         rep = eval_exp(A, 2.0, seq, pol)
-        rows, terms, tail, status = complex_series(A, 2.0, seq, pol)
-        assert ramified_series(A, 2.0, seq, pol) is None
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "max_terms_reached" and terms == 9
-        assert rep.value.rows == tuple(map(tuple, rows))
+        assert (rep.status, rep.terms_used) == ("max_terms_reached", 9)
+        assert_matches_the_series(rep, A, 2.0, seq, partial=True)
 
     def test_max_terms_below_the_order_keeps_the_term_loop(self):
         # ml:8 is not ramified: max_terms = 5 covers max_terms + 1 terms
@@ -726,8 +517,7 @@ class TestRamifiedSeries:
         seq, pol = MomentSequence.mittag_leffler(8), TruncationPolicy(max_terms=5)
         rep = eval_exp(A, 1.0, seq, pol)
         assert (rep.status, rep.terms_used) == ("max_terms_reached", 6)
-        rows, terms, tail, status = complex_series(A, 1.0, seq, pol)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
+        assert_matches_the_series(rep, A, 1.0, seq, partial=True)
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_zero_z(self, seq):
@@ -735,33 +525,21 @@ class TestRamifiedSeries:
         assert (rep.status, rep.terms_used) == ("converged", 1)
         assert rep.value == CMatrix.identity(5, "float")
 
-    @pytest.mark.parametrize("seq, terms", [(ML2, 6), (ML3, 5)], ids=["ml2", "ml3"])
-    def test_nilpotent(self, seq, terms):
-        # X^5 = 0.  ml2 finds X^5 = 0 among the powers of its blocks, which
-        # ends the polynomial in the class of Y^2 (6 moment terms); ml3's
-        # ||Y|| = ||X^3|| puts its degree past max_terms, and the term loop
-        # ends at the zero term T_5
+    @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
+    def test_nilpotent(self, seq):
+        # X^5 = 0: the sum is the polynomial X^0..X^4, which every path ends
+        # at a zero power or term, with tail 0
         X = np.triu(np.arange(1.0, 26.0).reshape(5, 5), 1)
         rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == ("converged", terms, 0.0)
-        want, power = np.zeros((5, 5)), np.eye(5)
-        for p in range(5):
-            want, power = want + power / seq.value(p), power @ X
-        assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
+        assert_polynomial(rep, X, seq)
 
-    @pytest.mark.parametrize("seq, terms", [(ML2, 6), (ML3, 6), (ML4, 8)],
-                             ids=["ml2", "ml3", "ml4"])
-    def test_zero_power_ends_the_polynomial(self, seq, terms):
-        # 3 S for the 5 x 5 shift S: ||Y^j|| = 3^{kj} until Y^j = 0, so no
-        # power sharpens the degree past where Paterson-Stockmeyer pays, and
-        # the zero among the powers it forms ends the sum at X^5 = 0
+    @pytest.mark.parametrize("seq", [ML2, ML3, ML4], ids=["ml2", "ml3", "ml4"])
+    def test_zero_power_ends_the_polynomial(self, seq):
+        # 3 S for the 5 x 5 shift S: ||Y^j|| = 3^{kj} until Y^j = 0, and the
+        # sum ends at X^5 = 0 with the polynomial X^0..X^4
         X = np.diag([3.0] * 4, 1)
         rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == ("converged", terms, 0.0)
-        want, power = np.zeros((5, 5)), np.eye(5)
-        for p in range(5):
-            want, power = want + power / seq.value(p), power @ X
-        assert np.abs(np.array(rep.value.rows) - want).max() <= 1e-15 * np.abs(want).max()
+        assert_polynomial(rep, X, seq)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_overstated_step_size_falls_back_to_the_term_loop(self, n):
@@ -770,55 +548,45 @@ class TestRamifiedSeries:
         # 1e100 guard), while no term of the series passes about 3e60
         a = np.eye(n) * 0.5
         a[0, 1] = 1e60
-        A = CMatrix(a.tolist())
-        rep = eval_exp(A, 1.0, ML2)
-        rows, terms, tail, status = complex_series(A, 1.0, ML2)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "converged"
-        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
-            [x.real.hex() for x in r] for r in rows]
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, ML2)
+        assert rep.status == "converged"
+        assert_within_rounding(rep, shift_oracle(0.5, 1e60, n, 1.0, ML2),
+                               term_sizes(a, ML2, rep.terms_used))
 
     def test_non_normal_sum_stops_no_later_than_the_term_loop(self):
         # 0.5 I + 1e40 e_1 e_2^T: ||Y|| = 1e40 overstates the growth of Y^q,
-        # and the degree it fixes is past max_terms, so the term loop sums the
-        # series in 69 terms (a ramified step loop took 110)
+        # and the degree it fixes is past max_terms; the term loop sums the
+        # series in 69 terms, where a ramified step loop took 110
         a = np.eye(8) * 0.5
         a[0, 1] = 1e40
-        A = CMatrix(a.tolist())
-        rep = eval_exp(A, 1.0, ML2)
-        rows, terms, tail, status = complex_series(A, 1.0, ML2)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert (status, terms) == ("converged", 69)
-        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
-            [x.real.hex() for x in r] for r in rows]
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, ML2)
+        assert rep.status == "converged" and rep.terms_used <= 69
+        assert_within_rounding(rep, shift_oracle(0.5, 1e40, 8, 1.0, ML2),
+                               term_sizes(a, ML2, rep.terms_used))
 
     @pytest.mark.parametrize("k, n", [(1, 5), (1.5, 5), (5, 5), (9, 5), (2, 4), (4, 4)])
     @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
     def test_other_cases_keep_the_term_loop(self, k, n, imag):
         rng = np.random.default_rng(29)
         a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if imag else 0)
-        A, seq = CMatrix((a / 8).tolist()), MomentSequence.mittag_leffler(k)
+        A, seq = CMatrix((dyadic(a) / 8).tolist()), MomentSequence.mittag_leffler(k)
         rep = eval_exp(A, 1.0, seq)
-        rows, terms, tail, status = complex_series(A, 1.0, seq)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "converged"
-        assert [[x.real.hex() for x in r] for r in rep.value.rows] == [
-            [x.real.hex() for x in r] for r in rows]
-        if imag:
-            assert [[x.imag.hex() for x in r] for r in rep.value.rows] == [
-                [x.imag.hex() for x in r] for r in rows]
+        assert rep.status == "converged"
+        assert_matches_the_series(rep, A, 1.0, seq)
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_vector_series_keeps_the_term_loop(self, seq):
+        # sol(z) = E(Az) v by its vector term loop, against the oracle's E(Az) v
+        # and the sizes of its terms T_p v
         rng = np.random.default_rng(30)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        A, v, z = CMatrix((a / 3).tolist()), tuple(rng.standard_normal(6) + 0j), 0.8 - 0.3j
+        a = dyadic(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / 4
+        v = tuple(dyadic(rng.standard_normal(6)) + 0j)
+        A, z = CMatrix(a.tolist()), complex(0.796875, -0.296875)
         rep = solve(A, v, seq).evaluate_report(z)
-        value, terms, tail, status = vector_series(A, v, z, seq)
-        assert (rep.status, rep.terms_used, rep.tail_estimate) == (status, terms, tail)
-        assert status == "converged"
-        assert [(x.real.hex(), x.imag.hex()) for x in rep.value] == [
-            (x.real.hex(), x.imag.hex()) for x in value.tolist()]
+        assert rep.status == "converged"
+        x = scaled(A, z)
+        assert_within_rounding(rep, series_oracle(x, seq) @ np.array(v, np.clongdouble),
+                               term_sizes(x, seq, rep.terms_used, v))
 
 
 def power_over_factorial(a, b, h):

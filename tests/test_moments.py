@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from momexp import MomentSequence, SequenceError, growth_probe, phi_coefficients
-from momexp.moments import load_custom, parse_specifier
+from momexp.moments import _KINDS, load_custom, parse_specifier
 
 SPECS_WITH_FLOAT_RATIOS = ("factorial", "qfac:2", "qfac:3/2", "geom:5/3", "ml:2",
                            "ml:0.5", "custom")
@@ -191,6 +191,13 @@ class TestInvalidSequences:
         with pytest.raises(SequenceError):
             build()
 
+    @pytest.mark.parametrize("param", ["two", None, [2], 1j],
+                             ids=["word", "none", "list", "complex"])
+    @pytest.mark.parametrize("kind", [kind for kind, row in _KINDS.items() if row.param])
+    def test_parameter_that_is_not_a_number(self, kind, param):
+        with pytest.raises(SequenceError, match="must be (rational|a real number), got"):
+            MomentSequence(kind, param)
+
     @pytest.mark.parametrize("call", [
         lambda s: s.value(-1),
         lambda s: s.step_ratio(0),
@@ -202,7 +209,7 @@ class TestInvalidSequences:
 
 
 class TestMittagLefflerParameter:
-    @pytest.mark.parametrize("k", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("k", [0, -1, math.nan, math.inf, 10**400])
     def test_rejects_nonpositive_and_nonfinite(self, k):
         with pytest.raises(SequenceError):
             MomentSequence.mittag_leffler(k)
