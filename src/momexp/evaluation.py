@@ -32,17 +32,14 @@ Its degree K in Y is fixed before the sum, from Al-Mohy and Higham's
 majorant ||Y^q|| <= alpha^q, alpha = max(d_p, d_{p+1}), d_j = ||Y^j||^{1/j},
 sharpened by each Y^j the sum forms anyway; the tail bound at K is
 ``tail_estimate``, and ``terms_used`` = k(K + 1) counts the moment terms
-covered.  A long series is then summed by Paterson and Stockmeyer's scheme
-in blocks of ks powers of Az, with Horner's rule over the blocks in
-G = Y^s: about 2 sqrt(kK) products where the step loop makes K + 2k - 3.
-A short series, or one whose ||Y|| overstates the growth of Y^q (a
-non-normal Az, where the degree fixed in advance runs past where the
-terms settle), is summed by the step loop instead, one product per step
-of k moment terms, certified as :func:`_sum` certifies the term loop.  A
-degree past ``max_terms``, a non-finite alpha, a value past the
-divergence guard or failing the relative test, and an aborted step loop
-leave the sum to the term loop.  A larger k, a smaller Az, the vector
-series of ``sol(z)`` and the scalar sums keep the term loop.
+covered.  The series is then summed by Paterson and Stockmeyer's scheme in
+blocks of ks powers of Az, with Horner's rule over the blocks in G = Y^s
+and s the one that makes the fewest products: K + k - 1 at s = 1 (Horner
+in Y), about 2 sqrt(kK) for a long series.  A degree past ``max_terms``, a
+non-finite alpha, a bound of the largest term past the divergence guard,
+and a value past it or failing the relative test leave the sum to the
+term loop.  A larger k, a smaller Az, the vector series of ``sol(z)`` and
+the scalar sums keep the term loop.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
@@ -54,9 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
-from operator import add, mul
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -72,25 +67,19 @@ MAX_TERMS_REACHED = "max_terms_reached"
 
 _SETTLE = 5  # consecutive small (or growing) terms that decide a sum
 _DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
-# where a ramified sum pays, timed against the term loop on complex normal Az:
-# below this n a product costs about as much as a ramified step's k scalings
-# and additions (ml:2 at n = 3 and 4 took 1.01 to 1.47 times the term loop's
-# time, at n = 5 0.92 to 1.15, at n = 6 0.84 to 1.05, at n >= 8 0.50 to 0.95)
+# where a ramified sum pays, timed against the term loop on complex normal Az
+# and on Python float products, with the ramified step loop (one product per
+# k moment terms) that Paterson-Stockmeyer has since replaced; numpy products
+# will need both constants timed again.  Below this n a product costs about
+# as much as a ramified step's k scalings and additions (ml:2 at n = 3 and 4
+# took 1.01 to 1.47 times the term loop's time, at n = 5 0.92 to 1.15, at
+# n = 6 0.84 to 1.05, at n >= 8 0.50 to 0.95)
 _RAMIFY_MIN_N = 5
-# above this k the 2(k - 1) products of the powers and the recombination are
-# not repaid at a small ||Az|| (at n = 10 and 30 and a spectral radius of 0.05
+# above this k the 2(k - 1) products of the powers and the step loop's
+# recombination were not repaid at a small ||Az|| (at n = 10 and 30 and a spectral radius of 0.05
 # to 0.3, ml:5..ml:12 took up to 2.6 times the term loop's time and ml:2..ml:4
 # at most 1.02 times)
 _RAMIFY_MAX_K = 4
-# where the ramified sum is Paterson-Stockmeyer's rather than the step
-# loop's, timed on complex normal Az and non-normal P J P^-1 (2 x 2 Jordan
-# blocks), n = 8, 10, 12, k = 2..4: it must save this many products at its
-# degree, and the degree ||Y|| alone fixes may be at most this factor above
-# the sharpened one; a larger factor marks a non-normal Y whose norm
-# overstates its growth, where the step loop, which measures its terms,
-# stops well before the degree fixed in advance (see _ramified)
-_PS_MIN_SAVING = 6
-_PS_MAX_SHARPENING = 1.5
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ class TruncationPolicy:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not isinstance(self.max_terms, int) or self.max_terms < _SETTLE:
             raise ValueError(f"max_terms must be an integer >= {_SETTLE}, "
@@ -205,11 +194,12 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     terms without a zero term it stops with ``max_terms_reached``.  A float
     ml:k with an integer 2 <= k <= 4 and a nonzero n x n Az, n >= 5, is
     summed in Y = (Az)^k to a degree K fixed in advance by a majorant of
-    ||Y^q||: by Paterson-Stockmeyer in blocks of powers of Az where that
-    saves products, else one product per k moment terms.  Its
+    ||Y^q||, by Paterson-Stockmeyer in blocks of powers of Az, with as few
+    products as the blocking allows (Horner's rule in Y at the least).  Its
     ``tail_estimate`` bounds the truncation error of that value, and its
     ``terms_used`` counts the moment terms covered, a multiple of k; a
-    degree past ``max_terms`` or a failed sum falls back to the term loop.
+    degree past ``max_terms``, a term bound past the divergence guard or a
+    failed sum falls back to the term loop.
     """
     return _exp_series(A, z, seq, policy)
 
@@ -272,8 +262,8 @@ def _exp_series(A, z, seq, policy, a=None, v=None):
 
 def _ramified(X, I, k, seq, policy):
     """E(X) = sum_p X^p / m(p) for a kind of ramification order k,
-    m(p + k) = (1 + p/k) m(p), in Y = X^k; None where the term loop must
-    sum it instead.
+    m(p + k) = (1 + p/k) m(p), in Y = X^k, by Paterson-Stockmeyer; None
+    where the term loop must sum it instead.
 
     The truncation degree is fixed before any Horner product.  The sum up
     to q = K in Y covers the moment terms p < k(K + 1) = ``terms_used``.
@@ -284,25 +274,20 @@ def _ramified(X, I, k, seq, policy):
     the error is at most
     sum_r ||X^r|| c_{K+1,r} alpha^{K+1} / (1 - alpha/(K + 2)), computed in logs,
     and K is the first degree at which that is below tol, reported as
-    ``tail_estimate``.  Y^2..Y^s are formed one product each, and each
-    sharpens alpha (which can only lower K) before the next is formed; s,
-    the steps in Y per block, is the one that saves the most products at
-    the current K.  Where ||Y|| alone settles the sum below the least K at
-    which Paterson-Stockmeyer saves ``_PS_MIN_SAVING`` products, no degree is
-    fixed: the step loop sums it at once.
+    ``tail_estimate``.  Y^2..Y^s are formed one product each while
+    :func:`_blocking` asks for them at the current K, and each sharpens
+    alpha, which can only lower K.  At s = 1 the sum is Horner's rule in Y.
 
-    The sum is then Paterson-Stockmeyer's (:func:`_horner`) over blocks of
-    b = ks powers X^{qk+r} = Y^q X^r, where it saves at least
-    ``_PS_MIN_SAVING`` products over the step loop at the same K and the
-    degree ||Y|| alone fixed is at most ``_PS_MAX_SHARPENING`` times K;
-    elsewhere :func:`_stepped` sums the series from the same Y^q.  Horner's
-    value must pass the relative test tail < tol min(1, ||E||): if not, K is
-    fixed again against tol ||E|| / 2 and the blocks are summed once more.
-    A power that is exactly zero ends the polynomial: converged, with tail 0
-    and ``terms_used`` the multiple of k it lies in.  None (the term loop)
-    for a degree past ``max_terms``, a non-finite alpha, a value past the
-    divergence guard, a second failed relative test and an aborted step
-    loop."""
+    The same majorants bound the largest term ||X^p|| / m(p); where that
+    bound passes the term loop's divergence guard, the term loop decides
+    the sum.  Otherwise :func:`_horner` sums blocks of b = ks powers
+    X^{qk+r} = Y^q X^r, and its value must pass the relative test
+    tail < tol min(1, ||E||): if not, K is fixed again against
+    tol ||E|| / 2 and the blocks are summed once more.  A power that is
+    exactly zero ends the polynomial: converged, with tail 0 and
+    ``terms_used`` the multiple of k it lies in.  None (the term loop) for
+    a degree past ``max_terms``, a non-finite alpha, a term bound or a
+    value past the divergence guard and a second failed relative test."""
     L, limit = seq.log_value, policy.max_terms + 1
     low = [I, X]  # X^0..X^{k-1}
     for _ in range(k - 1):
@@ -348,8 +333,8 @@ def _ramified(X, I, k, seq, policy):
             logs[K] = top + math.log(sum(math.exp(x - top) for x in e))
         return best + logs[K] if best < math.inf else best
 
-    def degree(target, lo=0, top=limit // k - 1):
-        """The first K in lo..top, k(K + 1) <= max_terms + 1, whose tail
+    def degree(target, top=limit // k - 1):
+        """The first K in 0..top, k(K + 1) <= max_terms + 1, whose tail
         bound is below target, and that bound; or None.  Each majorant's
         bound falls by at least (K + 2)/alpha > 1 per step once
         alpha < K + 2, so the least of them falls with K, and the first K
@@ -357,7 +342,7 @@ def _ramified(X, I, k, seq, policy):
         bounds = majorants()
         if not bounds:  # also a nan or an infinite alpha
             return None
-        lo, goal = max(lo, int(min(b[3] for b in bounds)) - 1), math.log(target)
+        lo, goal = max(0, int(min(b[3] for b in bounds)) - 1), math.log(target)
         if lo > top:
             return None
         hi, step = lo, 1
@@ -373,20 +358,9 @@ def _ramified(X, I, k, seq, policy):
                 lo = mid + 1
         return hi, math.exp(bound(hi, bounds))
 
-    # where ||Y|| alone settles the sum below every degree at which PS pays
-    # (the tail bound with alpha = ||Y|| < 16, in floats), the step loop sums it
-    least, a = _least_paying_degree(k), norms[1]
-    cap = min(limit // k, least) - 1
-    if a < cap + 2 and (sum(map(mul, weights, _class_factors(seq, k, cap + 1)))
-                        * a ** (cap + 1) / (1 - a / (cap + 2)) < policy.tol):
-        return _stepped(low, weights, ys, a, seq, policy)
-    found = degree(policy.tol, cap + 1)
+    found = degree(policy.tol)
     if found is None:
         return None
-    # the step loop where the degree falls to `stepped` or below: under the
-    # least that pays, or under first / _PS_MAX_SHARPENING
-    first = found[0]
-    stepped = max(least, math.ceil(first / _PS_MAX_SHARPENING)) - 1
     while len(ys) - 1 < _blocking(found[0], k):
         P = ys[-1] @ ys[1]
         norm = P.row_sum_norm()
@@ -395,12 +369,17 @@ def _ramified(X, I, k, seq, policy):
             return _polynomial(powers, k * len(ys) if end is None else end, k, L)
         ys.append(P)
         norms.append(norm)
-        if bound(stepped, majorants()) < math.log(policy.tol):
-            return _stepped(low, weights, ys, norms[1], seq, policy)
-        found = degree(policy.tol, stepped + 1, found[0])  # K can only fall
-    K, s = found[0], len(ys) - 1
-    if K <= stepped or _saving(K, k, s) < _PS_MIN_SAVING:
-        return _stepped(low, weights, ys, norms[1], seq, policy)
+        found = degree(policy.tol, found[0])  # K can only fall
+    # the term loop's divergence guard, on a bound of the largest term:
+    # ||X^{kq+r}|| / m(kq + r) <= C alpha^q ||X^r|| / m(kq + r) rises with q
+    # while 1 + q + r/k < alpha, as m(p + k) = (1 + p/k) m(p), so it peaks
+    # at q = ceil(alpha - 1 - r/k)
+    peak = min((max(c + q * la + w - L(k * q + r) for r, w in enumerate(logw)
+                    for q in [max(0, math.ceil(a - 1 - r / k))])
+                for m, c, la, a in majorants() if m == 0), default=math.inf)
+    if peak > math.log(_DIVERGENCE_GUARD):
+        return None
+    s = len(ys) - 1
     powers, end = spread(k * s)
     if end is not None:
         return _polynomial(powers, end, k, L)
@@ -423,95 +402,17 @@ def _polynomial(powers, end, k, L):
     return EvalReport(_combination(powers, 0, end, 0.0, L), -(-end // k) * k, 0.0, CONVERGED)
 
 
-class _Share(NamedTuple):
-    """Step q of a ramified step loop: T_q and m(kq)/m(kq + r) for each class r."""
-
-    T: CMatrix
-    coeffs: tuple
-
-    def spread(self):
-        """m(kq)/m(kq + r) T_q for each class r; the factor of class 0 is 1."""
-        return (self.T if r == 0 else self.T.scale(c) for r, c in enumerate(self.coeffs))
-
-
-class _Classes(tuple):
-    """The class sums (S_r) of a ramified step loop; adding a step's share
-    adds its multiple of T_q to each."""
-
-    __slots__ = ()
-
-    def __add__(self, share):
-        return _Classes(map(add, self, share.spread()))
-
-
-def _stepped(powers, weights, ys, norm, seq, policy):
-    """E(X) = sum_r X^r S_r with S_r = sum_q Y^q / m(kq + r), summed step by
-    step from X^0..X^{k-1} (``powers``, of norms ``weights``) and Y^0..Y^s
-    (``ys``, ||Y|| = ``norm``); None where it aborts.  Step q makes T_q = Y^q / m(kq) = Y^q / q!, a scaled Y^q for
-    q <= s and T_{q-1} Y / q in one product pass after, and adds
-    m(kq)/m(kq + r) T_q to each S_r; the value is
-    S_0 + X(S_1 + X(... + X S_{k-1})), k - 1 more products.  A step's size
-    is ||T_q|| sum_r ||X^r|| m(kq)/m(kq + r), and since
-    m(kq + r)/m(kq + k + r) = 1/(1 + q + r/k) <= 1/(q + 1), ||Y||/(q + 1)
-    bounds every later step ratio: the tail bound of :func:`_sum` then bounds
-    the error of E itself, measured against sum_r ||X^r|| ||S_r|| >= ||E||.
-    ``terms_used`` counts the moment terms covered, k per step, so a
-    ``max_terms`` cap covers at most max_terms + 1 of them.  A step's size
-    bounds the norms of its k moment terms summed, so it can be far above
-    each of them: an aborted sum is left to the term loop."""
-    L, Y, k = seq.log_value, ys[1], len(powers)
-
-    def share(T, q):
-        log_m = L(k * q)
-        return _Share(T, tuple(math.exp(log_m - L(k * q + r)) for r in range(k)))
-
-    def step(term, q):
-        if q < len(ys):  # T_1 is Y itself
-            return share(ys[q] if q == 1 else ys[q].scale(1 / math.factorial(q)), q)
-        return share(term.T._scaled_product(Y, 1 / q), q)
-
-    def size(x):  # of a step's share, or of the class sums
-        if isinstance(x, _Share):
-            return x.T.row_sum_norm() * sum(map(mul, weights, x.coeffs))
-        return sum(map(mul, weights, map(CMatrix.row_sum_norm, x)))
-
-    rep = _sum(_Classes(share(ys[0], 0).spread()), step, size, (policy.max_terms + 1) // k - 1,
-               policy, seq.rapid_growth_declared, lambda q: norm / (q + 1))
-    if rep.status == ABORTED_DIVERGENT:
-        return None
-    if rep.value is not None:
-        value = rep.value[-1]
-        for S in reversed(rep.value[:-1]):
-            value = S + powers[1] @ value
-        rep.value = value
-    rep.terms_used *= k
-    return rep
-
-
-@lru_cache(maxsize=None)
-def _class_factors(seq, k, q):
-    """1/m(kq + r) for each class r < k."""
-    return tuple(math.exp(-seq.log_value(k * q + r)) for r in range(k))
-
-
-def _saving(K, k, s):
-    """The products Paterson-Stockmeyer saves over the step loop summing up
-    to q = K in Y, past X^2..X^k: the loop's K - 1 steps and k - 1 products
-    to recombine, against Y^2..Y^s, the Y^q X^r between them (ks - k in all)
-    and one product per block after the first."""
-    return K + k - 2 - (k * s - k + -(-(K + 1) // s) - 1)
+def _products(K, k, s):
+    """The products Paterson-Stockmeyer makes summing up to q = K in Y, past
+    X^2..X^k: Y^2..Y^s, the Y^q X^r between them (ks - k in all) and one
+    product per block after the first; K at s = 1, Horner's rule in Y."""
+    return k * s - k + -(-(K + 1) // s) - 1
 
 
 @lru_cache(maxsize=None)
 def _blocking(K, k):
-    """The s in 1..K + 1 that saves the most products at degree K."""
-    return max(range(1, K + 2), key=lambda s: (_saving(K, k, s), -s))
-
-
-@lru_cache(maxsize=None)
-def _least_paying_degree(k):
-    """The least K at which Paterson-Stockmeyer saves ``_PS_MIN_SAVING``."""
-    return next(K for K in count() if _saving(K, k, _blocking(K, k)) >= _PS_MIN_SAVING)
+    """The least s in 1..K + 1 that makes the fewest products at degree K."""
+    return min(range(1, K + 2), key=lambda s: _products(K, k, s))
 
 
 def _combination(powers, start, count, base, L):

@@ -41,6 +41,8 @@ from .errors import SequenceError
 
 def _as_fraction(x, what):
     try:
+        if isinstance(x, bool):  # Fraction(True) is 1
+            raise TypeError
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SequenceError(f"{what} must be rational, got {x!r}") from exc
@@ -48,6 +50,8 @@ def _as_fraction(x, what):
 
 def _as_float(x, what):
     try:
+        if isinstance(x, bool):  # float(True) is 1.0
+            raise TypeError
         return float(x)
     except (ValueError, TypeError, OverflowError) as exc:
         raise SequenceError(f"{what} must be a real number, got {x!r}") from exc

@@ -351,8 +351,9 @@ class TestRealSeries:
         """Every product is of two float matrices.  The term loop makes at
         most terms_used - 2 products (T_1 takes none); ml:2 and ml:3 at
         n = 12 and 64 are summed in Y = (Az)^k (eval_exp: an integer
-        2 <= k <= 4 and n >= 5), in at most the step loop's K + 2k - 3,
-        K = terms_used / k - 1, which Paterson-Stockmeyer only lowers."""
+        2 <= k <= 4 and n >= 5) by Paterson-Stockmeyer, in at most
+        K + 2k - 3, K = terms_used / k - 1: its blocking makes no more
+        products than Horner's rule in Y, k - 1 for X^2..X^k and K after."""
         rep, products = real_run(n, seq)[2:]
         assert products and all(kinds == {float} for kinds in products)
         if seq in (ML2, ML3) and n > 3:
@@ -366,9 +367,10 @@ class TestRealSeries:
     @pytest.mark.parametrize("which", ["real", "complex A", "complex z"])
     def test_paterson_stockmeyer_sum_is_the_complex_sum(self, which, seq):
         """At ||Az|| about 3 the 12 x 12 sums are long enough for
-        Paterson-Stockmeyer.  The value lies within the rounding allowance
-        of the oracle, the products stay within the step loop's
-        K + 2k - 3, and a real Az gives the library's complex sum on floats."""
+        Paterson-Stockmeyer to block its powers.  The value lies within the
+        rounding allowance of the oracle, the products stay within
+        K + 2k - 3 (Horner's rule in Y makes K + k - 1), and a real Az gives
+        the library's complex sum on floats."""
         A = real_gaussian(12, 12)
         z = short(3.0 / A.row_sum_norm())
         if which == "complex A":
@@ -563,6 +565,35 @@ class TestRamifiedSeries:
         assert rep.status == "converged" and rep.terms_used <= 69
         assert_within_rounding(rep, shift_oracle(0.5, 1e40, 8, 1.0, ML2),
                                term_sizes(a, ML2, rep.terms_used))
+
+    def test_non_normal_similarity_matches_the_oracle(self):
+        # A = P J P^-1 with integer P, cond P of a few hundred, and Jordan
+        # blocks of sizes 3, 2, 1, 2: ||Y|| overstates the growth of Y^q, and
+        # the ramified sum still matches the oracle within K + 2k - 3 products
+        rng = np.random.default_rng(8)
+        while True:
+            p = rng.integers(-3, 4, (8, 8)).astype(float)
+            if abs(np.linalg.det(p)) >= 0.5 and 200 <= np.linalg.cond(p) <= 500:
+                break
+        j = np.diag([2.0, 2, 2, -1, -1, 3, 2, 2]) + np.diag([1.0, 1, 0, 1, 0, 0, 1], 1)
+        A = CMatrix(dyadic(p @ j @ np.linalg.inv(p)).tolist())
+        x = short(2.0 / A.row_sum_norm())
+        z = complex(short(0.6 * x), short(0.8 * x))
+        with counting_products() as products:
+            rep = eval_exp(A, z, ML2)
+        assert rep.status == "converged" and rep.terms_used % 2 == 0
+        assert len(products) <= rep.terms_used // 2 - 1 + 2 * 2 - 3
+        assert_matches_the_series(rep, A, z, ML2)
+
+    @pytest.mark.parametrize("lam", [-16.0, 16j], ids=["-16", "16i"])
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_terms_past_the_guard_abort(self, n, lam):
+        # E(-16) = erfcx(16) is about 0.0351, but the terms (-16)^p / (p/2)!
+        # reach about 1e109, past the 1e100 divergence guard: the ramified
+        # sums (n = 5, 10) abort as the term loop (n = 3) does
+        a = np.diag([lam, 0.5, 0.25, -0.5, 0.125, 0.375, -0.25, 0.0625, 0.75, -0.125][:n])
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, ML2)
+        assert (rep.status, rep.value) == ("aborted_divergent", None)
 
     @pytest.mark.parametrize("k, n", [(1, 5), (1.5, 5), (5, 5), (9, 5), (2, 4), (4, 4)])
     @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
@@ -864,6 +895,8 @@ class TestPolicy:
     def test_invariants(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tol=0.0)
+        with pytest.raises(ValueError):
+            TruncationPolicy(tol=True)
         with pytest.raises(ValueError):
             TruncationPolicy(max_terms=2)
         with pytest.raises(ValueError):

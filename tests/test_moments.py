@@ -191,12 +191,17 @@ class TestInvalidSequences:
         with pytest.raises(SequenceError):
             build()
 
-    @pytest.mark.parametrize("param", ["two", None, [2], 1j],
-                             ids=["word", "none", "list", "complex"])
-    @pytest.mark.parametrize("kind", [kind for kind, row in _KINDS.items() if row.param])
+    @pytest.mark.parametrize("param", ["two", None, [2], 1j, True, False],
+                             ids=["word", "none", "list", "complex", "true", "false"])
+    @pytest.mark.parametrize("kind", [kind for kind, row in _KINDS.items()
+                                      if row.param or row.value is None])
     def test_parameter_that_is_not_a_number(self, kind, param):
+        # a custom table's numbers are its values; a bool is not taken as 0 or 1
         with pytest.raises(SequenceError, match="must be (rational|a real number), got"):
-            MomentSequence(kind, param)
+            if _KINDS[kind].param:
+                MomentSequence(kind, param)
+            else:
+                MomentSequence.custom(["1", param, "2"], rapid_growth_declared=True)
 
     @pytest.mark.parametrize("call", [
         lambda s: s.value(-1),
