@@ -24,22 +24,23 @@ Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
 product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
 product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
 is stored instead of building the product and then a scaled copy of it.
-A kind with a ramification order k (``rules.ramify``: ml:k for an integer
-k >= 2, where m(p + k) = (1 + p/k) m(p)) sums its float matrix series in
-Y = (Az)^k instead (:func:`_ramified`) when k <= 4 and Az is n x n with
-n >= 5: each residue class p = kq + r is a series of exponential type in Y.
-Its degree K in Y is fixed before the sum, from Al-Mohy and Higham's
-majorant ||Y^q|| <= alpha^q, alpha = max(d_p, d_{p+1}), d_j = ||Y^j||^{1/j},
-sharpened by each Y^j the sum forms anyway; the tail bound at K is
-``tail_estimate``, and ``terms_used`` = k(K + 1) counts the moment terms
-covered.  The series is then summed by Paterson and Stockmeyer's scheme in
-blocks of ks powers of Az, with Horner's rule over the blocks in G = Y^s
-and s the one that makes the fewest products: K + k - 1 at s = 1 (Horner
-in Y), about 2 sqrt(kK) for a long series.  A degree past ``max_terms``, a
-non-finite alpha, a bound of the largest term past the divergence guard,
-and a value past it or failing the relative test leave the sum to the
-term loop.  A larger k, a smaller Az, the vector series of ``sol(z)`` and
-the scalar sums keep the term loop.
+A kind of ramification order k (``rules.ramify``: 1 for factorial, k for
+ml:k with an integer k >= 1; m(p + k) = (1 + p/k) m(p)) sums its float
+matrix series in Y = (Az)^k instead (:func:`_ramified`) when k <= 4 and Az
+is n x n with n >= 5: each residue class p = kq + r is a series of
+exponential type in Y.  Its degree K in Y is fixed before the sum, from
+Al-Mohy and Higham's majorant ||Y^q|| <= alpha^q, alpha = max(d_p, d_{p+1}),
+d_j = ||Y^j||^{1/j}, sharpened by each Y^j the sum forms anyway; the tail
+bound at K is ``tail_estimate``, and ``terms_used`` = k(K + 1) counts the
+moment terms covered.  The series is then summed by Paterson and
+Stockmeyer's scheme in blocks of ks powers of Az, Horner's rule over the
+blocks in G = Y^s with the s that makes the fewest products (about
+2 sqrt(kK) for a long series).  A degree past ``max_terms``, a non-finite
+alpha, a bound of the largest term past the divergence guard, and a value
+past it or failing the relative test leave the sum to the term loop, as
+do a larger k, a smaller Az, the vector series of ``sol(z)``, the scalar
+sums and q_factorial, whose m(p + 1) >= (1 + p) m(p) is not the equality
+that the bound of the largest term rests on.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
@@ -67,18 +68,16 @@ MAX_TERMS_REACHED = "max_terms_reached"
 
 _SETTLE = 5  # consecutive small (or growing) terms that decide a sum
 _DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
-# where a ramified sum pays, timed against the term loop on complex normal Az
-# and on Python float products, with the ramified step loop (one product per
-# k moment terms) that Paterson-Stockmeyer has since replaced; numpy products
-# will need both constants timed again.  Below this n a product costs about
-# as much as a ramified step's k scalings and additions (ml:2 at n = 3 and 4
-# took 1.01 to 1.47 times the term loop's time, at n = 5 0.92 to 1.15, at
-# n = 6 0.84 to 1.05, at n >= 8 0.50 to 0.95)
+# where a ramified sum pays, timed for ml:2..ml:12 against the term loop on
+# complex normal Az and Python float products, with the step loop that
+# Paterson-Stockmeyer has since replaced (numpy products will need both timed
+# again).  Below this n a product cost about as much as a step's k scalings
+# and additions: ml:2 took 1.01 to 1.47 times the term loop's time at n = 3
+# and 4, 0.92 to 1.15 at n = 5, 0.84 to 1.05 at n = 6, 0.50 to 0.95 at n >= 8
 _RAMIFY_MIN_N = 5
 # above this k the 2(k - 1) products of the powers and the step loop's
-# recombination were not repaid at a small ||Az|| (at n = 10 and 30 and a spectral radius of 0.05
-# to 0.3, ml:5..ml:12 took up to 2.6 times the term loop's time and ml:2..ml:4
-# at most 1.02 times)
+# recombination were not repaid at a small ||Az|| (n = 10 and 30, spectral
+# radius 0.05 to 0.3: ml:5..ml:12 took up to 2.6 times, ml:2..ml:4 at most 1.02)
 _RAMIFY_MAX_K = 4
 
 
@@ -192,10 +191,11 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
     complex entries); exactly on the exact backend, where the sum is finite
     iff Az is nilpotent, and then (Az)^n = 0 by Cayley-Hamilton, so after n
     terms without a zero term it stops with ``max_terms_reached``.  A float
-    ml:k with an integer 2 <= k <= 4 and a nonzero n x n Az, n >= 5, is
-    summed in Y = (Az)^k to a degree K fixed in advance by a majorant of
-    ||Y^q||, by Paterson-Stockmeyer in blocks of powers of Az, with as few
-    products as the blocking allows (Horner's rule in Y at the least).  Its
+    factorial (k = 1) or ml:k with an integer 1 <= k <= 4 and a nonzero
+    n x n Az, n >= 5, is summed in Y = (Az)^k to a degree K fixed in advance
+    by a majorant of ||Y^q||, by Paterson-Stockmeyer in blocks of powers of
+    Az, with as few products as the blocking allows (q_factorial, whose
+    m(p + 1) only exceeds (1 + p) m(p), keeps the term loop).  Its
     ``tail_estimate`` bounds the truncation error of that value, and its
     ``terms_used`` counts the moment terms covered, a multiple of k; a
     degree past ``max_terms``, a term bound past the divergence guard or a
@@ -271,10 +271,9 @@ def _ramified(X, I, k, seq, policy):
     per step, and ||Y^q|| <= alpha^q for every q >= p(p - 1) with
     alpha = max(d_p, d_{p+1}), d_j = ||Y^j||^{1/j} (Al-Mohy and Higham,
     SIMAX 31, 2009, Thm 4.2; p = 1 gives alpha = ||Y||).  So for alpha < K + 2
-    the error is at most
-    sum_r ||X^r|| c_{K+1,r} alpha^{K+1} / (1 - alpha/(K + 2)), computed in logs,
-    and K is the first degree at which that is below tol, reported as
-    ``tail_estimate``.  Y^2..Y^s are formed one product each while
+    the error is at most sum_r ||X^r|| c_{K+1,r} alpha^{K+1} / (1 - alpha/(K + 2)),
+    computed in logs, and K is the first degree at which that is below tol,
+    reported as ``tail_estimate``.  Y^2..Y^s are formed one product each while
     :func:`_blocking` asks for them at the current K, and each sharpens
     alpha, which can only lower K.  At s = 1 the sum is Horner's rule in Y.
 
@@ -333,20 +332,21 @@ def _ramified(X, I, k, seq, policy):
             logs[K] = top + math.log(sum(math.exp(x - top) for x in e))
         return best + logs[K] if best < math.inf else best
 
-    def degree(target, top=limit // k - 1):
+    def degree(target, good=None, top=limit // k - 1):
         """The first K in 0..top, k(K + 1) <= max_terms + 1, whose tail
         bound is below target, and that bound; or None.  Each majorant's
         bound falls by at least (K + 2)/alpha > 1 per step once
         alpha < K + 2, so the least of them falls with K, and the first K
-        is found by bisection."""
+        is found by bisection, from a gallop up from lo, or from good - 1
+        for a K ``good`` known to pass."""
         bounds = majorants()
         if not bounds:  # also a nan or an infinite alpha
             return None
         lo, goal = max(0, int(min(b[3] for b in bounds)) - 1), math.log(target)
         if lo > top:
             return None
-        hi, step = lo, 1
-        while not bound(hi, bounds) < goal:  # gallop up from lo, then bisect
+        hi, step = lo if good is None else max(lo, good - 1), 1
+        while not bound(hi, bounds) < goal:  # gallop up from hi, then bisect
             if hi >= top:
                 return None
             lo, hi, step = hi + 1, min(top, hi + step), 2 * step

@@ -4,7 +4,7 @@ Each kind is one row of ``_KINDS``; a sequence reads all its rules there.
 
 kind (specifier)         m(p)                   exact  growth    log-convex  closed form      series variable
 -----------------------  ---------------------  -----  --------  ----------  ---------------  ---------------
-factorial (factorial)    p m(p-1) = p!          yes    rapid     yes         -                Az
+factorial (factorial)    p m(p-1) = p!          yes    rapid     yes         -                Az *
 q_factorial (qfac:q>1)   [p]_q m(p-1) = [p]_q!  yes    rapid     yes         -                Az
 geometric (geom:b>0)     b m(p-1) = b^p         yes    finite    yes         (I - Az/b)^{-1}  Az
 mittag_leffler (ml:k>0)  Gamma(1 + p/k)         no     rapid     yes         -                Y = (Az)^k *
@@ -17,12 +17,15 @@ A log-convex kind has a nonincreasing step ratio r(p) = m(p-1)/m(p), as the
 moments of a positive kernel do, so one term's ratio bounds every later
 one and the float sums certify their tails from it (``evaluation._sum``).
 
-(*) For an integer k >= 2 (the kind's ``ramify`` rule), where
-m(p + k) = (1 + p/k) m(p): each residue class p = kq + r is then a series
-of exponential type in Y = (Az)^k, and the float matrix series can be
-summed in Y, k moment terms per product (``evaluation._ramified``, which
-does so where it pays).  Any other k, such as ``ml:1`` or ``ml:1.5``, is
-summed in Az.
+(*) The kind's ``ramify`` rule gives its order k, where
+m(p + k) = (1 + p/k) m(p): 1 for factorial, and for mittag_leffler the
+parameter k itself where it is an integer k >= 1 (``ml:1`` is factorial in
+floats).  Each residue class p = kq + r is then a series of exponential
+type in Y = (Az)^k, and the float matrix series can be summed in Y by
+Paterson-Stockmeyer (``evaluation._ramified``, which does so where it
+pays).  A non-integer k, such as ``ml:1.5``, is summed in Az, and so is
+q_factorial: its m(p + 1) = [p + 1]_q m(p) only exceeds (1 + p) m(p), and
+the bound of the largest term rests on the equality.
 """
 
 from __future__ import annotations
@@ -73,13 +76,13 @@ class _Kind(NamedTuple):
     log: Callable | None = None  # log m(p) from (seq, p), not from m(p)
     neumann: bool = False  # E(Az) = (I - Az/param)^{-1}
     log_convex: bool = False  # r(p) = m(p-1)/m(p) is nonincreasing in p
-    ramify: Callable | None = None  # order k >= 2 of the param, or None, where
+    ramify: Callable | None = None  # order k >= 1 from the param, or None, where
     #                                 m(p + k) = (1 + p/k) m(p): sum in (Az)^k
 
 
 _KINDS = {
     "factorial": _Kind("factorial", True, True, None, lambda s, m, p: m * p,
-                       log_convex=True),
+                       log_convex=True, ramify=lambda _: 1),
     "q_factorial": _Kind("qfac", True, True,
                          (partial(_as_fraction, what="q"), lambda q: q > 1,
                           "q_factorial requires q > 1"),
@@ -94,7 +97,7 @@ _KINDS = {
                             lambda s, m, p: _gamma(1 + p / s.param),
                             log=lambda s, p: math.lgamma(1 + p / s.param),
                             log_convex=True,
-                            ramify=lambda k: int(k) if k.is_integer() and k >= 2 else None),
+                            ramify=lambda k: int(k) if k.is_integer() else None),
     "custom": _Kind("custom", True, None, None, None),
 }
 

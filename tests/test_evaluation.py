@@ -35,6 +35,8 @@ from momexp.exact import _rho_below_one
 from momexp.jordan import JordanDecomposition
 
 from helpers import (
+    C,
+    U,
     assert_matches_the_series,
     assert_within_rounding,
     complex_path,
@@ -53,6 +55,7 @@ ML2 = MomentSequence.mittag_leffler(2)
 ML3 = MomentSequence.mittag_leffler(3)
 ML4 = MomentSequence.mittag_leffler(4)
 ML15 = MomentSequence.mittag_leffler(1.5)
+ML1 = MomentSequence.mittag_leffler(1)
 QFAC2 = MomentSequence.q_factorial(2)
 GEOM2 = MomentSequence.geometric(2)
 
@@ -311,8 +314,8 @@ def real_run(n, seq):
     return A, z, rep, products
 
 
-REAL_KINDS = pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2, ML3, ML15],
-                                     ids=["factorial", "ml2", "qfac2", "ml3", "ml1.5"])
+REAL_KINDS = pytest.mark.parametrize("seq", [FACTORIAL, ML2, QFAC2, ML3, ML15, ML1],
+                                     ids=["factorial", "ml2", "qfac2", "ml3", "ml1.5", "ml1"])
 REAL_SIZES = pytest.mark.parametrize("n", [3, 12, 64])
 
 
@@ -349,11 +352,13 @@ class TestRealSeries:
     @REAL_SIZES
     def test_real_data_is_summed_on_floats(self, n, seq):
         """Every product is of two float matrices.  The term loop makes at
-        most terms_used - 2 products (T_1 takes none); ml:2 and ml:3 at
-        n = 12 and 64 are summed in Y = (Az)^k (eval_exp: an integer
-        2 <= k <= 4 and n >= 5) by Paterson-Stockmeyer, in at most
-        K + 2k - 3, K = terms_used / k - 1: its blocking makes no more
-        products than Horner's rule in Y, k - 1 for X^2..X^k and K after."""
+        most terms_used - 2 products (T_1 takes none); at n = 12 and 64 the
+        kinds of order k (eval_exp: k = 1 for factorial and ml:1, 2 and 3
+        for ml:2 and ml:3) are summed in Y = (Az)^k by Paterson-Stockmeyer,
+        in at most K + 2k - 3, K = terms_used / k - 1: for k >= 2 its
+        blocking makes no more products than Horner's rule in Y, k - 1 for
+        X^2..X^k and K after, and for k = 1 (terms_used - 2 again) a block
+        of s = 2 or more powers makes fewer than Horner's K once K >= 3."""
         rep, products = real_run(n, seq)[2:]
         assert products and all(kinds == {float} for kinds in products)
         if seq in (ML2, ML3) and n > 3:
@@ -497,9 +502,10 @@ def assert_polynomial(rep, X, seq):
 
 
 class TestRamifiedSeries:
-    """ml:k with an integer 2 <= k <= 4 sums the matrix series of an n x n Az
-    with n >= 5 in (Az)^k; every other sum keeps the term loop.  Each value
-    is checked against an oracle, whichever path summed it."""
+    """factorial and ml:k with an integer 1 <= k <= 4 (order k = 1 for
+    factorial) sum the matrix series of an n x n Az with n >= 5 in (Az)^k;
+    every other sum keeps the term loop.  Each value is checked against an
+    oracle, whichever path summed it."""
 
     @pytest.mark.parametrize("seq", [ML2, ML3], ids=["ml2", "ml3"])
     def test_max_terms_reached(self, seq):
@@ -598,6 +604,8 @@ class TestRamifiedSeries:
     @pytest.mark.parametrize("k, n", [(1, 5), (1.5, 5), (5, 5), (9, 5), (2, 4), (4, 4)])
     @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
     def test_other_cases_keep_the_term_loop(self, k, n, imag):
+        # except ml:1 at n = 5, which has order 1 and is summed in Az by
+        # Paterson-Stockmeyer (TestOrderOneSeries): the oracle checks both
         rng = np.random.default_rng(29)
         a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if imag else 0)
         A, seq = CMatrix((dyadic(a) / 8).tolist()), MomentSequence.mittag_leffler(k)
@@ -618,6 +626,106 @@ class TestRamifiedSeries:
         x = scaled(A, z)
         assert_within_rounding(rep, series_oracle(x, seq) @ np.array(v, np.clongdouble),
                                term_sizes(x, seq, rep.terms_used, v))
+
+
+def term_loop(seq):
+    """seq with no ramification rule: the same moments, which eval_exp then
+    sums by its term loop."""
+    out = MomentSequence(seq.kind, seq.param)
+    out.rules = out.rules._replace(ramify=None)
+    return out
+
+
+def normal(n, rho, seed):
+    """A seeded complex n x n Q diag(mu) Q^H, |mu| <= rho, on the grid of
+    :func:`dyadic`."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = rho * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return CMatrix(dyadic(q @ np.diag(mu) @ q.conj().T).tolist())
+
+
+ORDER_ONE = pytest.mark.parametrize("seq", [FACTORIAL, ML1], ids=["factorial", "ml1"])
+
+
+class TestOrderOneSeries:
+    """factorial and ml:1, m(p + 1) = (1 + p) m(p), have ramification order
+    1: the float matrix series of an n x n Az, n >= 5, is summed by
+    Paterson-Stockmeyer in powers of Az itself, Horner's rule in G = (Az)^s.
+    Each value is checked against the oracle under the module's rule."""
+
+    @ORDER_ONE
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
+    def test_small_sums_match_the_oracle(self, n, imag, seq):
+        rng = np.random.default_rng(40 + n)
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if imag else 0)
+        A = CMatrix((dyadic(a) / 2).tolist())
+        rep = eval_exp(A, 1.0, seq)
+        assert rep.status == "converged"
+        assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
+        assert_matches_the_series(rep, A, 1.0, seq)
+
+    @ORDER_ONE
+    def test_non_normal_similarity_matches_the_oracle(self, seq):
+        # A = P J P^-1 with integer P, cond P at most 300, and Jordan blocks
+        # of sizes 3, 2, 2, 1, 3, 1, like jordan-crosscheck's n = 12 ops, at
+        # z = 2 / ||A|| on a complex ray: ||Az|| overstates the growth of
+        # the powers of Az
+        rng = np.random.default_rng(12)
+        while True:
+            p = rng.integers(-3, 4, (12, 12)).astype(float)
+            if abs(np.linalg.det(p)) >= 0.5 and np.linalg.cond(p) <= 300:
+                break
+        lam = [2.0, 2, 2, -1, -1, 0.5, 0.5, 3, 1, 1, 1, -2]
+        j = np.diag(lam) + np.diag([1.0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0], 1)
+        A = CMatrix(dyadic(p @ j @ np.linalg.inv(p)).tolist())
+        x = short(2.0 / A.row_sum_norm())
+        z = complex(short(0.6 * x), short(0.8 * x))
+        rep = eval_exp(A, z, seq)
+        assert rep.status == "converged"
+        assert_matches_the_series(rep, A, z, seq)
+
+    @ORDER_ONE
+    def test_shift_is_its_polynomial(self, seq):
+        # S^5 = 0 for the 5 x 5 shift S: E(S) = I + S + ... + S^4/4!
+        S = np.diag([1.0] * 4, 1)
+        rep = eval_exp(CMatrix(S.tolist()), 1.0, seq)
+        assert rep.status == "converged"
+        want = sum(np.linalg.matrix_power(S, p) / math.factorial(p) for p in range(5))
+        assert_within_rounding(rep, want, term_sizes(S, seq, rep.terms_used))
+
+    @pytest.mark.parametrize("which", ["real", "complex", "triangular"])
+    def test_ml1_is_factorial(self, which):
+        """ml:1 reads m(p) = Gamma(1 + p) in logs, factorial p! exactly: both
+        match the oracle, and so each other within twice the allowance."""
+        if which == "triangular":
+            A = CMatrix(dyadic(np.triu(np.ones((6, 6))) / 3).tolist())
+        else:
+            A = real_gaussian(10, 10) if which == "real" else normal(10, 2.0, 10)
+        x = scaled(A, 1.0)
+        reps = [eval_exp(A, 1.0, seq) for seq in (FACTORIAL, ML1)]
+        for rep, seq in zip(reps, (FACTORIAL, ML1)):
+            assert rep.status == "converged"
+            assert_matches_the_series(rep, A, 1.0, seq)
+        terms = max(rep.terms_used for rep in reps)
+        allowance = sum(rep.tail_estimate for rep in reps) + 2 * C * U * sum(
+            term_sizes(x, FACTORIAL, terms))
+        diff = np.abs(np.array(reps[0].value.rows) - np.array(reps[1].value.rows))
+        assert diff.sum(axis=1).max() <= allowance
+
+    def test_fewer_products_than_the_term_loop(self):
+        # complex normal n = 30 at |mu| <= 1.25: Horner's rule in G = (Az)^s
+        # against one product per term of the same factorial moments
+        A = normal(30, 1.25, 30)
+        counts = []
+        for seq in (FACTORIAL, term_loop(FACTORIAL)):
+            with counting_products() as products:
+                rep = eval_exp(A, 1.0, seq)
+            assert rep.status == "converged"
+            assert_matches_the_series(rep, A, 1.0, seq)
+            counts.append(len(products))
+        assert counts[0] < counts[1], counts
 
 
 def power_over_factorial(a, b, h):

@@ -95,9 +95,9 @@ class TestValues:
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("spec, order", [
-        ("ml:2", 2), ("ml:2.0", 2), ("ml:3", 3), ("ml:5", 5), ("ml:1", None),
+        ("ml:2", 2), ("ml:2.0", 2), ("ml:3", 3), ("ml:5", 5), ("ml:1", 1),
         ("ml:1.5", None), ("ml:0.5", None), ("ml:12", 12), ("ml:12.5", None),
-        ("factorial", None), ("qfac:2", None), ("geom:2", None)])
+        ("factorial", 1), ("qfac:2", None), ("geom:2", None)])
     def test_ramification_order(self, spec, order):
         # m(p + k) = (1 + p/k) m(p): the matrix series is summed in (Az)^k
         seq = parse_specifier(spec)
