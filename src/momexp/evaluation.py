@@ -1,46 +1,12 @@
 """Analytic evaluation of generalized exponentials.
 
-Every series here, sum_p A^p z^p / m(p) and its scalar / Jordan-block
-variants, is summed by one term loop (:func:`_sum`) under one stopping rule:
-a term of size exactly 0 ends the sum as converged, since every later term
-vanishes too.  A log-convex kind (every built-in kind: r(p) = m(p-1)/m(p)
-is nonincreasing) bounds each later term ratio of a float sum by
-q_k = ||Az|| r(k+1) (the row-sum norm, read once per sum; the scalar
-Delta_h sums use their exact next ratio), and while q_k < 1 the sum is
-settled at the first term T_k whose tail bound ||T_k|| q_k / (1 - q_k) is
-below tol min(1, ||S_k||): the d_1 = ||Az|| case of Al-Mohy and Higham's
-majorant (SIMAX 31, 2009, section 4).  Where q_k >= 1 (a non-normal Az whose
-norm overstates its growth) and for custom tables, the sum is settled after
-five consecutive term sizes below `tol` with an empirical term ratio below
-one, and the tail is then estimated geometrically.  Sequences without
-declared rapid growth can hit a finite radius of convergence; there five
-consecutive term ratios >= 1 are reported as `radius_exceeded` instead of a
-value.  A kind with a closed form
-(``rules.neumann``: geometric, m(p) = b^p) is not summed: E(Az) is
-(I - Az/b)^{-1}, which exists iff rho(Az/b) < 1, decided in floats or, for
-an exact Az near rho = 1, exactly (:func:`_neumann_diverges`).  Only where a
-float I - Az/b fails the sigma rule inside the radius is its series summed.
-Any other matrix series takes Az m(0)/m(1) itself as its first term, with no
-product by I, and makes each later term T_{p-1} (Az) m(p-1)/m(p) in one
-product pass (:meth:`CMatrix._scaled_product`), which scales each entry as it
-is stored instead of building the product and then a scaled copy of it.
-A kind of ramification order k (``rules.ramify``: 1 for factorial, k for
-ml:k with an integer k >= 1; m(p + k) = (1 + p/k) m(p)) sums its float
-matrix series in Y = (Az)^k instead (:func:`_ramified`) when k <= 4 and Az
-is n x n with n >= 5: each residue class p = kq + r is a series of
-exponential type in Y.  Its degree K in Y is fixed before the sum, from
-Al-Mohy and Higham's majorant ||Y^q|| <= alpha^q, alpha = max(d_p, d_{p+1}),
-d_j = ||Y^j||^{1/j}, sharpened by each Y^j the sum forms anyway; the tail
-bound at K is ``tail_estimate``, and ``terms_used`` = k(K + 1) counts the
-moment terms covered.  The series is then summed by Paterson and
-Stockmeyer's scheme in blocks of ks powers of Az, Horner's rule over the
-blocks in G = Y^s with the s that makes the fewest products (about
-2 sqrt(kK) for a long series).  A degree past ``max_terms``, a non-finite
-alpha, a bound of the largest term past the divergence guard, and a value
-past it or failing the relative test leave the sum to the term loop, as
-do a larger k, a smaller Az, the vector series of ``sol(z)``, the scalar
-sums and q_factorial, whose m(p + 1) >= (1 + p) m(p) is not the equality
-that the bound of the largest term rests on.
+Every series here, E(Az) = sum_p A^p z^p / m(p) and its scalar and
+Jordan-block variants, is reported as an :class:`EvalReport` from one of
+three paths, each described where it is implemented: the term loop and its
+stopping rule (:func:`_sum`), a kind's closed form (geometric's Neumann
+form), and, for a float matrix series of a kind of ramification order k,
+the Paterson-Stockmeyer sum in (Az)^k (:func:`_ramified`).
+:func:`eval_exp` chooses among them.
 On the float backend a real Az (every imaginary part zero) is
 summed in real arithmetic, on Python floats, and its sum is made complex
 once at the end: every nonzero real part is the one the complex sum gives,
@@ -123,7 +89,8 @@ def _sum(first, step, size, limit, policy=None, rapid_growth=True, contraction=N
     size(t_j) for every j >= k; while q_k < 1 the tail after t_k is at most
     size(t_k) q_k / (1 - q_k), and the sum is settled at the first k where
     that bound is below tol min(1, size(S_k)), so tol is absolute for a sum
-    of size >= 1 and relative below.  Otherwise five consecutive term sizes
+    of size >= 1 and relative below (the d_1 = ||Az|| case of Al-Mohy and
+    Higham's majorant, SIMAX 31, 2009, section 4).  Otherwise five consecutive term sizes
     below tol with an empirical term ratio below one settle it, and without
     declared rapid growth five consecutive ratios >= 1 report
     ``radius_exceeded``.  ``terms_used`` counts the terms summed, or those

@@ -1,10 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from momexp import matrix_from_json, matrix_to_json, CMatrix, GaussianRational
+import momexp
+from momexp import (
+    CMatrix,
+    GaussianRational,
+    TruncationPolicy,
+    eval_exp,
+    jordan_decompose,
+    matrix_from_json,
+    matrix_to_json,
+    parse_specifier,
+    verify_decomposition,
+)
 from momexp.cli import main
 
 
@@ -335,8 +351,14 @@ class TestJordan:
             capsys, "verify-jordan", "--matrix", A, "--decomposition", str(dec_path)
         )
         assert code == 0 and out == {"residual": doc["residual"], "ok": True}
+        assert doc["residual"] > 0
 
     def test_stalled_staircase_exit_3(self, capsys, tmp_path):
+        """Pins a known defect, not a contract: diag(1, 1.005) is diagonal,
+        but its two eigenvalues fall in one cluster whose kernel staircase
+        stalls, so the verb exits 3 where a decomposition exists (ROADMAP
+        "State", item 3).  A change that mends the staircase flips this
+        test to exit 0."""
         A = write_matrix(tmp_path, "A.json", CMatrix([[1.0, 0.0], [0.0, 1.005]]))
         code = main(["jordan", "--matrix", A])
         out, err = capsys.readouterr()
@@ -410,6 +432,141 @@ class TestJordan:
         assert out["ok"]
 
 
+def normal_matrix(n, rho, seed):
+    """A seeded complex n x n Q diag(mu) Q^H with Q unitary and |mu| <= rho."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    mu = rho * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return q @ np.diag(mu) @ q.conj().T
+
+
+def gaussian64():
+    """A real Gaussian 64 x 64 / 8 at z = 1.5 / ||A||."""
+    a = np.random.default_rng(2024).normal(size=(64, 64)) / 8.0
+    return a, complex(1.5 / float(np.abs(a).sum(axis=1).max()))
+
+
+def shifted_half():
+    """0.5 I + 1e40 e_1 e_2^T (8 x 8): ||Az|| overstates the growth of (Az)^p."""
+    a = 0.5 * np.eye(8)
+    a[0, 1] = 1e40
+    return a, 1.0
+
+
+def similarity12():
+    """A = P J P^-1, 12 x 12, with integer P of cond P <= 300 and Jordan
+    blocks of sizes 3, 2, 2, 1, 3, 1, at z = 2 / ||A|| on the ray at angle 0.6."""
+    rng = np.random.default_rng(2033)
+    while True:
+        p = rng.integers(-3, 4, (12, 12)).astype(float)
+        if abs(np.linalg.det(p)) >= 0.5 and np.linalg.cond(p) <= 300:
+            break
+    j = np.diag([2.0, 2, 2, -1, -1, 0.5, 0.5, 3, 1, 1, 1, -2])
+    j += np.diag([1.0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0], 1)
+    a = p @ j @ np.linalg.inv(p)
+    return a, complex(2.0 / float(np.abs(a).sum(axis=1).max()) * np.exp(0.6j))
+
+
+def distinct64():
+    """A normal 64 x 64 Q diag(k (1 + 0.3i)) Q^H, k = 1..64: the Jordan
+    verb's eig path at its size limit."""
+    rng = np.random.default_rng(64)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    return q @ np.diag(np.arange(1, 65) * (1 + 0.3j)) @ q.conj().T, None
+
+
+SEEDED = {
+    "R64": gaussian64,
+    "C30": lambda: (normal_matrix(30, 1.25, 2025), 1.0),
+    "M30": lambda: (normal_matrix(30, 1.25, 2029), 1.0),
+    "M10": lambda: (normal_matrix(10, 1.2, 2030), 0.5 + 0.5j),
+    "M12": lambda: (normal_matrix(12, 1.5, 2031), 1.0),
+    "N8": shifted_half,
+    "D16": lambda: (np.diag([-16.0, 0.5, 0.25, -0.5, 0.125]), 1.0),
+    "PJ12": similarity12,
+    "N64": distinct64,
+}
+
+
+def bits(doc):
+    """A JSON value with each float as its hex string, so that == compares
+    bits and tells -0.0 from 0.0; a non-finite float becomes None, as the
+    CLI writes it."""
+    if isinstance(doc, float):
+        return doc.hex() if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: bits(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [bits(v) for v in doc]
+    return doc
+
+
+def entries(m):
+    """A float CMatrix in the matrix JSON layout, without the library's codec."""
+    return {"n": m.n, "entries": [[[x.real, x.imag] for x in row] for row in m.rows]}
+
+
+class TestSeededInputs:
+    """Each seeded float input, through the CLI, prints the library's own
+    report on the matrix read back from the same JSON file, to the bit:
+    status, terms_used, tail_estimate and every value bit, or the Jordan
+    blocks, P, P^-1 and residual.  The accuracy of those reports is checked
+    against oracles in test_evaluation.py and test_jordan.py."""
+
+    @pytest.mark.parametrize("name, moment, tol", [
+        ("R64", "factorial", None),
+        ("C30", "factorial", None),
+        ("C30", "factorial", "1e-8"),
+        ("M30", "ml:2", None),
+        ("M10", "ml:3", None),
+        ("M12", "ml:4", None),
+        ("N8", "ml:2", None),
+        ("D16", "ml:2", None),
+        ("PJ12", "factorial", None),
+        ("PJ12", "ml:1", None),
+        ("N64", None, None),
+    ], ids=["R64-factorial", "C30-factorial", "C30-factorial-tol1e-8", "M30-ml2",
+            "M10-ml3", "M12-ml4", "N8-ml2", "D16-ml2", "PJ12-factorial", "PJ12-ml1",
+            "N64-jordan-subprocess"])
+    def test_prints_the_library_report(self, capsys, tmp_path, name, moment, tol):
+        a, z = SEEDED[name]()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {"n": len(a), "entries": [[[x.real, x.imag] for x in row] for row in a.tolist()]}))
+        A = CMatrix([[complex(re, im) for re, im in row]
+                     for row in json.loads(path.read_text())["entries"]])
+        if moment is None:
+            # the jordan verb through the module's command line, in a new interpreter
+            src = str(Path(momexp.__file__).resolve().parent.parent)
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-m", "momexp.cli", "jordan",
+                                   "--matrix", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            code, out = proc.returncode, proc.stdout
+            dec = jordan_decompose(A)
+            want = {"blocks": [[lam.real, lam.imag, size] for lam, size in dec.blocks],
+                    "P": entries(dec.P), "P_inv": entries(dec.P_inv),
+                    "residual": verify_decomposition(A, dec, tol=1e-8)["residual"]}
+        else:
+            argv = ["eval", "--matrix", str(path), "--moment", moment,
+                    f"--z={z.real!r},{z.imag!r}"] + (["--tol", tol] if tol else [])
+            code, out = main(argv), capsys.readouterr().out
+            policy = TruncationPolicy(tol=float(tol)) if tol else TruncationPolicy()
+            rep = eval_exp(A, z, parse_specifier(moment), policy)
+            want = {"value": None if rep.value is None else entries(rep.value),
+                    "terms_used": rep.terms_used, "tail_estimate": rep.tail_estimate,
+                    "status": rep.status}
+        got = bits(json.loads(out))
+        assert got == bits(want)
+        assert code == (3 if name == "D16" else 0)
+        if name == "D16":
+            assert got["status"] == "aborted_divergent"
+        if name == "R64":
+            # a real Az prints +0.0 for every imaginary part
+            assert {im for row in got["value"]["entries"] for _, im in row} == {(0.0).hex()}
+
+
 class TestSeries:
     def test_phi_factorial(self, capsys):
         code, doc = run(capsys, "series", "--op", "phi", "--moment", "factorial",
@@ -439,6 +596,9 @@ class TestSeries:
         s_path = tmp_path / "s.json"
         s_path.write_text(json.dumps(doc))
         code, out = run(capsys, "series", "--op", "derive", "--series", str(s_path))
+        assert code == 0 and out["sequence"] == "ml:1.2345678"
+        code, out = run(capsys, "series", "--op", "product", "--series", str(s_path),
+                        "--series2", str(s_path))
         assert code == 0 and out["sequence"] == "ml:1.2345678"
 
     def test_custom_specifier_round_trips(self, capsys, tmp_path):
@@ -512,6 +672,11 @@ class TestProbe:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: --terms must be at least 8, got {terms}\n"
+
+
+SERIES_DOC = ["series", "--op", "derive", "--series", "{doc}"]
+DECOMPOSITION_DOC = ["verify-jordan", "--matrix", "{one}", "--decomposition", "{doc}"]
+MATRIX_DOC = ["eval", "--matrix", "{doc}", "--moment", "factorial"]
 
 
 class TestErrors:
@@ -626,24 +791,34 @@ class TestErrors:
         assert capsys.readouterr() == ("", "error: k must be a real number, got 'two'\n")
 
     @pytest.mark.parametrize(
-        "verb, doc, named",
+        "argv, doc, named",
         [
-            ("series", {"sequence": 5, "coeffs": []}, "specifier must be a string, got 5"),
-            ("series", {"coeffs": []}, "with a 'sequence'"),
-            ("verify-jordan", {"blocks": [[1, 0, 1]], "P_inv": None}, "needs 'P'"),
-            ("verify-jordan", {"blocks": [[1, 0, 1]], "P": None}, "needs 'P_inv'"),
+            (SERIES_DOC, {"sequence": 5, "coeffs": []}, "specifier must be a string, got 5"),
+            (SERIES_DOC, {"coeffs": []}, "with a 'sequence'"),
+            (DECOMPOSITION_DOC, {"blocks": [[1, 0, 1]], "P_inv": None}, "needs 'P'"),
+            (DECOMPOSITION_DOC, {"blocks": [[1, 0, 1]], "P": None}, "needs 'P_inv'"),
+            (MATRIX_DOC, {"entries": [[5]]}, "scalar entry must be a [re, im] pair, got 5"),
+            (MATRIX_DOC, {"rows": [[[1, 0]]]}, "with an 'entries' field"),
+            (MATRIX_DOC, {"n": 2, "entries": [[[1, 0]]]}, "declared n=2 but got 1 rows"),
+            (["probe", "--moment", "custom:{doc}"], {"table": ["1"]},
+             "custom sequence file must hold a JSON list"),
+            # the --z and --v0 lines name the value's form, not the option
+            (["eval", "--matrix", "{one}", "--moment", "factorial", "--z", "1,2,3"], None,
+             "complex values are written 're,im', got '1,2,3'"),
+            (["solve", "--matrix", "{one}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]"],
+             None, "matrix 1 vs vector 2"),
         ],
-        ids=["non-string-sequence", "no-sequence", "no-P", "no-P_inv"],
+        ids=["non-string-sequence", "no-sequence", "no-P", "no-P_inv", "non-pair-entry",
+             "no-entries", "wrong-n", "non-list-custom-table", "three-part-z",
+             "v0-of-the-wrong-length"],
     )
-    def test_malformed_document_names_the_field(self, capsys, tmp_path, verb, doc, named):
+    def test_malformed_document_names_the_field(self, capsys, tmp_path, argv, doc, named):
         # an input error with exit 2 that says what is wrong, not a traceback
         # or a bare key name
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         one = write_matrix(tmp_path, "one.json", CMatrix.identity(1, "float"))
-        argv = (["series", "--op", "derive", "--series", str(path)] if verb == "series"
-                else ["verify-jordan", "--matrix", one, "--decomposition", str(path)])
-        code = main(argv)
+        code = main([a.format(doc=path, one=one) for a in argv])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1

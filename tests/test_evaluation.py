@@ -459,7 +459,8 @@ class TestCertifiedTail:
         (ML3, False, (0.5, 1.5, 2.5)),
         (ML3, True, (0.5, 1.25, 1.75)),
         (ML4, False, (0.5, 1.0, 1.5)),
-    ], ids=["ml2-complex", "ml3-real", "ml3-complex", "ml4-real"])
+        (ML4, True, (0.5, 1.0, 1.25)),
+    ], ids=["ml2-complex", "ml3-real", "ml3-complex", "ml4-real", "ml4-complex"])
     @pytest.mark.parametrize("seed", range(6))
     def test_tail_bounds_the_ramified_error(self, seq, imag, rhos, seed):
         # the ramified sums against mpmath, with the same allowance C = 16
@@ -470,6 +471,20 @@ class TestCertifiedTail:
         rep = eval_exp(CMatrix(a.tolist()), 1.0, seq)
         assert rep.status == "converged" and rep.terms_used % k == 0
         assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-12
+        assert_within_rounding(rep, want, term_sizes(a, seq, rep.terms_used))
+
+    @pytest.mark.parametrize("seq", [FACTORIAL, ML2], ids=["factorial", "ml2"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_larger_tol_stops_sooner(self, seq, seed):
+        # a complex normal 16 x 16 summed by Paterson-Stockmeyer: at tol 1e-8
+        # the degree is lower, and the reported tail still bounds the error
+        a, q, mu = exact_symmetric(16, 1.25, seed, imag=True)
+        A = CMatrix(a.tolist())
+        want = q @ np.diag([complex(scalar_series(x, seq)[0]) for x in mu]) @ q.T
+        rep = eval_exp(A, 1.0, seq, TruncationPolicy(tol=1e-8))
+        assert rep.status == "converged"
+        assert rep.tail_estimate < rep.value.row_sum_norm() * 1e-8
+        assert rep.terms_used < eval_exp(A, 1.0, seq).terms_used
         assert_within_rounding(rep, want, term_sizes(a, seq, rep.terms_used))
 
     def test_norm_overstating_growth_keeps_the_five_term_rule(self):
@@ -548,6 +563,42 @@ class TestRamifiedSeries:
         X = np.diag([3.0] * 4, 1)
         rep = eval_exp(CMatrix(X.tolist()), 1.0, seq)
         assert_polynomial(rep, X, seq)
+
+    def test_zero_power_below_the_order_ends_the_polynomial(self):
+        # X^2 = 0 with k = 3: the zero is among X^0..X^{k-1}, before any power
+        # of Y, and the sum I + X / m(1) covers the k = 3 terms with tail 0
+        X = np.zeros((5, 5))
+        X[0, 4], X[1, 3] = 3.0, 2.0
+        A = CMatrix(X.tolist())
+        rep = eval_exp(A, 1.0, ML3)
+        assert (rep.status, rep.terms_used, rep.tail_estimate) == ("converged", 3, 0.0)
+        assert_matches_the_series(rep, A, 1.0, ML3)
+
+    def test_degree_bound_past_max_terms_keeps_the_term_loop(self):
+        # Y = (Az)^2 = diag(16, 1, ...): the least degree its alpha = 16
+        # admits is past the 9 that max_terms = 20 leaves in Y, so the term
+        # loop sums the series and runs out of terms: the value is the
+        # partial sum over its 21 terms
+        A = CMatrix(np.diag([4.0, 1, 1, 1, 1]).tolist())
+        rep = eval_exp(A, 1.0, ML2, TruncationPolicy(max_terms=20))
+        assert (rep.status, rep.terms_used) == ("max_terms_reached", 21)
+        assert_matches_the_series(rep, A, 1.0, ML2, partial=True)
+
+    @pytest.mark.parametrize("max_terms, terms", [(10000, 41), (38, 39)],
+                             ids=["second-pass", "second-degree-past-max-terms"])
+    def test_small_value_fixes_the_degree_again(self, max_terms, terms):
+        # spectrum in [-6.5, -5.5], so ||E|| < 0.005: the tail of the degree
+        # fixed against tol fails tol min(1, ||E||), and the degree is fixed
+        # again against tol ||E|| / 2.  The blocks are summed a second time
+        # (41 terms), or, where that degree is past max_terms, the term loop
+        # sums the series (39 terms)
+        a, q, mu = exact_symmetric(8, 0.5, 0)
+        a, mu = a - 6 * np.eye(8), mu - 6
+        rep = eval_exp(CMatrix(a.tolist()), 1.0, FACTORIAL, TruncationPolicy(max_terms=max_terms))
+        assert (rep.status, rep.terms_used) == ("converged", terms)
+        assert rep.tail_estimate < 1e-12 * rep.value.row_sum_norm() < 1e-12 * 0.005
+        assert_within_rounding(rep, q @ np.diag(np.exp(mu)) @ q.T,
+                               term_sizes(a, FACTORIAL, rep.terms_used))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_overstated_step_size_falls_back_to_the_term_loop(self, n):

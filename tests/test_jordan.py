@@ -167,16 +167,22 @@ class TestJordanDecompose:
         for A, hint in [
             (EXAMPLE1, [(3, 2), (2, 1)]),
             (CMatrix.identity(2), [(1, 1), (1, 1)]),  # repeated eigenvalue
+            # each entry finds the one eigenvector e_1, so P = [e_1 e_1]
+            (CMatrix([[1, 1], [0, 1]]), [(1, 1), (1, 1)]),
         ]:
             with pytest.raises(ChainConstructionFailed):
                 jordan_decompose(A, eigenvalues_hint=hint)
 
 
-def distinct_eigenvalue_matrix(n, seed):
+def distinct_eigenvalue_matrix(n, seed, unitary=False):
     """A seeded diagonalizable complex n x n matrix P diag(lam) P^{-1} whose
-    eigenvalues k (1 + 0.3i), k = 1..n, no clustering tolerance merges."""
+    eigenvalues k (1 + 0.3i), k = 1..n, no clustering tolerance merges.
+    With ``unitary``, P is the unitary factor of the Gaussian one, and A is
+    normal (the |det P| floor rejects a Gaussian P at n = 64)."""
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if unitary:
+        p = np.linalg.qr(p)[0]
     lam = np.arange(1, n + 1) * (1 + 0.3j)
     return CMatrix.from_numpy(p @ np.diag(lam) @ np.linalg.inv(p))
 
@@ -192,9 +198,10 @@ class TestEigPath:
     """A float decomposition without a hint takes simple eigenvalues and
     their vectors from one ``np.linalg.eig``."""
 
-    @pytest.mark.parametrize("n", [16, 40])
-    def test_distinct_eigenvalues_take_one_svd(self, monkeypatch, n):
-        A = distinct_eigenvalue_matrix(n, n)
+    @pytest.mark.parametrize("n, unitary", [(16, False), (40, False), (64, True)],
+                             ids=["16", "40", "64-normal"])
+    def test_distinct_eigenvalues_take_one_svd(self, monkeypatch, n, unitary):
+        A = distinct_eigenvalue_matrix(n, n, unitary)
         calls = count_svds(monkeypatch)
         dec = jordan_decompose(A)
         # the staircase took one SVD per cluster and P two more: n + 2
