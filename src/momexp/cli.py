@@ -57,12 +57,16 @@ EXIT_NUMERIC = 3
 
 
 def _parse_complex(text):
+    """The value of a --z option, written 're' or 're,im'."""
     parts = text.split(",")
-    if len(parts) not in (1, 2):
-        raise ValueError(f"complex values are written 're,im', got {text!r}")
-    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        z = complex(*map(float, parts))
+    except ValueError:
+        raise ValueError(f"--z values are written 're,im', got {text!r}") from None
     if not cmath.isfinite(z):
-        raise ValueError(f"complex value must be finite, got {text!r}")
+        raise ValueError(f"--z values must be finite, got {text!r}")
     return z
 
 
@@ -194,6 +198,8 @@ def _cmd_solve(args):
     A = _read_matrix(args)
     seq = parse_specifier(args.moment)
     v0 = vector_from_json(json.loads(args.v0))
+    if len(v0) != A.n:
+        raise ValueError(f"--v0 has {len(v0)} entries for a {A.n} x {A.n} matrix")
     args.inputs.append(("--v0", v0))
     policy = _policy(args)
     # a closed form on an exact matrix is applied exactly, z and v0 read as

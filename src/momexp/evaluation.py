@@ -41,9 +41,10 @@ _DIVERGENCE_GUARD = 1e100  # a larger term aborts the sum
 # and additions: ml:2 took 1.01 to 1.47 times the term loop's time at n = 3
 # and 4, 0.92 to 1.15 at n = 5, 0.84 to 1.05 at n = 6, 0.50 to 0.95 at n >= 8
 _RAMIFY_MIN_N = 5
-# above this k the 2(k - 1) products of the powers and the step loop's
+# above this k the deleted step loop's 2(k - 1) products of the powers and its
 # recombination were not repaid at a small ||Az|| (n = 10 and 30, spectral
-# radius 0.05 to 0.3: ml:5..ml:12 took up to 2.6 times, ml:2..ml:4 at most 1.02)
+# radius 0.05 to 0.3: ml:5..ml:12 took up to 2.6 times, ml:2..ml:4 at most
+# 1.02); this k is not yet timed for Paterson-Stockmeyer, which replaced it
 _RAMIFY_MAX_K = 4
 
 
@@ -125,20 +126,12 @@ def _sum(first, step, size, limit, policy=None, rapid_growth=True, contraction=N
 
 
 def _neumann_diverges(M):
-    """Whether sum_p M^p diverges, rho(M) >= 1.  The float backend reads the
-    float rho, whose rounding decides a rho within a few ulps of 1.  An exact
-    M is decided exactly (:func:`momexp.exact._rho_below_one`) when its float
-    rho is within 1e-3 of 1 or not finite; with no float at all, the exact
-    test can only admit it, and else the OverflowError stands."""
-    try:
-        rho = max(abs(ev) for ev in np.linalg.eigvals(M.to_float().to_numpy()))
-    except OverflowError:
-        if _rho_below_one(M):
-            return False
-        raise
-    if M.backend == EXACT and not (math.isfinite(rho) and abs(rho - 1.0) > 1e-3):
+    """Whether sum_p M^p diverges, rho(M) >= 1: for an exact M exactly
+    (:func:`momexp.exact._rho_below_one`), for a float M on its float rho,
+    whose rounding decides a rho within a few ulps of 1."""
+    if M.backend == EXACT:
         return not _rho_below_one(M)
-    return rho >= 1.0
+    return max(abs(ev) for ev in np.linalg.eigvals(M.to_numpy())) >= 1.0
 
 
 def eval_exp(A, z, seq, policy=TruncationPolicy()):
@@ -146,12 +139,12 @@ def eval_exp(A, z, seq, policy=TruncationPolicy()):
 
     The exact backend needs an exact matrix, z and sequence.  A kind with a
     closed form takes it: geometric's Neumann form (I - Az/b)^{-1}, with
-    ``terms_used`` 0, or ``radius_exceeded`` when rho(Az/b) >= 1.  The float
-    backend decides rho < 1 in floats, so within rounding of 1 by rounding;
-    the exact backend decides it exactly where the float rho is within 1e-3
-    of 1 or has no float.  Where a float I - Az/b fails the sigma rule though
-    rho < 1, the terms are summed instead, with the radius rule off.  Any
-    other kind is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from
+    ``terms_used`` 0, or ``radius_exceeded`` when rho(Az/b) >= 1.  The exact
+    backend decides rho < 1 exactly, by Schur-Cohn; the float backend on the
+    float rho, so within rounding of 1 by rounding.  Where a float I - Az/b
+    fails the sigma rule though rho < 1, the terms are summed instead, with
+    the radius rule off.
+    Any other kind is summed as T_p = T_{p-1} (Az) m(p-1)/m(p), from
     T_1 = Az m(0)/m(1) with no product, each later term one product pass
     that scales each entry as it is stored: under the policy on the float
     backend, in real arithmetic when Az is real (the value still holds

@@ -281,12 +281,11 @@ def growth_probe(seq, P):
     """
     if P < 8:
         raise ValueError("P must be at least 8")
-    roots = [math.exp(seq.log_value(p) / p) for p in range(1, P + 1)]
-    window = max(P // 4, 1)
-    base = roots[-1 - window]
-    rel_increase = (roots[-1] - base) / base if base > 0 else 0.0
-    plateau = rel_increase < 0.01
-    return GrowthReport(min_root=min(roots), trend="plateau" if plateau else "increasing",
+    # the roots m(p)^{1/p} stay in logs: only the least need have a float
+    logs = [seq.log_value(p) / p for p in range(1, P + 1)]
+    plateau = logs[-1] - logs[-1 - max(P // 4, 1)] < math.log1p(0.01)
+    return GrowthReport(min_root=math.exp(min(logs)),
+                        trend="plateau" if plateau else "increasing",
                         finite_radius_suspected=plateau)
 
 

@@ -19,6 +19,7 @@ from momexp import (
     matrix_from_json,
     matrix_to_json,
     parse_specifier,
+    solve,
     verify_decomposition,
 )
 from momexp.cli import main
@@ -90,17 +91,48 @@ class TestEval:
                         "--v0", "[[1,0],[1,0]]", "--z", "1")
         assert code == 0 and doc["results"][0]["status"] == "converged"
 
-    @pytest.mark.parametrize("m, code, status", [
+    @pytest.mark.parametrize("m, moment, code, status", [
         (CMatrix([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]]),
-         3, "radius_exceeded"),
-        (CMatrix([[0, 10**400], [0, 0]]), 0, "converged"),
-    ], ids=["rotation-rho-one", "nilpotent-past-float-range"])
-    def test_geometric_exact_radius(self, capsys, tmp_path, m, code, status):
+         "geom:1", 3, "radius_exceeded"),
+        (CMatrix([[0, 10**400], [0, 0]]), "geom:1", 0, "converged"),
+        # decided exactly, so an entry with no float is no numeric failure
+        (CMatrix([[1, 0], [0, 10**400]]), "geom:2", 3, "radius_exceeded"),
+    ], ids=["rotation-rho-one", "nilpotent-past-float-range", "diagonal-past-float-range"])
+    def test_geometric_exact_radius(self, capsys, tmp_path, m, moment, code, status):
         path = write_matrix(tmp_path, "Q.json", m)
-        got, doc = run(capsys, "eval", "--matrix", path, "--moment", "geom:1")
+        got, doc = run(capsys, "eval", "--matrix", path, "--moment", moment)
         assert (got, doc["status"]) == (code, status)
         if code == 0:
             assert matrix_from_json(doc["value"]) == (CMatrix.identity(2) - m).inverse()
+
+    def test_no_exact_radius_decision_reads_a_float_spectrum(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # the rotation has rho = 1: z = 1/2, 1 and 2 put Az inside, on and
+        # outside the radius of geom:1
+        def eigvals(a):
+            raise AssertionError("a float spectrum was read")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        A = CMatrix([[Fraction(5, 13), Fraction(-12, 13)], [Fraction(12, 13), Fraction(5, 13)]])
+        v = (GaussianRational(1), GaussianRational(2))
+        seq = parse_specifier("geom:1")
+        sol = solve(A, v, seq)
+        path = write_matrix(tmp_path, "R.json", A)
+        for z, status in ((Fraction(1, 2), "converged"), (1, "radius_exceeded"),
+                          (2, "radius_exceeded")):
+            rep, vrep = eval_exp(A, z, seq), sol.evaluate_report(z)
+            assert (rep.status, vrep.status) == (status, status)
+            if status == "converged":
+                inv = (CMatrix.identity(2) - A.scale(z)).inverse()
+                assert rep.value == inv
+                assert vrep.value == tuple(r[0] + 2 * r[1] for r in inv.rows)
+            code = 0 if status == "converged" else 3
+            got, doc = run(capsys, "eval", "--matrix", path, "--moment", "geom:1",
+                           "--z", str(float(z)))
+            assert (got, doc["status"]) == (code, status)
+            got, doc = run(capsys, "solve", "--matrix", path, "--moment", "geom:1",
+                           "--v0", '[["1","0"],["2","0"]]', "--z", str(float(z)))
+            assert (got, doc["results"][0]["status"]) == (code, status)
 
     @pytest.mark.parametrize("z, code, status", [
         ("1", 3, "radius_exceeded"), ("-1", 3, "radius_exceeded"), ("0,1", 3, "radius_exceeded"),
@@ -659,7 +691,8 @@ class TestSeries:
 class TestProbe:
     @pytest.mark.parametrize(
         "spec,suspected",
-        [("factorial", False), ("geom:2", True), ("qfac:2", False)],
+        # qfac:1e10's roots m(p)^{1/p} pass the float range from p = 63 on
+        [("factorial", False), ("geom:2", True), ("qfac:2", False), ("qfac:1e10", False)],
     )
     def test_probe(self, capsys, spec, suspected):
         code, doc = run(capsys, "probe", "--moment", spec)
@@ -802,14 +835,16 @@ class TestErrors:
             (MATRIX_DOC, {"n": 2, "entries": [[[1, 0]]]}, "declared n=2 but got 1 rows"),
             (["probe", "--moment", "custom:{doc}"], {"table": ["1"]},
              "custom sequence file must hold a JSON list"),
-            # the --z and --v0 lines name the value's form, not the option
+            # the --z and --v0 lines name the option
             (["eval", "--matrix", "{one}", "--moment", "factorial", "--z", "1,2,3"], None,
-             "complex values are written 're,im', got '1,2,3'"),
+             "--z values are written 're,im', got '1,2,3'"),
+            (["eval", "--matrix", "{one}", "--moment", "factorial", "--z", "1,x"], None,
+             "--z values are written 're,im', got '1,x'"),
             (["solve", "--matrix", "{one}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]"],
-             None, "matrix 1 vs vector 2"),
+             None, "--v0 has 2 entries for a 1 x 1 matrix"),
         ],
         ids=["non-string-sequence", "no-sequence", "no-P", "no-P_inv", "non-pair-entry",
-             "no-entries", "wrong-n", "non-list-custom-table", "three-part-z",
+             "no-entries", "wrong-n", "non-list-custom-table", "three-part-z", "non-number-z",
              "v0-of-the-wrong-length"],
     )
     def test_malformed_document_names_the_field(self, capsys, tmp_path, argv, doc, named):
@@ -827,7 +862,6 @@ class TestErrors:
         "argv",
         [
             ["eval", "--matrix", "{big}", "--moment", "factorial"],
-            ["eval", "--matrix", "{big}", "--moment", "geom:2"],
             ["jordan", "--matrix", "{big}"],
             ["solve", "--matrix", "{big}", "--moment", "factorial", "--v0", "[[1,0],[2,0]]",
              "--z", "0.5"],
@@ -835,7 +869,7 @@ class TestErrors:
             ["verify-jordan", "--matrix", "{big}", "--decomposition", "{eye_dec}"],
             ["verify-jordan", "--matrix", "{eye}", "--decomposition", "{big_dec}"],
         ],
-        ids=["eval-factorial", "eval-geom", "jordan", "solve", "eval-jordan",
+        ids=["eval-factorial", "jordan", "solve", "eval-jordan",
              "verify-jordan-matrix", "verify-jordan-decomposition"],
     )
     def test_entry_past_float_range_exit_3(self, capsys, tmp_path, argv):

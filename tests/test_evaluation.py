@@ -32,7 +32,7 @@ from momexp import (
     solve,
 )
 from momexp.exact import _rho_below_one
-from momexp.jordan import JordanDecomposition
+from momexp.jordan import JordanDecomposition, assemble_jordan
 
 from helpers import (
     C,
@@ -233,13 +233,30 @@ class TestEvalExp:
         assert rep.value == (CMatrix.identity(2) - A).inverse()
 
     def test_geometric_exact_past_float_range(self):
-        # no float rho: the exact test admits the nilpotent matrix ...
+        # no float rho, and none is needed: the exact test admits the
+        # nilpotent matrix ...
         rep = eval_exp(CMatrix([[0, 10**400], [0, 0]]), 1, MomentSequence.geometric(1))
         assert rep.status == "converged"
         assert rep.value == CMatrix([[1, 10**400], [0, 1]])
-        # ... and one it rejects keeps the float conversion's OverflowError
-        with pytest.raises(OverflowError):
-            eval_exp(CMatrix([[1, 0], [0, 10**400]]), 1, GEOM2)
+        # ... and rejects the diagonal one
+        rep = eval_exp(CMatrix([[1, 0], [0, 10**400]]), 1, GEOM2)
+        assert (rep.status, rep.value) == ("radius_exceeded", None)
+
+    @pytest.mark.parametrize("k, lam", [(6, Fraction(999, 1000)), (8, Fraction(9999, 10000)),
+                                        (12, Fraction(99, 100))], ids=["k6", "k8", "k12"])
+    def test_geometric_exact_non_normal_inside_the_radius(self, k, lam):
+        # P J_k(lam) P^-1 has rho = lam < 1, though its float rho reads above 1
+        rng = random.Random(k)
+        for _ in range(3):
+            P = CMatrix.zeros(k)
+            while P.det() == 0:
+                P = CMatrix([[rng.randint(-3, 3) + 4 * (i == j) for j in range(k)]
+                             for i in range(k)])
+            A = P @ assemble_jordan([(lam, k)], "exact") @ P.inverse()
+            assert max(abs(np.linalg.eigvals(A.to_float().to_numpy()))) > 1
+            rep = eval_exp(A, 1, MomentSequence.geometric(1))
+            assert rep.status == "converged"
+            assert rep.value == (CMatrix.identity(k) - A).inverse()
 
     def test_zero_term_ends_float_sum(self):
         # a nilpotent Az: the third term is zero, so m(4) is never needed
