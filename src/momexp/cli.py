@@ -5,6 +5,15 @@ as null) goes to standard output and all diagnostics to standard error.
 Exit status: 0 on success, 2 on input or parse errors, 3 on numeric failure
 (radius exceeded, non-convergence, singular matrix, failed chain
 construction, a value past the float range).
+
+A verb computes exactly only on an exact ("p/q") matrix, and there it reads
+a float --z or --v0 as the binary rational it is.  eval sums the series
+exactly when the sequence is exact too and z is an integer or the kind has
+a closed form, and prints the value exactly only at an integer z.  In every
+other case, and when the exact series stops at max_terms_reached (it ends
+only for a nilpotent Az), it sums A.to_float().  solve builds one exact
+solution: --check residual reads it, and a closed form is evaluated on it
+at each --z; the series at --z and --check qres are summed in floats.
 """
 
 from __future__ import annotations
@@ -159,24 +168,17 @@ def _cmd_eval(args):
     seq = parse_specifier(args.moment)
     z = _parse_complex(args.z)
     policy = _policy(args)
-    if A.backend == EXACT and seq.exact and z.imag == 0 and z.real.is_integer():
-        z_in = int(z.real)
-    elif A.backend == EXACT and seq.exact and seq.rules.neumann:
-        # a closed form on an exact matrix is applied exactly, z read as the
-        # binary rational it is: its radius is decided exactly, as in solve
-        z_in = _binary_rational(z)
-    else:
-        A = A.to_float()
-        z_in = z
     doc = None
     status = CONVERGED
     if args.path in ("series", "both"):
-        rep = eval_exp(A, z_in, seq, policy)
-        if rep.status == MAX_TERMS_REACHED and A.backend == EXACT:
-            # the exact series is finite only for nilpotent Az: sum in floats
+        integer = z.imag == 0 and z.real.is_integer()
+        rep = None
+        if A.backend == EXACT and seq.exact and (integer or seq.rules.neumann):
+            rep = eval_exp(A, _binary_rational(z), seq, policy)
+        if rep is None or rep.status == MAX_TERMS_REACHED:
             rep = eval_exp(A.to_float(), z, seq, policy)
-        if isinstance(z_in, GaussianRational) and rep.value is not None:
-            rep.value = rep.value.to_float()  # a float z gets a float value
+        elif not integer and rep.value is not None:
+            rep.value = rep.value.to_float()
         doc = _report_doc(rep)
         status = rep.status
     if args.path in ("jordan", "both"):
@@ -202,25 +204,22 @@ def _cmd_solve(args):
         raise ValueError(f"--v0 has {len(v0)} entries for a {A.n} x {A.n} matrix")
     args.inputs.append(("--v0", v0))
     policy = _policy(args)
-    # a closed form on an exact matrix is applied exactly, z and v0 read as
-    # the binary rationals they are: its radius is decided exactly, as in
-    # eval, and its value is exact until printed
-    closed = None
-    if A.backend == EXACT and seq.rules.neumann:
-        closed = solve(A, tuple(map(_binary_rational, v0)), seq, policy)
-    # an exact matrix goes to floats only for --z or --check qres, so one
-    # past the float range still has its exact residual
+    exact = A.backend == EXACT
+    closed = exact and seq.rules.neumann
+    exact_sol = solve(A, tuple(map(_binary_rational, v0)), seq, policy) if exact else None
+    # an exact matrix goes to floats only for a series at --z or --check
+    # qres, so one past the float range still has its exact residual
     sol = None
-    if A.backend != EXACT or (args.z and closed is None) or args.check == "qres":
+    if not exact or (args.z and not closed) or args.check == "qres":
         sol = solve(A.to_float(), tuple(complex(x) for x in v0), seq, policy)
     results = []
     ok = True
     for ztext in args.z or []:
         z = _parse_complex(ztext)
-        if closed is None:
-            rep = sol.evaluate_report(z)
+        if closed:
+            rep = exact_sol.evaluate_report(_binary_rational(z))
         else:
-            rep = closed.evaluate_report(_binary_rational(z))
+            rep = sol.evaluate_report(z)
         ok = ok and rep.status == CONVERGED
         results.append(
             {
@@ -232,8 +231,7 @@ def _cmd_solve(args):
         )
     doc = {"results": results}
     if args.check == "residual":
-        exact_sol = solve(A, v0, seq, policy) if A.backend == EXACT else sol
-        doc["residual"] = residual_check(exact_sol, args.order)
+        doc["residual"] = residual_check(exact_sol if exact else sol, args.order)
     elif args.check == "qres":
         if seq.kind != "q_factorial":
             raise ValueError("--check qres requires a qfac:<q> moment sequence")

@@ -191,6 +191,22 @@ class TestEval:
         assert (code, result["status"]) == (0, "converged")
         assert [complex(*y) for y in result["y"]] == [row[0] for row in got]
 
+    @pytest.mark.parametrize("z, want", [
+        ("1", [["1", "1", "1/3"], ["0", "1", "1"], ["0", "0", "1"]]),
+        ("2", [["1", "2", "4/3"], ["0", "1", "2"], ["0", "0", "1"]]),
+        ("0.5", [[1.0, 0.5, 0.25 / 3], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]]),
+    ], ids=["1", "2", "0.5"])
+    def test_exact_series_without_a_closed_form(self, capsys, tmp_path, z, want):
+        # qfac:2 has no closed form: the exact shift N is summed exactly at an
+        # integer z, to I + zN + z^2 N^2 / [2]_q! with [2]_q! = 3, and printed
+        # exactly; at any other z it is summed and printed in floats
+        N = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        path = write_matrix(tmp_path, "N.json", N)
+        code, doc = run(capsys, "eval", "--matrix", path, "--moment", "qfac:2", "--z", z)
+        assert (code, doc["status"]) == (0, "converged")
+        zero = "0" if isinstance(want[0][0], str) else 0.0
+        assert doc["value"]["entries"] == [[[x, zero] for x in row] for row in want]
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",
@@ -300,6 +316,17 @@ class TestSolve:
         )
         assert code == 0
         assert doc["residual"] == 0.0
+
+    @pytest.mark.parametrize("moment", ["factorial", "geom:2"])
+    @pytest.mark.parametrize("z", [[], ["--z", "0.5"]], ids=["no-z", "z"])
+    def test_float_v0_on_an_exact_matrix(self, capsys, tmp_path, moment, z):
+        # a float --v0 is read as the binary rationals it is: the exact
+        # residual, and the document of its "p/q" spelling
+        path = write_matrix(tmp_path, "A.json", CMatrix([[1, 0], [2, 3]]))
+        argv = ["solve", "--matrix", path, "--moment", moment, "--check", "residual", *z]
+        code, doc = run(capsys, *argv, "--v0", "[[0.5,0],[2,0]]")
+        assert (code, doc["residual"]) == (0, 0.0)
+        assert (code, doc) == run(capsys, *argv, "--v0", '[["1/2","0"],["2","0"]]')
 
     def test_residual_check_complex_fractional(self, capsys, tmp_path):
         # complex fractional entries: the imaginary numerators are compared too
@@ -730,8 +757,6 @@ class TestErrors:
             ["eval", "--matrix", "{ex1}", "--moment", "factorial", "--max-terms", "0"],
             ["solve", "--matrix", "{ex1}", "--moment", "factorial",
              "--v0", "[[1,0],[0,0],[1,0]]", "--tol", "0"],
-            ["solve", "--matrix", "{exact}", "--moment", "factorial",
-             "--v0", "[[1,0],[2,0]]", "--check", "residual"],
             ["series", "--op", "phi", "--moment", "factorial", "--order", "-1"],
             ["solve", "--matrix", "{ex1}", "--moment", "factorial",
              "--v0", "[[1,0],[0,0],[1,0]]", "--check", "residual", "--order", "-5"],
@@ -769,7 +794,7 @@ class TestErrors:
             "non-list-coeffs", "scalar-v0", "non-list-row", "null-entry",
             "short-block-entry", "list-decomposition", "infinite-z",
             "zero-tol", "zero-max-terms", "solve-zero-tol",
-            "float-v0-exact-residual", "negative-phi-order", "negative-residual-order",
+            "negative-phi-order", "negative-residual-order",
             "nan-ml-parameter", "infinite-ml-parameter",
             "negative-block-size", "bool-block-size", "zero-denominator-entry",
             "zero-denominator-qfac", "zero-denominator-geom", "zero-denominator-custom",

@@ -523,6 +523,42 @@ class TestCertifiedTail:
         assert eval_exp(EXAMPLE1, 0.5, FACTORIAL).terms_used < rep.terms_used
 
 
+def heat_solution():
+    """sol(1) for L = 10 tridiag(1, -2, 1), n = 200, and v from default_rng(0),
+    with exp(L) v from numpy's eigh; no entry of the true value exceeds 0.72."""
+    n = 200
+    L = 10 * (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+              + np.diag(np.ones(n - 1), -1))
+    v = np.random.default_rng(0).standard_normal(n)
+    w, q = np.linalg.eigh(L)
+    rep = solve(CMatrix(L.tolist()), tuple(v), FACTORIAL).evaluate_report(1)
+    return rep, q @ (np.exp(w) * (q.T @ v))
+
+
+class TestConvergedIsAccurate:
+    """Sums of a negative spectrum whose terms cancel: each reports
+    ``converged`` with a value lost to rounding, since the status certifies
+    the truncation error only.  An honest status or an accurate value turns
+    a case into a pass."""
+
+    @pytest.mark.xfail(raises=AssertionError, reason="converged values lost to cancellation")
+    @pytest.mark.parametrize("case", [
+        lambda: (scalar_exp(-20, 1, FACTORIAL), math.exp(-20)),  # 2.68e-9 for 2.06e-9
+        lambda: (scalar_exp(-40, 1, FACTORIAL), math.exp(-40)),  # 0.357 for 4.2e-18
+        # E(-8) = erfcx(8) = 0.069985, where the sum gives 1.64e13
+        lambda: (scalar_exp(-8, 1, ML2), math.exp(64) * math.erfc(8)),
+        lambda: (eval_exp(CMatrix.identity(3, "float").scale(-20), 1, FACTORIAL),
+                 math.exp(-20) * np.eye(3)),  # 9.9e-9 on the diagonal
+        heat_solution,  # off by up to 3.3
+    ], ids=["factorial-minus-20", "factorial-minus-40", "ml2-minus-8",
+            "factorial-minus-20-identity", "factorial-heat-n200"])
+    def test_converged_value_is_accurate(self, case):
+        rep, want = case()
+        if rep.status == "converged":
+            got = np.array(rep.value.rows if isinstance(rep.value, CMatrix) else rep.value)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def assert_polynomial(rep, X, seq):
     """E(X) for a 5 x 5 X with X^5 = 0 is the polynomial X^0..X^4, summed
     to tail 0 over at least its 5 terms."""
