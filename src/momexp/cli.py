@@ -8,10 +8,11 @@ construction, a value past the float range).
 
 A verb computes exactly only on an exact ("p/q") matrix, and there it reads
 a float --z or --v0 as the binary rational it is.  eval sums the series
-exactly when the sequence is exact too and z is an integer or the kind has
-a closed form, and prints the value exactly only at an integer z.  In every
-other case, and when the exact series stops at max_terms_reached (it ends
-only for a nilpotent Az), it sums A.to_float().  solve builds one exact
+exactly when the sequence is exact too and the kind has a closed form, or z
+is an integer and z = 0 or tr A = 0 (the series ends only for a nilpotent
+Az, and a nonzero trace shows that A is not), and prints the value exactly
+only at an integer z.  In every other case, and when the exact series stops
+at max_terms_reached, it sums A.to_float().  solve builds one exact
 solution: --check residual reads it, and a closed form is evaluated on it
 at each --z; the series at --z and --check qres are summed in floats.
 """
@@ -48,7 +49,6 @@ from .matrices import (
     matrix_to_json,
     scalar_from_json,
     vector_from_json,
-    vector_to_json,
 )
 from .moments import growth_probe, parse_specifier
 from .series import (
@@ -119,10 +119,7 @@ def _policy(args):
 
 
 def _series_to_json(s):
-    return {
-        "sequence": s.seq.specifier(),
-        "coeffs": [matrix_to_json(c) for c in s.coeffs],
-    }
+    return {"sequence": s.seq.specifier(), "coeffs": [matrix_to_json(c) for c in s.coeffs]}
 
 
 def _series_from_json(path):
@@ -148,8 +145,12 @@ def _strict_json(obj):
 
 
 def _emit(doc):
-    json.dump(_strict_json(doc), sys.stdout, allow_nan=False)
-    sys.stdout.write("\n")
+    """Write ``doc`` as one line of strict JSON, by the C encoder."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:  # a non-finite float
+        text = json.dumps(_strict_json(doc), allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _report_doc(rep):
@@ -173,7 +174,9 @@ def _cmd_eval(args):
     if args.path in ("series", "both"):
         integer = z.imag == 0 and z.real.is_integer()
         rep = None
-        if A.backend == EXACT and seq.exact and (integer or seq.rules.neumann):
+        # a nonzero trace shows that A is not nilpotent: its exact series cannot end
+        ends = integer and (z == 0 or A.backend == EXACT and A.trace() == 0)
+        if A.backend == EXACT and seq.exact and (ends or seq.rules.neumann):
             rep = eval_exp(A, _binary_rational(z), seq, policy)
         if rep is None or rep.status == MAX_TERMS_REACHED:
             rep = eval_exp(A.to_float(), z, seq, policy)
@@ -224,7 +227,7 @@ def _cmd_solve(args):
         results.append(
             {
                 "z": [z.real, z.imag],
-                "y": (vector_to_json(tuple(map(complex, rep.value)))
+                "y": ([[y.real, y.imag] for y in map(complex, rep.value)]
                       if rep.status == CONVERGED else None),
                 "status": rep.status,
             }
@@ -311,10 +314,7 @@ def _cmd_probe(args):
     seq = parse_specifier(args.moment)
     if args.terms < 8:
         raise ValueError(f"--terms must be at least 8, got {args.terms}")
-    report = growth_probe(seq, args.terms)
-    doc = {"sequence": seq.specifier()}
-    doc.update(report.to_json())
-    _emit(doc)
+    _emit({"sequence": seq.specifier(), **growth_probe(seq, args.terms).to_json()})
     return EXIT_OK
 
 

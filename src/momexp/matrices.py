@@ -18,15 +18,14 @@ other inputs through :func:`require_exact`, which names the one that is not
 exact.  On the float backend, scalar arguments (``z``, a scale factor, an
 eigenvalue) are converted with ``complex()``, but matrix and vector entries
 must not be GaussianRational; an exact matrix converts only through the
-lossy :meth:`CMatrix.to_float`.  Every float matrix product runs one loop,
-:meth:`CMatrix._scaled_product`, and ``@`` is its unscaled case.  Besides
-:class:`CMatrix` on both backends, this module holds the vector API and the
-JSON wire format.
+lossy :meth:`CMatrix.to_float`.  Besides :class:`CMatrix`, this module
+holds the vector API and the JSON wire format.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, sub
@@ -40,6 +39,7 @@ from .exact import (
     _det,
     _entrywise,
     _eye,
+    _fraction,
     _gauss,
     _hcat,
     _imatmul,
@@ -86,9 +86,8 @@ def infer_backend(*values):
 
 
 def require_exact(value, what="scalar"):
-    """Admit ``value`` to an exact computation: a scalar comes back as a
-    GaussianRational and an exact moment sequence unchanged.  Anything else
-    raises BackendMismatch naming ``what`` the input is."""
+    """Admit ``value`` to an exact computation: a scalar as a GaussianRational,
+    an exact moment sequence as it is; else raise BackendMismatch naming ``what``."""
     g = GaussianRational._coerce(value)
     if g is not None:
         return g
@@ -106,9 +105,7 @@ def _check_backend(backend):
 
 def _coerce_float(value):
     if isinstance(value, GaussianRational):
-        raise BackendMismatch(
-            "exact scalar in a float-backend matrix; convert explicitly"
-        )
+        raise BackendMismatch("exact scalar in a float-backend matrix; convert explicitly")
     return complex(value)
 
 
@@ -117,12 +114,11 @@ class CMatrix:
 
     A float matrix holds its entries in ``rows``, as Python ``complex``; only
     :meth:`_real_parts` makes one that holds Python ``float``, for a sum whose
-    every term is real.  An exact matrix holds
-    integer numerators ``_re``, ``_im`` over one reduced ``_den``, the
-    integer blocks of :mod:`momexp.exact`; a real exact matrix stores no
-    imaginary numerators (``_im`` is None), so its kernels skip every
-    imaginary product.  Its ``rows`` of GaussianRationals
-    are kept when it is built from them and otherwise built on first read.
+    every term is real.  An exact matrix holds integer numerators ``_re``,
+    ``_im`` over one reduced ``_den``, the integer blocks of
+    :mod:`momexp.exact`; a real one stores no ``_im`` (None), so its kernels
+    skip every imaginary product.  Its ``rows`` of GaussianRationals are
+    kept when it is built from them and otherwise built on first read.
     A float product ``(a @ b).scale(s)`` of the series is one pass,
     ``a._scaled_product(b, s)``: each entry is scaled as it is stored.
     """
@@ -155,9 +151,8 @@ class CMatrix:
 
     @classmethod
     def _from_complex(cls, rows):
-        """A float matrix on rows of Python complex (or, for a real matrix
-        of :meth:`_real_parts`, of Python float) that the class computed
-        itself; unlike ``__init__`` it checks and coerces no entry."""
+        """A float matrix on rows of Python complex (or float, for
+        :meth:`_real_parts`), taken unchecked and uncoerced."""
         rows = tuple(map(tuple, rows))
         m = object.__new__(cls)
         _set(m, "n", len(rows))
@@ -223,10 +218,9 @@ class CMatrix:
         return np.array(self.rows, dtype=complex)
 
     def _real_parts(self):
-        """The real parts of a float matrix as Python floats: ``@``, ``+``,
-        ``-``, ``row_sum_norm`` and ``scale`` by a real factor keep them
-        float, and if no imaginary part was nonzero, give every nonzero real
-        part as the complex arithmetic does."""
+        """The real parts of a float matrix as Python floats, which ``@``,
+        ``+``, ``-``, ``row_sum_norm`` and a real ``scale`` keep, each nonzero
+        one as the complex arithmetic gives it if no imaginary part was."""
         return CMatrix._from_complex([x.real for x in r] for r in self.rows)
 
     def _complexified(self):
@@ -265,9 +259,8 @@ class CMatrix:
         """``(self @ other).scale(s)``, bit for bit.  On the float backend
         this is the one product loop, and ``@`` is its ``s = None`` case:
         each entry is summed left to right from its first product and
-        multiplied by ``s`` as it is stored, so the unscaled product is never
-        built.  ``s`` is coerced as :meth:`scale` coerces it, made real only
-        when both factors hold Python floats."""
+        multiplied by ``s`` (coerced as :meth:`scale` does, real only when
+        both factors hold Python floats) as it is stored."""
         if self.backend == EXACT:
             return (self @ other).scale(s)
         self._check(other)
@@ -291,12 +284,10 @@ class CMatrix:
     @staticmethod
     def weighted_products(weights, lefts, rights):
         """sum_k w_k (lefts[k] @ rights[k]) for exact matrices and Fraction
-        weights w_k, as one integer product of the block row [f_k a_k] (row i
-        joins f_k times row i of each a_k) by the block column that stacks
-        every b_k.  The sum is over den = lcm_k d_k, d_k = w_k.den * a_k.den *
-        b_k.den, with f_k = w_k.num * den / d_k, and is reduced once.  A
-        block side whose factors are all real has no imaginary block, so the
-        product takes 1, 2 or 4 integer products as for ``@``."""
+        weights w_k: one integer product of the block row [f_k a_k] by the
+        block column of the b_k, over den = lcm_k d_k, d_k = w_k.den a_k.den
+        b_k.den, with f_k = w_k.num den / d_k, reduced once.  An all-real
+        side has no imaginary block: 1, 2 or 4 integer products, as for ``@``."""
         if not lefts or not len(weights) == len(lefts) == len(rights):
             raise ValueError("weighted_products needs equally many weights and factors")
         n = lefts[0].n
@@ -326,12 +317,8 @@ class CMatrix:
             im = None
             if self._im is not None or other._im is not None:
                 im = _entrywise(op, _iscale(self._imag(), f), _iscale(other._imag(), g))
-            return CMatrix._from_ints(
-                self.n,
-                _entrywise(op, _iscale(self._re, f), _iscale(other._re, g)),
-                im,
-                den,
-            )
+            re = _entrywise(op, _iscale(self._re, f), _iscale(other._re, g))
+            return CMatrix._from_ints(self.n, re, im, den)
         return CMatrix._from_complex(
             map(op, ra, rb) for ra, rb in zip(self.rows, other.rows))
 
@@ -430,32 +417,25 @@ class CMatrix:
 
 
 def _float_singular(a):
-    """The one singularity rule of the float backend, relative to the
-    matrix's scale: sigma_min <= 1e-12 sigma_max."""
+    """The float backend's one singularity rule: sigma_min <= 1e-12 sigma_max."""
     return _sigma_singular(np.linalg.svd(a, compute_uv=False))
 
 
 def _sigma_singular(s):
-    """:func:`_float_singular` read from a matrix's singular values s,
-    largest first."""
+    """:func:`_float_singular` read from singular values s, largest first."""
     return s[-1] <= 1e-12 * s[0]
 
 
-# module-level power; bench/workloads.py calls it as mx.mat_pow
-
-def mat_pow(a, p):
-    return a.pow(p)
+mat_pow = CMatrix.pow  # module-level power; bench/workloads.py calls it as mx.mat_pow
 
 
 # -- vectors ----------------------------------------------------------
 # Vectors are plain tuples of scalars from one backend.
 
 def _vec_ints(v, n):
-    """(re, im, den): an exact vector of length n as a one-row block of
-    integer numerators over the lcm of its entries' denominators, ``im``
-    None if all are real.  That is the canonical form of :func:`_reduced`:
-    each prime of den divides some entry's denominator fully, not its
-    numerator.  Non-GaussianRational entries go through :func:`require_exact`."""
+    """(re, im, den): an exact vector of length n as a one-row block over
+    the lcm of its entries' denominators (canonical, as :func:`_reduced`
+    makes it), ``im`` None if all are real; entries pass :func:`require_exact`."""
     if len(v) != n:
         raise DimensionMismatch(f"matrix {n} vs vector {len(v)}")
     if not all(type(x) is GaussianRational for x in v):
@@ -537,32 +517,32 @@ def vec_norm(v):
 # {"n": int, "entries": [[[re, im], ...], ...]}; re/im are JSON numbers for
 # the float backend or "p/q" strings for the exact backend.
 
-def _part_to_json(x):
-    return str(x) if isinstance(x, Fraction) else x
+_RATIO = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)  # "p/q" text with q > 0
 
 
-def scalar_to_json(x):
-    if isinstance(x, GaussianRational):
-        return [_part_to_json(x.re), _part_to_json(x.im)]
-    x = complex(x)
-    return [x.real, x.imag]
+def _rational_part(x):
+    """(numerator, denominator) of Fraction(str(x)), unreduced for "p/q" text."""
+    if m := type(x) is str and _RATIO.fullmatch(x):
+        return int(m[1]), int(m[2] or 1)
+    return Fraction(str(x)).as_integer_ratio()
 
 
-def scalar_from_json(pair):
+def _entry_from_json(pair):
+    """A checked scalar entry: a complex, or its parts' :func:`_rational_part`."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"scalar entry must be a [re, im] pair, got {pair!r}")
-    re, im = pair
-    if isinstance(re, bool) or isinstance(im, bool):
+    a, b = pair
+    if isinstance(a, bool) or isinstance(b, bool):
         raise ValueError(f"scalar parts must not be booleans, got {pair!r}")
-    if isinstance(re, str) or isinstance(im, str):
+    if isinstance(a, str) or isinstance(b, str):
         try:
-            return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+            return _rational_part(a), _rational_part(b)
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in scalar entry {pair!r}") from exc
-    if not all(isinstance(x, (int, float)) for x in pair):
+    if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
         raise ValueError(f"scalar parts must be numbers or 'p/q' strings, got {pair!r}")
     try:
-        z = complex(float(re), float(im))
+        z = complex(float(a), float(b))
     except OverflowError:  # an integer past the float range
         z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -570,17 +550,43 @@ def scalar_from_json(pair):
     return z
 
 
+def scalar_from_json(pair):
+    x = _entry_from_json(pair)
+    return x if type(x) is complex else GaussianRational(Fraction(*x[0]), Fraction(*x[1]))
+
+
 def matrix_to_json(m):
-    return {"n": m.n, "entries": [[scalar_to_json(x) for x in r] for r in m.rows]}
+    """An exact matrix's parts as "p/q" text read from its integer block."""
+    if m.backend == EXACT:
+        d = m._den
+        entries = [[[str(_fraction(a, d)), str(_fraction(b, d))] for a, b in zip(ra, ia)]
+                   for ra, ia in zip(m._re, m._imag())]
+    else:
+        entries = [[[x.real, x.imag] for x in r] for r in m.rows]
+    return {"n": m.n, "entries": entries}
 
 
 def matrix_from_json(obj):
+    """The matrix of ``obj``, built on its entries as they are checked: the
+    complex values, or integer numerators over the lcm of the denominators."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     entries = obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix 'entries' must be a list of rows")
-    m = CMatrix([[scalar_from_json(x) for x in row] for row in entries])
+    rows = [list(map(_entry_from_json, r)) for r in entries]
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise DimensionMismatch("matrix must be square and nonempty")
+    flat = list(chain.from_iterable(rows))
+    if len(set(map(type, flat))) > 1:
+        raise BackendMismatch("mixed exact and float values")
+    if type(flat[0]) is complex:
+        m = CMatrix._from_complex(rows)
+    else:
+        den = math.lcm(*(q for parts in flat for _, q in parts))
+        m = CMatrix._from_ints(n, *(_square([p * (den // q) for p, q in part], n)
+                                    for part in zip(*flat)), den)
     if "n" in obj and obj["n"] != m.n:
         raise ValueError(f"declared n={obj['n']} but got {m.n} rows")
     return m
@@ -592,7 +598,3 @@ def vector_from_json(obj):
     vals = tuple(scalar_from_json(x) for x in obj)
     infer_backend(vals)  # raises if exact and float entries mix
     return vals
-
-
-def vector_to_json(v):
-    return [scalar_to_json(x) for x in v]

@@ -195,7 +195,12 @@ class MomentSequence:
 
     def _ratio_row(self, q):
         m = self._cache
-        if not self.exact and m[q] == math.inf:
+        if self.exact:  # one gcd per entry, for the half n <= q/2 of a symmetric row
+            a, b = m[q].numerator, m[q].denominator
+            half = [Fraction(a * m[n].denominator * m[q - n].denominator,
+                             b * m[n].numerator * m[q - n].numerator) for n in range(q // 2 + 1)]
+            return tuple(half + half[:q + 1 - len(half)][::-1])
+        if m[q] == math.inf:
             lg = [self.log_value(n) for n in range(q + 1)]
             return tuple(math.exp(lg[q] - (lg[n] + lg[q - n])) for n in range(q + 1))
         return tuple(m[q] / (m[n] * m[q - n]) for n in range(q + 1))

@@ -207,6 +207,31 @@ class TestEval:
         zero = "0" if isinstance(want[0][0], str) else 0.0
         assert doc["value"]["entries"] == [[[x, zero] for x in row] for row in want]
 
+    @pytest.mark.parametrize("moment", ["factorial", "qfac:2"])
+    def test_nonzero_trace_skips_the_exact_series(self, capsys, tmp_path, monkeypatch,
+                                                  moment):
+        # tr A = 3 shows that A is not nilpotent, so the exact series could not
+        # end: eval sums only A.to_float(), and prints its float copy's document
+        backends = []
+
+        def spy(A, *args):
+            backends.append(A.backend)
+            return eval_exp(A, *args)
+
+        monkeypatch.setattr("momexp.cli.eval_exp", spy)
+        A = CMatrix([[1, 1], [0, 2]])
+        argv = ["--moment", moment, "--z", "1"]
+        doc = run(capsys, "eval", "--matrix", write_matrix(tmp_path, "A.json", A), *argv)
+        fdoc = run(capsys, "eval", "--matrix",
+                   write_matrix(tmp_path, "Af.json", A.to_float()), *argv)
+        assert doc == fdoc and doc[0] == 0
+        assert backends == ["float", "float"]
+        # at z = 0 the series ends at once, so it is summed and printed exactly
+        code, doc = run(capsys, "eval", "--matrix", str(tmp_path / "A.json"),
+                        "--moment", moment, "--z", "0")
+        assert code == 0 and backends[2:] == ["exact"]
+        assert doc["value"] == matrix_to_json(CMatrix.identity(2))
+
     def test_both_paths_report_discrepancy(self, capsys, example1):
         code, doc = run(
             capsys, "eval", "--matrix", example1, "--z", "0.3,0",
@@ -713,6 +738,76 @@ class TestSeries:
         # E(A)^2 = E(2A) for factorial moments
         two_a = matrix_from_json(out["coeffs"][1])
         assert two_a == A.scale(2)
+
+
+def _matrix_text(rows, quoted=True):
+    """The matrix JSON text the CLI prints for ``rows`` of (re, im) part
+    texts, each in quotes for an exact matrix."""
+    q = '"' if quoted else ""
+    entries = ", ".join("[" + ", ".join(f"[{q}{re}{q}, {q}{im}{q}]" for re, im in row) + "]"
+                        for row in rows)
+    return f'{{"n": {len(rows)}, "entries": [{entries}]}}'
+
+
+class TestWireFormat:
+    """The text of each matrix the CLI prints, byte for byte.  ``series
+    --op derive`` drops a series' first coefficient, so it echoes each later
+    coefficient through the reader and the writer."""
+
+    BIG = 2**64 + 1
+
+    def derive(self, capsys, tmp_path, seq, coeffs):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"sequence": seq, "coeffs": coeffs}))
+        code = main(["series", "--op", "derive", "--series", str(path)])
+        return code, capsys.readouterr().out
+
+    def test_exact_parts_print_reduced(self, capsys, tmp_path):
+        # each part over its own lowest denominator, with no "/1", whatever
+        # the input's; a numerator past 2^64 prints in full
+        rows = [[["2/4", "0"], ["-10/12", "0/5"]], [["6/2", "0"], ["0/7", "-0"]]]
+        big = [[[f"{self.BIG}/3", f"-{self.BIG}"], ["1", "0"]], [["0", "-4/2"], ["0", "0"]]]
+        code, out = self.derive(capsys, tmp_path, "qfac:2",
+                                [{"entries": r} for r in (rows, rows, big)])
+        assert code == 0
+        want = [_matrix_text([[("1/2", "0"), ("-5/6", "0")], [("3", "0"), ("0", "0")]]),
+                _matrix_text([[(f"{self.BIG}/3", f"-{self.BIG}"), ("1", "0")],
+                              [("0", "-2"), ("0", "0")]])]
+        assert out == f'{{"sequence": "qfac:2", "coeffs": [{", ".join(want)}]}}\n'
+
+    def test_exact_real_result_prints_zero_imaginary_parts(self, capsys, tmp_path):
+        # a computed real matrix stores no imaginary numerators: each prints "0"
+        path = write_matrix(tmp_path, "A.json",
+                            CMatrix([[Fraction(1, 2), Fraction(-5, 6)], [3, 1]]))
+        code = main(["series", "--op", "inverse", "--matrix", path,
+                     "--moment", "factorial", "--order", "2"])
+        want = [_matrix_text([[(a, "0") for a in row] for row in c]) for c in (
+            [["1", "0"], ["0", "1"]], [["-1/2", "5/6"], ["-3", "-1"]],
+            [["-9/4", "-5/4"], ["9/2", "-3/2"]])]
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f'{{"sequence": "factorial", "coeffs": [{", ".join(want)}]}}\n')
+
+    def test_float_parts_print_as_repr(self, capsys, tmp_path):
+        # -0.0 keeps its sign, 1e300 prints as Python's repr, an int part as a float
+        rows = [[[-0.0, 1e300], [0.5, -0.0]], [[1e-300, 0], [3, -2.5]]]
+        code, out = self.derive(capsys, tmp_path, "factorial",
+                                [{"entries": rows}, {"n": 2, "entries": rows}])
+        assert code == 0
+        want = _matrix_text([[("-0.0", "1e+300"), ("0.5", "-0.0")],
+                             [("1e-300", "0.0"), ("3.0", "-2.5")]], quoted=False)
+        assert out == f'{{"sequence": "factorial", "coeffs": [{want}]}}\n'
+
+    @pytest.mark.parametrize("entries, error", [
+        ([[["1/2", "0"], [1.0, 0]], [[0, 0], [1, 0]]], "mixed exact and float values"),
+        ([[[1, 0], [2, 0]]], "matrix must be square and nonempty"),
+        ([[[1, 0], [2, 0]], [[1, 0]]], "matrix must be square and nonempty"),
+    ], ids=["mixed", "one-row", "ragged"])
+    def test_malformed_matrix_exit_2(self, capsys, tmp_path, entries, error):
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps({"entries": entries}))
+        assert main(["eval", "--matrix", str(path), "--moment", "factorial"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestProbe:

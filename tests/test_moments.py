@@ -149,6 +149,53 @@ class TestValues:
         assert not any(map(math.isnan, phis))
 
 
+def _gaussian_binomials(q, P):
+    """Rows of [p choose n]_q for p <= P by the q-Pascal rule
+    [p, n] = [p - 1, n - 1] + q^n [p - 1, n], with [p, 0] = [p, p] = 1."""
+    rows = [[Fraction(1)]]
+    for p in range(1, P + 1):
+        prev = rows[-1]
+        rows.append([Fraction(1)] + [prev[n - 1] + q**n * prev[n] for n in range(1, p)]
+                    + [Fraction(1)])
+    return rows
+
+
+class TestRatioRows:
+    """ratio_row(p)[n] = m(p) / (m(n) m(p - n)), against values computed
+    without momexp."""
+
+    P = 40
+
+    def check(self, seq, want):
+        for p in range(self.P + 1):
+            row = seq.ratio_row(p)
+            assert all(type(x) is Fraction for x in row)
+            assert list(row) == want[p], p
+
+    def test_factorial_is_binomial(self):
+        want = [[Fraction(math.comb(p, n)) for n in range(p + 1)] for p in range(self.P + 1)]
+        self.check(MomentSequence.factorial(), want)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+    def test_q_factorial_is_gaussian_binomial(self, q):
+        self.check(MomentSequence.q_factorial(q), _gaussian_binomials(q, self.P))
+
+    def test_geometric_is_one(self):
+        self.check(parse_specifier("geom:5/3"),
+                   [[Fraction(1)] * (p + 1) for p in range(self.P + 1)])
+
+    def test_custom_table(self):
+        table = [Fraction(1)] + [Fraction(3 * p + 1, 7 * p % 11 + 1) for p in range(1, self.P + 1)]
+        seq = MomentSequence.custom([str(v) for v in table], rapid_growth_declared=False)
+        self.check(seq, [[table[p] / (table[n] * table[p - n]) for n in range(p + 1)]
+                         for p in range(self.P + 1)])
+
+    def test_factorial_phi_alternates(self):
+        # E(z)^{-1} = e^{-z}, whose moment-basis coefficients are (-1)^p
+        assert phi_coefficients(MomentSequence.factorial(), self.P) == [
+            (-1) ** p for p in range(self.P + 1)]
+
+
 class TestCustom:
     def test_m0_must_be_one(self):
         with pytest.raises(SequenceError):
